@@ -8,14 +8,9 @@ Usage (as in .github/workflows/ci.yml)::
 
 Reads the pytest-benchmark JSON report, converts each micro-benchmark's
 fastest round into events/second, and compares against the checked-in
-``benchmarks/perf_floor.json``.  Floors are keyed by kernel backend
-(``python`` vs ``turbo`` — the compiled dispatch core has much higher
-bars); pass ``--backend NAME`` to pin which set gates the report, or
-let the script resolve the backend the benches actually ran under
-(``REPRO_KERNEL`` / auto-detect, the same rule ``Simulator()`` uses).
-The floors are deliberately set at about half the measured rates, and
-the check only fails below 70% of a floor — so CI noise passes but a
-real kernel regression does not.
+``benchmarks/perf_floor.json``.  The floors are deliberately set at about
+half the measured rates, and the check only fails below 70% of a floor —
+so CI noise passes but a real kernel regression does not.
 
 Tracing-off overhead guard::
 
@@ -67,49 +62,13 @@ TRACING_NOISE = 0.05
 FLOOR_PATH = Path(__file__).resolve().parent / "perf_floor.json"
 
 
-def resolve_backend_name(backend: str | None = None) -> str:
-    """The backend whose floors should gate this report.
-
-    Uses the kernel's own resolution (explicit > ``REPRO_KERNEL`` >
-    auto-detect) when ``repro`` is importable; otherwise falls back to
-    the env var / ``python``.
-    """
-    try:
-        from repro.sim.turbo import resolve_backend
-
-        return resolve_backend(backend)
-    except ImportError:
-        import os
-
-        return backend or os.environ.get("REPRO_KERNEL") or "python"
-
-
-def check(
-    report_path: str,
-    floor_path: Path = FLOOR_PATH,
-    backend: str | None = None,
-) -> int:
+def check(report_path: str, floor_path: Path = FLOOR_PATH) -> int:
     try:
         report = json.loads(Path(report_path).read_text())
         floors = json.loads(floor_path.read_text())["floors"]
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"check_perf_floor: cannot read inputs: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        backend_name = resolve_backend_name(backend)
-    except (RuntimeError, ValueError) as exc:
-        print(f"check_perf_floor: {exc}", file=sys.stderr)
-        return 2
-    if backend_name in floors:
-        floors = floors[backend_name]
-        print(f"check_perf_floor: gating with {backend_name!r} floors")
-    else:
-        # repro-perf-floor/1 compatibility: a flat {bench: floor} map.
-        print(
-            "check_perf_floor: flat floor file (no per-backend sets); "
-            f"measured backend was {backend_name!r}"
-        )
 
     seen = set()
     failed = False
@@ -183,14 +142,6 @@ def check_tracing_guard(report_path: str, trajectory_path: str) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    backend = None
-    if "--backend" in argv:
-        i = argv.index("--backend")
-        if i + 1 >= len(argv):
-            print(__doc__, file=sys.stderr)
-            return 2
-        backend = argv[i + 1]
-        argv = argv[:i] + argv[i + 2:]
     if argv and argv[0] == "--tracing-guard":
         if len(argv) != 3:
             print(__doc__, file=sys.stderr)
@@ -199,7 +150,7 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    return check(argv[0], backend=backend)
+    return check(argv[0])
 
 
 if __name__ == "__main__":

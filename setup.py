@@ -1,25 +1,5 @@
-"""Legacy setup shim so `pip install -e . --no-use-pep517` works offline.
+"""Legacy setup shim so `pip install -e . --no-use-pep517` works offline."""
 
-Also declares the optional compiled dispatch core (repro.sim.turbo._hot).
-The Extension is marked ``optional``: a missing compiler or headers turns
-the build failure into a warning and the package falls back to the
-pure-Python kernel (see repro/sim/turbo/__init__.py).  Set
-REPRO_NO_TURBO=1 to skip the extension entirely.
-"""
+from setuptools import setup
 
-import os
-
-from setuptools import Extension, setup
-
-ext_modules = []
-if not os.environ.get("REPRO_NO_TURBO"):
-    ext_modules.append(
-        Extension(
-            "repro.sim.turbo._hot",
-            sources=["src/repro/sim/turbo/_hot.c"],
-            optional=True,
-            extra_compile_args=["-O2"],
-        )
-    )
-
-setup(ext_modules=ext_modules)
+setup()

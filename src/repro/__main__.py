@@ -719,7 +719,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "--label", args.label,
         "--profile", args.profile,
         "--jobs", str(args.jobs if args.jobs is not None else 0),
-        "--backend", args.backend,
     ]
     if args.store or args.resume:
         from .core import default_store_dir
@@ -1015,14 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--scale-out", default="BENCH_scale.json")
     p_bench.add_argument("--label", default="",
                          help="free-form tag recorded in the artifacts")
-    p_bench.add_argument("--backend",
-                         choices=["python", "turbo", "both", "auto"],
-                         default="both",
-                         help="kernel backend(s) to benchmark; 'both' "
-                              "prints a side-by-side rate table and "
-                              "records the turbo speedup per bench "
-                              "(turbo legs need the compiled extension, "
-                              "see EXPERIMENTS.md)")
     p_bench.add_argument("--skip-figures", action="store_true",
                          help="only run the kernel micro-benchmarks")
     p_bench.add_argument("--skip-scale", action="store_true",

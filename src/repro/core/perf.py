@@ -32,9 +32,7 @@ from typing import Dict, List, Optional
 __all__ = [
     "KERNEL_BENCHES",
     "measure_kernel",
-    "measure_kernel_backends",
     "measure_wheel_equivalence",
-    "measure_backend_equivalence",
     "measure_figures",
     "measure_scale",
     "write_json",
@@ -150,47 +148,16 @@ def _kernel_runner(name: str):
     raise ValueError(f"unknown kernel benchmark {name!r}")
 
 
-class _pinned_backend:
-    """Context manager pinning ``REPRO_KERNEL`` for a measurement.
-
-    Resolves the request to a concrete backend first, so an explicit
-    ``turbo`` fails loudly when the extension is missing instead of
-    silently timing the Python kernel.
-    """
-
-    def __init__(self, backend: Optional[str]):
-        from ..sim.turbo import resolve_backend
-
-        self.name = resolve_backend(backend)
-        self._saved: Optional[str] = None
-
-    def __enter__(self) -> str:
-        self._saved = os.environ.get("REPRO_KERNEL")
-        os.environ["REPRO_KERNEL"] = self.name
-        return self.name
-
-    def __exit__(self, *exc) -> None:
-        if self._saved is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = self._saved
-
-
 def measure_kernel(
     n: int = 20_000,
     rounds: int = 3,
     label: str = "",
-    backend: Optional[str] = None,
 ) -> Dict:
     """Events/second for each kernel micro-benchmark (best of ``rounds``).
 
     Best-of is the right statistic for a floor check: scheduling noise
     only ever makes a round *slower*, so the fastest round is the
     closest estimate of the true cost.
-
-    ``backend`` pins the kernel backend for the measurement
-    (``python``/``turbo``; default auto-detect); the resolved name is
-    recorded as ``kernel_backend`` in the artifact.
     """
     def best_of(run, count: int, **kwargs) -> float:
         run(count, **kwargs)  # warm caches/allocator before timing
@@ -207,92 +174,40 @@ def measure_kernel(
         return best
 
     results: Dict[str, Dict] = {}
-    with _pinned_backend(backend) as backend_name:
-        for name in KERNEL_BENCHES:
-            run = _kernel_runner(name)
-            if name == "cpu_bursts":
-                count = max(1, n // 2)
-            elif name == "idle_timeout_storm":
-                # The storm arms 4096 standing timers before the re-arm
-                # churn starts; it needs a longer run to amortise that
-                # setup into the per-op rate.
-                count = n * 3
-            else:
-                count = n
-            best = best_of(run, count)
-            results[name] = row = {
-                "events": count,
-                "best_seconds": round(best, 6),
-                "events_per_second": round(count / best, 1),
-            }
-            if name == "idle_timeout_storm":
-                # The storm is the wheel's acceptance benchmark: measure
-                # the identical workload again on the heap-only kernel
-                # (tombstone + compaction cancellation) and report the
-                # speedup the timing wheel buys.
-                heap_best = best_of(run, count, wheel=False)
-                row["heap_baseline_events_per_second"] = round(
-                    count / heap_best, 1
-                )
-                row["wheel_speedup"] = round(heap_best / best, 3)
+    for name in KERNEL_BENCHES:
+        run = _kernel_runner(name)
+        if name == "cpu_bursts":
+            count = max(1, n // 2)
+        elif name == "idle_timeout_storm":
+            # The storm arms 4096 standing timers before the re-arm
+            # churn starts; it needs a longer run to amortise that setup
+            # into the per-op rate.
+            count = n * 3
+        else:
+            count = n
+        best = best_of(run, count)
+        results[name] = row = {
+            "events": count,
+            "best_seconds": round(best, 6),
+            "events_per_second": round(count / best, 1),
+        }
+        if name == "idle_timeout_storm":
+            # The storm is the wheel's acceptance benchmark: measure the
+            # identical workload again on the heap-only kernel
+            # (tombstone + compaction cancellation) and report the
+            # speedup the timing wheel buys.
+            heap_best = best_of(run, count, wheel=False)
+            row["heap_baseline_events_per_second"] = round(
+                count / heap_best, 1
+            )
+            row["wheel_speedup"] = round(heap_best / best, 3)
     return {
-        "schema": "repro-bench-kernel/2",
+        "schema": "repro-bench-kernel/3",
         "label": label,
         "rounds": rounds,
-        "kernel_backend": backend_name,
         "environment": _environment(),
         "benchmarks": results,
     }
-
-
-def measure_kernel_backends(
-    n: int = 20_000,
-    rounds: int = 3,
-    label: str = "",
-    backend: str = "both",
-) -> Dict:
-    """Per-backend kernel rates: the BENCH_kernel artifact body.
-
-    ``backend="both"`` measures the pure-Python kernel and — when the
-    compiled extension is importable — the turbo backend, records each
-    under ``backends``, and promotes the fastest available one's rates
-    to the top-level ``benchmarks`` block (so floor checks and the
-    trajectory comparison keep reading the primary numbers the session
-    would actually run with).  A single backend name measures just that
-    one.
-    """
-    from ..sim.turbo import extension_available
-
-    if backend in ("python", "turbo", "auto", None, ""):
-        primary = measure_kernel(n, rounds, label, backend or None)
-        primary["backends"] = {
-            primary["kernel_backend"]: primary["benchmarks"]
-        }
-        return primary
-    if backend != "both":
-        raise ValueError(f"unknown backend selection {backend!r}")
-
-    legs = ["python"] + (["turbo"] if extension_available() else [])
-    per_backend = {
-        name: measure_kernel(n, rounds, label, name) for name in legs
-    }
-    primary = per_backend[legs[-1]]
-    out = dict(primary)
-    out["backends"] = {
-        name: leg["benchmarks"] for name, leg in per_backend.items()
-    }
-    if "turbo" in per_backend:
-        python_rates = per_backend["python"]["benchmarks"]
-        turbo_rates = per_backend["turbo"]["benchmarks"]
-        out["turbo_speedup"] = {
-            name: round(
-                turbo_rates[name]["events_per_second"]
-                / python_rates[name]["events_per_second"],
-                3,
-            )
-            for name in turbo_rates
-        }
-    return out
 
 
 def measure_wheel_equivalence(
@@ -357,70 +272,6 @@ def measure_wheel_equivalence(
             "heap_row_sha256": digest(heap_row),
         }
     return {
-        "clients": clients,
-        "duration": duration,
-        "warmup": warmup,
-        "seed": seed,
-        "identical": all_identical,
-        "servers": servers,
-    }
-
-
-def measure_backend_equivalence(
-    clients: int = 96,
-    duration: float = 4.0,
-    warmup: float = 2.0,
-    seed: int = 42,
-) -> Dict:
-    """Prove the turbo backend changes no results, only their cost.
-
-    The compiled dispatch core manipulates the same heap, pools, and
-    wheel as the Python kernel, so dispatch order — and therefore every
-    RunMetrics row — must be byte-identical (DESIGN.md §14).  This runs
-    one small experiment per server architecture under each backend and
-    records row digests next to the speedup the backend licenses; the
-    full matrix (x wheel on/off x batch tier) lives in
-    ``tests/test_wheel_equivalence.py`` / ``tests/test_turbo_backend.py``.
-    """
-    import hashlib
-
-    from ..sim.turbo import extension_available
-    from .experiment import Experiment
-    from .params import ServerSpec, WorkloadSpec
-
-    if not extension_available():
-        return {"turbo_available": False, "identical": None, "servers": {}}
-
-    specs = {
-        "httpd": ServerSpec.httpd(64),
-        "nio": ServerSpec.nio(1),
-        "staged": ServerSpec.staged(1),
-        "amped": ServerSpec.amped(2),
-    }
-    workload = WorkloadSpec(clients=clients, duration=duration, warmup=warmup)
-
-    def digest(row: Dict) -> str:
-        blob = json.dumps(row, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
-    servers: Dict[str, Dict] = {}
-    all_identical = True
-    for kind, spec in specs.items():
-        rows = {}
-        for name in ("python", "turbo"):
-            with _pinned_backend(name):
-                rows[name] = Experiment(
-                    server=spec, workload=workload, seed=seed
-                ).run().row()
-        identical = rows["python"] == rows["turbo"]
-        all_identical = all_identical and identical
-        servers[kind] = {
-            "identical": identical,
-            "python_row_sha256": digest(rows["python"]),
-            "turbo_row_sha256": digest(rows["turbo"]),
-        }
-    return {
-        "turbo_available": True,
         "clients": clients,
         "duration": duration,
         "warmup": warmup,
@@ -652,47 +503,19 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
                              "figure timings (default: fresh temp dir); "
                              "a pre-warmed store turns the serial pass "
                              "into a resume")
-    parser.add_argument("--backend", default="both",
-                        choices=["python", "turbo", "both", "auto"],
-                        help="kernel backend(s) to measure (default: "
-                             "both — python plus turbo when the "
-                             "compiled extension is built)")
     args = parser.parse_args(argv)
 
-    kernel = measure_kernel_backends(label=args.label, backend=args.backend)
+    kernel = measure_kernel(label=args.label)
     kernel["wheel_equivalence"] = equiv = measure_wheel_equivalence()
-    if len(kernel["backends"]) > 1:
-        kernel["backend_equivalence"] = measure_backend_equivalence()
     write_json(kernel, args.kernel_out)
-
-    backends = kernel["backends"]
-    if len(backends) > 1:
-        # Side-by-side rate table, one row per bench.
-        names = list(backends)
-        header = "".join(f"{b:>14s}" for b in names) + f"{'speedup':>10s}"
-        print(f"[kernel] {'bench':>20s}{header}")
-        for bench in KERNEL_BENCHES:
-            cells = "".join(
-                f"{backends[b][bench]['events_per_second']:>14,.0f}"
-                for b in names
-            )
-            speedup = kernel["turbo_speedup"][bench]
-            print(f"[kernel] {bench:>20s}{cells}{speedup:>9.2f}x")
-    else:
-        only = next(iter(backends))
-        print(f"[kernel] backend: {only}")
-        for name, row in backends[only].items():
+    for name, row in kernel["benchmarks"].items():
+        print(f"[kernel] {name:>20s}: {row['events_per_second']:>12,.0f} ev/s")
+        if "wheel_speedup" in row:
             print(
-                f"[kernel] {name:>20s}: "
-                f"{row['events_per_second']:>12,.0f} ev/s"
+                f"[kernel] {'':>20s}  heap baseline "
+                f"{row['heap_baseline_events_per_second']:>12,.0f} ev/s "
+                f"-> wheel speedup {row['wheel_speedup']:.2f}x"
             )
-    storm = kernel["benchmarks"].get("idle_timeout_storm", {})
-    if "wheel_speedup" in storm:
-        print(
-            f"[kernel] {'':>20s}  heap baseline "
-            f"{storm['heap_baseline_events_per_second']:>12,.0f} ev/s "
-            f"-> wheel speedup {storm['wheel_speedup']:.2f}x"
-        )
     print(
         "[kernel] wheel equivalence: "
         + (
@@ -702,17 +525,6 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
             else "MISMATCH " + str(equiv["servers"])
         )
     )
-    bequiv = kernel.get("backend_equivalence")
-    if bequiv is not None:
-        print(
-            "[kernel] backend equivalence: "
-            + (
-                "identical RunMetrics on "
-                + ", ".join(sorted(bequiv["servers"]))
-                if bequiv["identical"]
-                else "MISMATCH " + str(bequiv["servers"])
-            )
-        )
     print(f"wrote {args.kernel_out}")
 
     if not args.skip_scale:

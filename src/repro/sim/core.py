@@ -64,7 +64,6 @@ import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from .turbo.core_hot import route_callback, route_timeout
 from .wheel import TimingWheel
 
 __all__ = [
@@ -96,13 +95,6 @@ _POOL_MAX = 1024
 #: means "heap-resident and live".
 _DEAD = object()
 
-#: Minimum wheel-slot flush size that takes the vectorized bulk-firing
-#: path (numpy lexsort into a presorted batch array) instead of
-#: per-entry heappushes.  Below this the fixed cost of building the
-#: sort arrays exceeds the saved log-factor; the value is deliberately
-#: conservative — order is identical either way, only speed differs.
-_BATCH_MIN = 48
-
 
 def _noop(*_args: Any) -> None:
     """Target swapped into a cancelled heap-resident callback entry.
@@ -128,6 +120,47 @@ class _Callback:
 
     #: Read by the dispatch loop; distinguishes us from Event entries.
     callbacks = None
+
+
+# Wheel-vs-heap routing, one copy per entry flavour.  Both take the
+# ``(when, seq)`` key already assigned, so routing never perturbs
+# tie-breaking.  The sub-tick fast path (one inline ``heappush``) stays
+# at the call sites: it has no routing logic in it.
+
+
+def _route_timeout(sim: "Simulator", ev: "Timeout", when: float, seq: int) -> None:
+    """Stage a wheel-eligible Timeout, falling back to the heap.
+
+    ``ev._node`` is the wheel node while staged, ``None`` when the wheel
+    declined (due within the current slot or beyond the horizon).
+    """
+    ev._node = node = sim._wheel.schedule(when, seq, None, None, ev)
+    if node is None:
+        heappush(sim._heap, (when, seq, ev))
+
+
+def _route_callback(
+    sim: "Simulator", timer: "Timer", delay: float, when: float, seq: int
+) -> None:
+    """Place a Timer-owned bare callback: wheel first, pooled heap entry
+    otherwise.
+
+    Wheel residency gives the O(1) true-cancel/rearm path; the heap
+    fallback (sub-tick delay, wheel declined, or wheel disabled) recycles
+    a ``_Callback`` entry and hands the handle over to tombstone
+    cancellation via ``timer._entry``.
+    """
+    if delay >= sim._wheel_tick:
+        node = sim._wheel.schedule(when, seq, timer._run, (), timer)
+        if node is not None:
+            timer._node = node
+            return
+    pool = sim._cbpool
+    cb = pool.pop() if pool else _Callback()
+    cb.fn = timer._run
+    cb.args = ()
+    timer._entry = cb
+    heappush(sim._heap, (when, seq, cb))
 
 
 class Event:
@@ -249,7 +282,7 @@ class Timeout(Event):
             self._node = None
             heappush(sim._heap, (when, seq, self))
         else:
-            route_timeout(sim, self, when, seq)
+            _route_timeout(sim, self, when, seq)
 
     def cancel(self) -> bool:
         """Cancel a timeout that is guaranteed not to be observed firing.
@@ -369,7 +402,7 @@ class Timer:
                 entry.args = ()
                 sim._note_tombstone()
             self._dead = False
-        route_callback(sim, self, delay, when, seq)
+        _route_callback(sim, self, delay, when, seq)
         return self
 
     def _run(self) -> None:
@@ -608,16 +641,6 @@ class Simulator:
 
     Entries are triggered :class:`Event` objects or internal
     :class:`_Callback` fast-path entries (see :meth:`call_later`).
-
-    Backend selection: constructing ``Simulator(...)`` directly returns
-    the active *kernel backend* — this pure-Python class, or
-    :class:`repro.sim.turbo.TurboSimulator` when the compiled dispatch
-    core is importable.  ``backend=`` (or the ``REPRO_KERNEL``
-    environment variable: ``python`` | ``turbo`` | ``auto``) pins the
-    choice per instance; both backends dispatch the identical event
-    sequence, so every RunMetrics row is byte-identical between them
-    (pinned by tests/test_turbo_backend.py and the backend matrix in
-    tests/test_wheel_equivalence.py).
     """
 
     __slots__ = (
@@ -628,42 +651,16 @@ class Simulator:
         "_cbpool",
         "_wheel",
         "_wheel_tick",
-        "_batch",
-        "_batch_pos",
-        "_batch_min",
         "_tombstones",
         "tombstones_compacted",
     )
 
-    #: The bare-callback heap-entry class, exposed for the shared
-    #: routing helpers (repro.sim.turbo.core_hot) and the wheel.
-    _cb_class = _Callback
-
-    #: Backend name reported by :attr:`backend`/:meth:`timer_stats`;
-    #: the compiled subclass overrides it.
-    _backend_name = "python"
-
-    def __new__(
-        cls,
-        wheel: Optional[bool] = None,
-        wheel_tick: float = 0.5,
-        backend: Optional[str] = None,
-    ) -> "Simulator":
-        # Backend dispatch happens only for the base class so that
-        # explicit `TurboSimulator()` / subclass construction is left
-        # alone.  Resolution order: explicit argument, then the
-        # REPRO_KERNEL environment variable, then auto-detection.
-        if cls is Simulator:
-            from .turbo import simulator_class
-
-            cls = simulator_class(backend)
-        return object.__new__(cls)
+    #: Kernel name, read by the end-to-end benchmark's probe
+    #: (benchmarks/e2e/probe.py); there is one kernel.
+    backend = "python"
 
     def __init__(
-        self,
-        wheel: Optional[bool] = None,
-        wheel_tick: float = 0.5,
-        backend: Optional[str] = None,
+        self, wheel: Optional[bool] = None, wheel_tick: float = 0.5
     ) -> None:
         self._now = 0.0
         self._heap: list = []
@@ -680,15 +677,6 @@ class Simulator:
             wheel = not os.environ.get("REPRO_NO_WHEEL")
         self._wheel = TimingWheel(wheel_tick, _Callback)
         self._wheel_tick = wheel_tick if wheel else float("inf")
-        #: Presorted bulk-flush staging (see _install_batch): entries
-        #: from a large wheel-slot flush wait here, already in (time,
-        #: seq) order, and the dispatch loop merges them with the heap
-        #: instead of paying one heappush+heappop per entry.
-        self._batch: list = []
-        self._batch_pos = 0
-        self._batch_min = (
-            float("inf") if os.environ.get("REPRO_NO_BATCH") else _BATCH_MIN
-        )
         #: Cancelled-but-heap-resident entries awaiting dispatch, and how
         #: many times compaction reclaimed them early.
         self._tombstones = 0
@@ -701,11 +689,6 @@ class Simulator:
         return self._now
 
     @property
-    def backend(self) -> str:
-        """Kernel backend this instance runs on: ``python`` or ``turbo``."""
-        return self._backend_name
-
-    @property
     def wheel_enabled(self) -> bool:
         """True when long-horizon timers are routed to the timing wheel."""
         return self._wheel_tick != float("inf")
@@ -713,10 +696,6 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         when = self._heap[0][0] if self._heap else float("inf")
-        if self._batch_pos < len(self._batch):
-            batch_when = self._batch[self._batch_pos][0]
-            if batch_when < when:
-                when = batch_when
         if self._wheel._count:
             wheel_when = self._wheel.earliest()
             if wheel_when < when:
@@ -724,24 +703,19 @@ class Simulator:
         return when
 
     def timer_stats(self) -> dict:
-        """Kernel timer counters (wheel traffic, tombstones, pool sizes).
-
-        Counter parity across backends is part of the turbo contract:
-        everything here except the ``backend`` tag itself must match
-        between ``python`` and ``turbo`` runs of the same model.
-        """
+        """Kernel timer counters (wheel traffic, tombstones, pool sizes)."""
         wheel = self._wheel
         return {
-            "backend": self._backend_name,
             "wheel_enabled": self.wheel_enabled,
             "wheel_scheduled": wheel.scheduled,
             "wheel_cancelled": wheel.cancelled,
             "wheel_flushed": wheel.flushed,
             "wheel_cascaded": wheel.cascaded,
-            "wheel_batch_flushes": wheel.batch_flushes,
+            # Always 0 (there is no bulk flush); kept because
+            # benchmarks/e2e/probe.py reads it.
+            "wheel_batch_flushes": 0,
             "wheel_pending": wheel._count,
             "heap_pending": len(self._heap),
-            "batch_pending": len(self._batch) - self._batch_pos,
             "tombstones": self._tombstones,
             "tombstones_compacted": self.tombstones_compacted,
         }
@@ -776,7 +750,7 @@ class Simulator:
                 ev._node = None
                 heappush(self._heap, (when, seq, ev))
             else:
-                route_timeout(self, ev, when, seq)
+                _route_timeout(self, ev, when, seq)
             return ev
         return Timeout(self, delay, value)
 
@@ -830,7 +804,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         timer = Timer(self, fn, args)
         self._seq = seq = self._seq + 1
-        route_callback(self, timer, delay, self._now + delay, seq)
+        _route_callback(self, timer, delay, self._now + delay, seq)
         return timer
 
     # -- scheduling --------------------------------------------------------
@@ -863,73 +837,27 @@ class Simulator:
             self._tombstones = 0
             self.tombstones_compacted += 1
 
-    def _install_batch(self, entries: list) -> None:
-        """Accept a presorted ``(time, seq, entry)`` run for dispatch.
-
-        Called by :meth:`TimingWheel.advance` after a bulk slot flush
-        (see ``_emit_batch``).  The entries are already in exact
-        ``(time, seq)`` order, so the dispatch loop can consume them by
-        advancing an index and merging against the heap top — O(1) per
-        event instead of a heappush *and* a heappop.  Mutates
-        ``self._batch`` in place: the inlined ``run()`` loop holds a
-        local reference to the list.
-
-        Entries are installed only into a drained batch.  The dispatch
-        loops guarantee that (the wheel is never advanced while batch
-        entries are pending, because every pending batch entry is due
-        before ``wheel._next``), but a re-entrant flush falls back to
-        per-entry heap insertion rather than merging two sorted runs.
-        """
-        batch = self._batch
-        if batch:
-            heap = self._heap
-            for entry in entries:
-                heappush(heap, entry)
-            return
-        batch[:] = entries
-        self._batch_pos = 0
-
     def step(self) -> None:
         """Process exactly one event.
 
         Reference implementation of the dispatch logic that ``run()``
-        inlines; behavioural changes must be mirrored there.
+        inlines; behavioural changes must be mirrored there.  Raises
+        :class:`SimulationError` when nothing is scheduled.
         """
+        # Flush the wheel before the heap-top could pass a due slot, so
+        # staged entries re-enter the total order in time.
+        wheel = self._wheel
         heap = self._heap
-        batch = self._batch
-        if not batch:
-            # Flush the wheel before the heap-top could pass a due slot,
-            # so staged entries re-enter the total order in time.  A
-            # flush may install a bulk batch (mutating self._batch in
-            # place), in which case dispatch must consider it.
-            wheel = self._wheel
-            while not batch:
-                if heap:
-                    if heap[0][0] < wheel._next:
-                        break
-                    wheel.advance(heap[0][0], self)
-                elif wheel._count:
-                    wheel.advance(wheel._next, self)
-                else:
+        while True:
+            if heap:
+                if heap[0][0] < wheel._next:
                     break
-        if batch:
-            # Merge: dispatch whichever of heap top / batch head holds
-            # the smaller (time, seq) key.  Sequence numbers are unique,
-            # so the tuple compare never reaches the entry objects.
-            pos = self._batch_pos
-            head = batch[pos]
-            if heap and heap[0] < head:
-                when, _seq, event = heappop(heap)
+                wheel.advance(heap[0][0], self)
+            elif wheel._count:
+                wheel.advance(wheel._next, self)
             else:
-                when, _seq, event = head
-                pos += 1
-                if pos == len(batch):
-                    del batch[:]
-                    self._batch_pos = 0
-                else:
-                    self._batch_pos = pos
-        else:
-            when, _seq, event = heappop(heap)
+                raise SimulationError("no scheduled events")
+        when, _seq, event = heappop(heap)
         self._now = when
         callbacks = event.callbacks
         if callbacks is None:
@@ -976,35 +904,9 @@ class Simulator:
         wheel = self._wheel
         tpool = self._tpool
         cbpool = self._cbpool
-        batch = self._batch
         pop = heappop
         while True:
-            if batch:
-                # Bulk-flush staging holds a presorted run of due
-                # entries, all earlier than every still-staged wheel
-                # entry: dispatch the smaller of batch head and heap
-                # top (unique seqs — the tuple compare never reaches
-                # the entry objects).  No wheel check is needed here:
-                # batch entries are strictly before wheel._next.
-                pos = self._batch_pos
-                head = batch[pos]
-                if heap and heap[0] < head:
-                    when = heap[0][0]
-                    if when > bound:
-                        break
-                    when, _seq, event = pop(heap)
-                else:
-                    when = head[0]
-                    if when > bound:
-                        break
-                    event = head[2]
-                    pos += 1
-                    if pos == len(batch):
-                        del batch[:]
-                        self._batch_pos = 0
-                    else:
-                        self._batch_pos = pos
-            elif heap:
+            if heap:
                 when = heap[0][0]
                 if when >= wheel._next:
                     # A wheel slot starts at or before the heap top:
@@ -1052,8 +954,7 @@ class Simulator:
         """Run until ``proc`` finishes; return its value or raise its error."""
         heap = self._heap
         wheel = self._wheel
-        batch = self._batch
-        while (heap or batch or wheel._count) and proc._value is _PENDING:
+        while (heap or wheel._count) and proc._value is _PENDING:
             self.step()
         if proc._value is _PENDING:
             raise SimulationError(

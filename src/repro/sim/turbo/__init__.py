@@ -1,192 +1,13 @@
-"""Turbo kernel backend: an optional compiled dispatch core.
+"""Compatibility shim: its only reader is ``benchmarks/e2e/probe.py``.
 
-Two tiers compose here (DESIGN.md §14):
-
-1. **Vectorized bulk firing** — always on.  Large wheel-slot flushes
-   take a numpy ``lexsort`` into a presorted batch array instead of N
-   heappushes; this lives in :mod:`repro.sim.wheel` /
-   :mod:`repro.sim.core` and needs no compiler.
-2. **Compiled dispatch core** — ``repro.sim.turbo._hot``, a hand-written
-   CPython extension holding the heap dispatch loop, inline process
-   resume, and the ``timeout``/``call_later`` scheduling fast paths.
-   Built by ``pip install -e .[turbo]`` (or ``python -m
-   repro.sim.turbo.build``); when the shared object is absent everything
-   silently runs the pure-Python kernel.
-
-Backend selection
------------------
-``Simulator(...)`` consults :func:`simulator_class` from ``__new__``:
-
-* ``backend="python"`` / ``REPRO_KERNEL=python`` — pure-Python kernel.
-* ``backend="turbo"`` / ``REPRO_KERNEL=turbo`` — compiled kernel;
-  raises at construction when the extension is missing, so a CI leg
-  that *believes* it is measuring turbo can never silently measure
-  Python.
-* ``backend=None`` / ``"auto"`` / unset — auto-detect: turbo when the
-  extension imports, Python otherwise.
-
-Both backends dispatch the identical event sequence — every RunMetrics
-row byte-identical — which is pinned by the backend equivalence matrix
-(tests/test_wheel_equivalence.py, tests/test_turbo_backend.py).
-
-This module must stay import-light: :mod:`repro.sim.core` imports
-:mod:`repro.sim.turbo.core_hot` at module level, which executes this
-``__init__`` first, so importing ``..core`` here would be circular.
-Everything that needs the core is resolved lazily inside functions.
+The probe wraps the ``__init__`` and ``run`` of the class this returns.
 """
 
-from __future__ import annotations
+from ..core import Simulator
 
-import os
-from typing import Optional
-
-__all__ = [
-    "extension_available",
-    "extension_error",
-    "resolve_backend",
-    "simulator_class",
-    "turbo_simulator_class",
-]
-
-#: Lazily-built TurboSimulator class (None until first requested).
-_turbo_cls: Optional[type] = None
-
-#: Import failure of the compiled extension, cached for diagnostics.
-_ext_error: Optional[BaseException] = None
-_ext_checked = False
+__all__ = ["simulator_class"]
 
 
-def _extension():
-    """Import and return the compiled ``_hot`` module, or ``None``."""
-    global _ext_error, _ext_checked
-    if _ext_checked:
-        if _ext_error is not None:
-            return None
-        from . import _hot  # cached in sys.modules after the probe
-
-        return _hot
-    _ext_checked = True
-    try:
-        from . import _hot
-    except ImportError as exc:
-        _ext_error = exc
-        return None
-    return _hot
-
-
-def extension_available() -> bool:
-    """True when the compiled dispatch core can be imported."""
-    return _extension() is not None
-
-
-def extension_error() -> Optional[BaseException]:
-    """The ImportError that made the extension unavailable, if any."""
-    _extension()
-    return _ext_error
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve an explicit/env/auto backend request to a concrete name.
-
-    Returns ``"python"`` or ``"turbo"``.  Raises :class:`RuntimeError`
-    when turbo is explicitly requested but the extension is missing —
-    explicit means explicit; only ``auto`` falls back.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_KERNEL") or "auto"
-    backend = backend.strip().lower()
-    if backend in ("", "auto"):
-        return "turbo" if extension_available() else "python"
-    if backend == "python":
-        return "python"
-    if backend == "turbo":
-        if not extension_available():
-            raise RuntimeError(
-                "REPRO_KERNEL=turbo requested but the compiled extension "
-                "repro.sim.turbo._hot is not importable "
-                f"({_ext_error!r}); build it with `pip install -e .[turbo]` "
-                "or `python -m repro.sim.turbo.build`, or use "
-                "REPRO_KERNEL=auto for silent fallback"
-            )
-        return "turbo"
-    raise ValueError(
-        f"unknown kernel backend {backend!r}; expected python|turbo|auto"
-    )
-
-
-def turbo_simulator_class() -> type:
-    """Build (once) and return the TurboSimulator class.
-
-    Raises when the extension is unavailable; call
-    :func:`extension_available` first for a soft probe.
-    """
-    global _turbo_cls
-    if _turbo_cls is not None:
-        return _turbo_cls
-    hot = _extension()
-    if hot is None:
-        raise RuntimeError(
-            f"compiled turbo extension unavailable: {_ext_error!r}"
-        )
-    from .. import core as _core
-
-    # One-time handshake: hand the extension the kernel's classes,
-    # sentinels, and pool cap so it can cache slot offsets and build
-    # its fast paths against the *live* definitions (never parallel
-    # copies that could drift).
-    hot.setup(
-        {
-            "Simulator": _core.Simulator,
-            "Event": _core.Event,
-            "Timeout": _core.Timeout,
-            "Process": _core.Process,
-            "Callback": _core._Callback,
-            "TimingWheel": _core.TimingWheel,
-            "SimulationError": _core.SimulationError,
-            "PENDING": _core._PENDING,
-            "DEAD": _core._DEAD,
-            "POOL_MAX": _core._POOL_MAX,
-            "resume": _core.Process._resume,
-        }
-    )
-
-    class TurboSimulator(_core.Simulator):
-        """Compiled-dispatch Simulator: same state, C hot paths.
-
-        Only the three hot entry points are overridden — the dispatch
-        loop (`run`), `timeout`, and `call_later`.  Everything else
-        (step, wheel, pools, interrupt, conditions) is inherited, and
-        the C code manipulates the same slots the Python code does, so
-        the two backends are freely mixable mid-run and byte-identical
-        in dispatch order.
-        """
-
-        __slots__ = ()
-
-        _backend_name = "turbo"
-
-    # Graft the compiled entry points on as *method descriptors* (the
-    # same kind builtin types use): CPython specializes attribute load
-    # + call for them, so `sim.timeout(d)` enters C with no per-call
-    # bound-method allocation and no Python frame.
-    for _name, _descr in hot.bind_methods(TurboSimulator).items():
-        setattr(TurboSimulator, _name, _descr)
-
-    TurboSimulator.__module__ = __name__
-    _turbo_cls = TurboSimulator
-    return TurboSimulator
-
-
-def simulator_class(backend: Optional[str] = None) -> type:
-    """The concrete Simulator class for a backend request.
-
-    This is the hook :meth:`repro.sim.core.Simulator.__new__` calls:
-    ``Simulator()`` construction transparently lands on the fastest
-    available backend (or the pinned one).
-    """
-    name = resolve_backend(backend)
-    if name == "turbo":
-        return turbo_simulator_class()
-    from ..core import Simulator
-
+def simulator_class(backend=None) -> type:
+    """The class ``Simulator()`` constructs; ``backend`` is ignored."""
     return Simulator

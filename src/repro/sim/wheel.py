@@ -56,11 +56,6 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable, List, Optional
 
-try:  # numpy is a package dependency, but the wheel must degrade if absent
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None  # type: ignore[assignment]
-
 __all__ = ["TimingWheel"]
 
 #: Slots per level.  Power of two: slot index math stays exact in floats
@@ -118,7 +113,6 @@ class TimingWheel:
         "cancelled",
         "flushed",
         "cascaded",
-        "batch_flushes",
     )
 
     def __init__(self, tick: float, cb_class: type) -> None:
@@ -149,7 +143,6 @@ class TimingWheel:
         self.cancelled = 0
         self.flushed = 0
         self.cascaded = 0
-        self.batch_flushes = 0
 
     def __len__(self) -> int:
         return self._count
@@ -265,7 +258,6 @@ class TimingWheel:
         cursor = self._cursor
         inv0 = self._inv[0]
         tgt0 = int(t * inv0)
-        due: List[_WheelNode] = []
         for j in range(_LEVELS):
             tgt = int(t * self._inv[j])
             c = cursor[j]
@@ -285,10 +277,7 @@ class TimingWheel:
                 while node is not head:
                     nxt = node.nxt
                     if int(node.time * inv0) <= tgt0:
-                        # Due: collected, then emitted below — either
-                        # one heappush each, or (for a large flush) the
-                        # vectorized presorted batch.
-                        due.append(node)
+                        self._emit(node, heap, sim._cbpool)
                     else:
                         # Not yet due: re-place at a finer level (its new
                         # slot starts after t, so it is never re-flushed
@@ -296,13 +285,6 @@ class TimingWheel:
                         self.cascaded += 1
                         self._place(node, heap, sim._cbpool)
                     node = nxt
-        if due:
-            if _np is not None and len(due) >= sim._batch_min:
-                self._emit_batch(due, sim)
-            else:
-                cbpool = sim._cbpool
-                for node in due:
-                    self._emit(node, heap, cbpool)
         # Recompute the earliest nonempty slot.
         nxt_start = _INF
         if self._count:
@@ -344,61 +326,6 @@ class TimingWheel:
         pool = self._pool
         if len(pool) < _NODE_POOL_MAX:
             pool.append(node)
-
-    def _emit_batch(self, due: List[_WheelNode], sim: Any) -> None:
-        """Vectorized bulk firing for a homogeneous timer storm.
-
-        Instead of N heappushes (and N later heappops), sort every due
-        node of this flush at once — ``np.lexsort`` over the ``(time,
-        seq)`` columns, seq as tie-break minor key — and hand the
-        dispatch loop a presorted entry array (`Simulator._install_batch`)
-        it consumes by advancing an index.  Keys are unique, so the
-        lexsort order is exactly the order the heap would have produced:
-        dispatch is byte-identical, only the log-factors disappear.
-
-        Per-node side effects mirror :meth:`_emit` precisely: Events
-        re-enter circulation with ``_node = None``; Timer-owned
-        callbacks are handed a pooled ``_Callback`` heap entry so the
-        handle can still cancel in place; nodes recycle through the
-        free list.
-        """
-        n = len(due)
-        times = _np.fromiter(
-            (node.time for node in due), dtype=_np.float64, count=n
-        )
-        seqs = _np.fromiter(
-            (node.seq for node in due), dtype=_np.int64, count=n
-        )
-        order = _np.lexsort((seqs, times))
-        entries: list = []
-        append = entries.append
-        cbpool = sim._cbpool
-        cb_class = self._cb_class
-        pool = self._pool
-        for i in order.tolist():
-            node = due[i]
-            fn = node.fn
-            if fn is None:
-                ev = node.owner
-                ev._node = None
-                append((node.time, node.seq, ev))
-            else:
-                cb = cbpool.pop() if cbpool else cb_class()
-                cb.fn = fn
-                cb.args = node.args
-                owner = node.owner
-                if owner is not None:
-                    owner._node = None
-                    owner._entry = cb
-                append((node.time, node.seq, cb))
-            node.prev = node.nxt = None
-            node.fn = node.args = node.owner = None
-            if len(pool) < _NODE_POOL_MAX:
-                pool.append(node)
-        self.flushed += n
-        self.batch_flushes += 1
-        self._count -= n
-        sim._install_batch(entries)
 
     def _place(self, node: _WheelNode, heap: list, cbpool: list) -> None:
         """Re-link a cascading node at the finest level that fits it."""

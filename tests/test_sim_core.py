@@ -100,6 +100,18 @@ def test_unhandled_failure_raises_from_step():
         sim.run()
 
 
+def test_step_on_empty_simulator_raises_simulation_error():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="no scheduled events"):
+        sim.step()
+    # Also once the last event (here a wheel-staged one) is consumed.
+    sim.timeout(3.0)
+    sim.step()
+    assert sim.now == 3.0
+    with pytest.raises(SimulationError, match="no scheduled events"):
+        sim.step()
+
+
 def test_defused_failure_does_not_raise():
     sim = Simulator()
     ev = sim.event()

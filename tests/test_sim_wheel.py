@@ -2,17 +2,19 @@
 
 The wheel (repro.sim.wheel) stages cancellable timers in front of the
 dispatch heap; its contract is that enabling it changes *nothing* about
-what fires when — only what schedule/cancel cost.  The property test at
-the bottom hammers exactly that: a random interleaving of schedules,
-cancels, re-arms, and time advances must produce an identical firing
-history with the wheel on and off.
+what fires when — only what schedule/cancel cost.  The property tests at
+the bottom hammer exactly that: a random interleaving of schedules,
+cancels, re-arms, interrupts, processes and time advances must produce
+an identical firing history with the wheel on and off.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import Interrupted, Simulator
 from repro.sim.wheel import TimingWheel
 
 
@@ -30,6 +32,26 @@ def test_simulator_wheel_flag_and_env(monkeypatch):
     assert not Simulator().wheel_enabled
     # An explicit argument beats the environment.
     assert Simulator(wheel=True).wheel_enabled
+
+
+def test_benchmark_harness_contract():
+    """Pins what benchmarks/e2e/probe.py reads from the kernel.
+
+    That harness is not part of this suite, so without this test a
+    clean-up here could break every benchmark repetition unnoticed.
+    """
+    from repro.sim.turbo import simulator_class
+
+    assert simulator_class(None) is Simulator
+    sim = Simulator()
+    assert type(sim) is Simulator
+    assert sim.backend == "python"
+    assert sim.wheel_enabled is True
+    assert sim._seq == 0
+    stats = sim.timer_stats()
+    for key in ("wheel_scheduled", "wheel_cancelled", "wheel_batch_flushes",
+                "tombstones_compacted"):
+        assert key in stats, key
 
 
 def test_timer_fires_with_args():
@@ -262,3 +284,112 @@ def test_property_wheel_matches_heap_firing_order(seed):
     assert _random_history(seed, wheel=True) == _random_history(
         seed, wheel=False
     )
+
+
+# ---------------------------------------------------------------------------
+# Property: wheel on == wheel off, with processes and interrupts too.
+# ---------------------------------------------------------------------------
+
+
+def _interleaving_trace(wheel: bool, ops):
+    """Drive one simulator through an op schedule; return the firing trace.
+
+    Op kinds: 0 ``call_later``, 1 ``schedule_timer``, 2 ``rearm``,
+    3 ``cancel``, 4 a two-timeout process, 5 a process parked on a
+    timeout at least one wheel tick out that is interrupted while
+    parked.  With the wheel on, that interrupt unlinks the timeout and
+    recycles it (or tombstones it once flushed); heap-only, it always
+    tombstones.
+    """
+    sim = Simulator(wheel=wheel)
+    trace = []
+    timers = []
+
+    def fire(tag):
+        trace.append((round(sim.now, 9), tag))
+
+    def two_waits(pid, delays):
+        for i, d in enumerate(delays):
+            yield sim.timeout(d)
+            fire(("proc", pid, i))
+
+    def sleeper(pid, delay):
+        try:
+            yield sim.timeout(delay)
+            fire(("slept", pid))
+        except Interrupted as intr:
+            fire(("interrupted", pid, intr.cause))
+            # Re-park: on the wheel path this reuses the recycled Timeout.
+            yield sim.timeout(delay)
+            fire(("resumed", pid))
+
+    for i, (kind, a, b) in enumerate(ops):
+        if kind == 0:
+            sim.call_later(a, fire, ("cb", i))
+        elif kind == 1:
+            timers.append(sim.schedule_timer(a, fire, ("timer", i)))
+        elif kind == 2 and timers:
+            timers[int(b * len(timers)) % len(timers)].rearm(a)
+        elif kind == 3 and timers:
+            timers[int(b * len(timers)) % len(timers)].cancel()
+        elif kind == 5:
+            delay = 0.5 + a  # >= one default wheel tick
+            proc = sim.process(sleeper(i, delay))
+            # At b == 1 the interrupt ties with the deadline and wins
+            # on sequence number, so the process is always still parked.
+            sim.call_later(b * delay, proc.interrupt, i)
+        else:
+            sim.process(two_waits(i, [a, b]))
+    sim.run()
+    return trace
+
+
+op_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(ops=op_strategy)
+@settings(max_examples=60, deadline=None)
+def test_random_interleavings_dispatch_identically(ops):
+    """Any mix of timeouts, timers, re-arms, cancels, processes and
+    interrupts fires in the same order with the wheel on and off."""
+    assert _interleaving_trace(True, ops) == _interleaving_trace(False, ops)
+
+
+def test_interrupt_of_wheel_parked_process_unlinks_and_recycles():
+    """Op kind 5 really takes the wheel branch (unlink + recycle) with
+    the wheel on, and the tombstone branch heap-only."""
+    waits = {}
+    for wheel in (True, False):
+        sim = Simulator(wheel=wheel)
+        seen = waits[wheel] = []
+
+        def sleeper():
+            try:
+                seen.append((yield sim.timeout(3.5)))
+            except Interrupted:
+                seen.append(sim.now)
+                ev = sim.timeout(3.5)
+                seen.append(ev)
+                yield ev
+
+        proc = sim.process(sleeper())
+        parked = []
+        sim.call_later(0.5, lambda: parked.append(proc._target))
+        sim.call_later(0.875, proc.interrupt)
+        sim.run()
+        stats = sim.timer_stats()
+        if wheel:
+            assert stats["wheel_cancelled"] == 1 and stats["tombstones"] == 0
+            assert seen[1] is parked[0]  # the unlinked Timeout was reused
+        else:
+            assert stats["tombstones"] == 1
+            assert seen[1] is not parked[0]
+        assert seen[0] == 0.875 and sim.now == 0.875 + 3.5

@@ -1,14 +1,12 @@
-"""Determinism pinning: kernel variants must not change any result.
+"""Determinism pinning: the timing wheel must not change any result.
 
-The timing wheel's whole license to exist is that it stages timers in
-front of the dispatch heap without perturbing ``(time, seq)`` order
-(DESIGN.md §9), and the turbo backend's license is the same claim for
-its compiled dispatch loop and vectorized bulk flush (DESIGN.md §14).
-These tests run complete experiments — client workload, TCP model,
-server architecture, metrics pipeline — once per kernel variant and
-require the *entire* RunMetrics row to be identical, not approximately
-equal.  Any divergence means an event fired in a different order
-between the variants.
+The wheel's whole license to exist is that it stages timers in front of
+the dispatch heap without perturbing ``(time, seq)`` order (DESIGN.md
+§9).  These tests run complete experiments — client workload, TCP model,
+server architecture, metrics pipeline — twice, with the wheel enabled
+and with ``REPRO_NO_WHEEL=1``, and require the *entire* RunMetrics row
+to be identical, not approximately equal.  Any divergence means a timer
+fired in a different order between the modes.
 """
 
 import pytest
@@ -17,7 +15,6 @@ from repro.core.experiment import Experiment
 from repro.core.params import ServerSpec, WorkloadSpec
 from repro.net.topology import NetworkSpec
 from repro.osmodel.machine import MachineSpec
-from repro.sim.turbo import extension_available
 
 #: Architecture x scenario grid: the two servers with the heaviest and
 #: lightest wheel traffic (httpd arms a reap timer per idle connection;
@@ -34,20 +31,11 @@ GRID = [
 ]
 
 
-def _run(spec, machine, network, monkeypatch, no_wheel,
-         backend=None, no_batch=False):
+def _run(spec, machine, network, monkeypatch, no_wheel):
     if no_wheel:
         monkeypatch.setenv("REPRO_NO_WHEEL", "1")
     else:
         monkeypatch.delenv("REPRO_NO_WHEEL", raising=False)
-    if backend is None:
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_KERNEL", backend)
-    if no_batch:
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     metrics = Experiment(
         server=spec,
         workload=WorkloadSpec(clients=96, duration=3.0, warmup=1.5),
@@ -71,40 +59,3 @@ def test_run_metrics_identical_with_and_without_wheel(
     assert wheel_row == heap_row
     # And the run did something: a row of zeros would pass vacuously.
     assert wheel_row["replies/s"] > 0 or wheel_row["clients"] > 0
-
-
-@pytest.mark.skipif(
-    not extension_available(),
-    reason="compiled turbo extension not built",
-)
-@pytest.mark.parametrize(
-    "label,spec,machine,network",
-    GRID,
-    ids=[g[0] for g in GRID],
-)
-def test_run_metrics_identical_across_backends(
-    label, spec, machine, network, monkeypatch
-):
-    """Backend equivalence matrix: wheel on/off x python/turbo.
-
-    Every leg — including the compiled dispatch loop with and without
-    the numpy bulk-flush tier — must produce the byte-identical
-    RunMetrics row.
-    """
-    legs = {
-        "python-wheel": dict(no_wheel=False, backend="python"),
-        "python-heap": dict(no_wheel=True, backend="python"),
-        "turbo-wheel": dict(no_wheel=False, backend="turbo"),
-        "turbo-heap": dict(no_wheel=True, backend="turbo"),
-        "turbo-wheel-nobatch": dict(
-            no_wheel=False, backend="turbo", no_batch=True
-        ),
-    }
-    rows = {
-        name: _run(spec, machine, network, monkeypatch, **kw)
-        for name, kw in legs.items()
-    }
-    reference = rows["python-wheel"]
-    assert reference["replies/s"] > 0 or reference["clients"] > 0
-    for name, row in rows.items():
-        assert row == reference, f"leg {name} diverged from python-wheel"
