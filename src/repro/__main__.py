@@ -134,7 +134,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fluid", action="store_true",
         help="aggregated fluid client population (million-client scale "
-             "mode; equivalent to REPRO_FLUID=1)",
+             "mode)",
     )
     parser.add_argument(
         "--fluid-budget", type=int, default=None, metavar="N",

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional
 __all__ = [
     "KERNEL_BENCHES",
     "measure_kernel",
-    "measure_wheel_equivalence",
     "measure_figures",
     "measure_scale",
     "write_json",
@@ -202,82 +201,11 @@ def measure_kernel(
             )
             row["wheel_speedup"] = round(heap_best / best, 3)
     return {
-        "schema": "repro-bench-kernel/3",
+        "schema": "repro-bench-kernel/4",
         "label": label,
         "rounds": rounds,
         "environment": _environment(),
         "benchmarks": results,
-    }
-
-
-def measure_wheel_equivalence(
-    clients: int = 96,
-    duration: float = 4.0,
-    warmup: float = 2.0,
-    seed: int = 42,
-) -> Dict:
-    """Prove the timing wheel changes no results, only their cost.
-
-    Runs one small experiment per server architecture twice — timing
-    wheel enabled and heap-only (``REPRO_NO_WHEEL=1``) — and compares the
-    full RunMetrics rows.  The wheel stages timers in front of the heap
-    without disturbing ``(time, seq)`` dispatch order (see DESIGN.md §9),
-    so every row must be byte-identical; this block records that proof in
-    the kernel artifact next to the speedup it licenses.
-    """
-    import hashlib
-
-    from .experiment import Experiment
-    from .params import ServerSpec, WorkloadSpec
-
-    specs = {
-        "httpd": ServerSpec.httpd(64),
-        "nio": ServerSpec.nio(1),
-        "staged": ServerSpec.staged(1),
-        "amped": ServerSpec.amped(2),
-    }
-    workload = WorkloadSpec(clients=clients, duration=duration, warmup=warmup)
-
-    def row_for(spec: "ServerSpec", no_wheel: bool) -> Dict:
-        saved = os.environ.get("REPRO_NO_WHEEL")
-        try:
-            if no_wheel:
-                os.environ["REPRO_NO_WHEEL"] = "1"
-            else:
-                os.environ.pop("REPRO_NO_WHEEL", None)
-            metrics = Experiment(
-                server=spec, workload=workload, seed=seed
-            ).run()
-            return metrics.row()
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_NO_WHEEL", None)
-            else:
-                os.environ["REPRO_NO_WHEEL"] = saved
-
-    def digest(row: Dict) -> str:
-        blob = json.dumps(row, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
-    servers: Dict[str, Dict] = {}
-    all_identical = True
-    for kind, spec in specs.items():
-        wheel_row = row_for(spec, no_wheel=False)
-        heap_row = row_for(spec, no_wheel=True)
-        identical = wheel_row == heap_row
-        all_identical = all_identical and identical
-        servers[kind] = {
-            "identical": identical,
-            "row_sha256": digest(wheel_row),
-            "heap_row_sha256": digest(heap_row),
-        }
-    return {
-        "clients": clients,
-        "duration": duration,
-        "warmup": warmup,
-        "seed": seed,
-        "identical": all_identical,
-        "servers": servers,
     }
 
 
@@ -506,7 +434,6 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     args = parser.parse_args(argv)
 
     kernel = measure_kernel(label=args.label)
-    kernel["wheel_equivalence"] = equiv = measure_wheel_equivalence()
     write_json(kernel, args.kernel_out)
     for name, row in kernel["benchmarks"].items():
         print(f"[kernel] {name:>20s}: {row['events_per_second']:>12,.0f} ev/s")
@@ -516,15 +443,6 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
                 f"{row['heap_baseline_events_per_second']:>12,.0f} ev/s "
                 f"-> wheel speedup {row['wheel_speedup']:.2f}x"
             )
-    print(
-        "[kernel] wheel equivalence: "
-        + (
-            "identical RunMetrics on "
-            + ", ".join(sorted(equiv["servers"]))
-            if equiv["identical"]
-            else "MISMATCH " + str(equiv["servers"])
-        )
-    )
     print(f"wrote {args.kernel_out}")
 
     if not args.skip_scale:

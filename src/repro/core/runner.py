@@ -1,13 +1,14 @@
-"""Point resolution and execution over pluggable executors and the store.
+"""Point resolution and execution, serial or over a process pool, and the store.
 
 A client-count sweep is embarrassingly parallel: every point is a fully
 self-contained :class:`~repro.core.experiment.Experiment` (own simulator,
 own seeded RNG streams, own metrics), so points can run in worker
 processes with no shared state.  This module is the *execution layer* of
 the three-layer experiment core (DESIGN.md §10): it resolves picklable
-:class:`PointSpec` objects and drives them through an executor
-(:mod:`repro.core.executors`), optionally consulting a content-addressed
-:class:`~repro.core.store.RunStore` so finished points are never re-run.
+:class:`PointSpec` objects and runs them in-process or over a
+``concurrent.futures.ProcessPoolExecutor``, optionally consulting a
+content-addressed :class:`~repro.core.store.RunStore` so finished points
+are never re-run.
 
 Determinism contract
 --------------------
@@ -28,18 +29,33 @@ exactly what the serial path's per-run ``reset()`` guarantees.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..metrics.report import RunMetrics
 from ..net.topology import NetworkSpec
 from ..osmodel.machine import MachineSpec
-from .executors import executor_for, resolve_jobs
 from .experiment import Experiment
 from .params import ServerSpec, WorkloadSpec
 from .store import RunStore
 
 __all__ = ["PointSpec", "run_point", "run_points", "resolve_jobs"]
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Worker-count policy: explicit > ``REPRO_JOBS`` env > 1 (serial).
+
+    ``0`` (from either source) means "one worker per CPU".
+    """
+    if jobs is None:
+        try:
+            jobs = int(os.environ.get("REPRO_JOBS", "1"))
+        except ValueError:
+            jobs = 1
+    if jobs == 0:
+        jobs = os.cpu_count() or 1
+    return max(1, jobs)
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,29 @@ def run_point(spec: PointSpec) -> RunMetrics:
     return spec.experiment().run()
 
 
+def _run_in_order(
+    specs: Sequence[PointSpec], jobs: Optional[int]
+) -> Iterator[RunMetrics]:
+    """Yield ``run_point(spec)`` for each spec, in submission order.
+
+    One job or at most one spec runs in-process.  Otherwise the specs fan
+    out over a process pool, but results are still yielded in submission
+    order regardless of completion order, so downstream consumers (store
+    writes, point hooks, tables) cannot observe the parallelism.
+    """
+    jobs = resolve_jobs(jobs)
+    if jobs <= 1 or len(specs) <= 1:
+        for spec in specs:
+            yield run_point(spec)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+        futures = [pool.submit(run_point, spec) for spec in specs]
+        for future in futures:  # submission order == spec order
+            yield future.result()
+
+
 def run_points(
     specs: Sequence[PointSpec],
     jobs: Optional[int] = None,
@@ -103,8 +142,7 @@ def run_points(
     specs = list(specs)
     if store is None:
         results: List[RunMetrics] = []
-        executor = executor_for(jobs, len(specs))
-        for metrics in executor.map(run_point, specs):
+        for metrics in _run_in_order(specs, jobs):
             results.append(metrics)
             if point_hook is not None:
                 point_hook(metrics)
@@ -120,8 +158,7 @@ def run_points(
         else:
             missing.append(index)
 
-    executor = executor_for(jobs, len(missing))
-    fresh = executor.map(run_point, [specs[i] for i in missing])
+    fresh = _run_in_order([specs[i] for i in missing], jobs)
     results = []
     for index, spec in enumerate(specs):
         if index in cached:

@@ -2,7 +2,7 @@
 
 The experiment core is split into three layers (DESIGN.md §10):
 
-1. **execution** (:mod:`repro.core.executors`, :mod:`repro.core.runner`)
+1. **execution** (:mod:`repro.core.runner`)
    resolves :class:`~repro.core.runner.PointSpec` objects and runs them,
    serially or over a process pool;
 2. **this store** maps a *content address* — a stable digest of

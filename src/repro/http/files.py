@@ -20,7 +20,6 @@ at peak reply rates on the 1 Gbit configuration).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Tuple
 
 import numpy as np
@@ -39,13 +38,8 @@ _POPULATION_CACHE_MAX = 32
 
 #: Hit/miss counters for the population cache, surfaced by the CLI
 #: summaries (``repro run/sweep/figures``); a "miss" is a population
-#: actually built, whether or not it was then cached.
+#: actually built.
 _POPULATION_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def _cache_enabled() -> bool:
-    """Workload caching is on unless ``REPRO_NO_WORKLOAD_CACHE`` is set."""
-    return os.environ.get("REPRO_NO_WORKLOAD_CACHE", "") == ""
 
 
 def clear_population_cache() -> None:
@@ -120,24 +114,22 @@ class FilePopulation:
         stream derivation the :class:`~repro.core.experiment.Experiment`
         uses — but built once per process instead of once per sweep
         point.  Populations are immutable (arrays are read-only), so
-        sharing is safe.  Set ``REPRO_NO_WORKLOAD_CACHE=1`` to disable.
+        sharing is safe.
         """
         from ..sim.rng import RandomStreams
 
         key = (int(seed), int(n_files), tuple(sorted(kwargs.items())))
-        if _cache_enabled():
-            cached = _POPULATION_CACHE.get(key)
-            if cached is not None:
-                _POPULATION_CACHE_STATS["hits"] += 1
-                return cached
+        cached = _POPULATION_CACHE.get(key)
+        if cached is not None:
+            _POPULATION_CACHE_STATS["hits"] += 1
+            return cached
         _POPULATION_CACHE_STATS["misses"] += 1
         population = cls(
             RandomStreams(seed).stream("files"), n_files=n_files, **kwargs
         )
-        if _cache_enabled():
-            if len(_POPULATION_CACHE) >= _POPULATION_CACHE_MAX:
-                _POPULATION_CACHE.pop(next(iter(_POPULATION_CACHE)))
-            _POPULATION_CACHE[key] = population
+        if len(_POPULATION_CACHE) >= _POPULATION_CACHE_MAX:
+            _POPULATION_CACHE.pop(next(iter(_POPULATION_CACHE)))
+        _POPULATION_CACHE[key] = population
         return population
 
     # -- sampling ------------------------------------------------------------

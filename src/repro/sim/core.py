@@ -29,14 +29,14 @@ Design notes
     resume — create an :class:`Event` or keep a condition for that.
   - ``run()`` inlines the dispatch loop; :meth:`Simulator.step` is the
     single-event reference implementation of the same logic.
-  - Timers at least one wheel tick out (0.5 s by default) are staged on a
-    hierarchical timing wheel (:mod:`repro.sim.wheel`) instead of the
-    heap: O(1) schedule and — via :meth:`Timeout.cancel`,
+  - Timers at least one wheel tick out (:data:`WHEEL_TICK`, 0.5 s) are
+    staged on a hierarchical timing wheel (:mod:`repro.sim.wheel`)
+    instead of the heap: O(1) schedule and — via :meth:`Timeout.cancel`,
     :meth:`Simulator.schedule_timer`, and the interrupt path — O(1) true
     cancel with no tombstone.  Due wheel slots are flushed *into* the
     heap, keys intact, before dispatch can pass them, so the wheel never
-    reorders anything.  Set ``REPRO_NO_WHEEL=1`` (or construct
-    ``Simulator(wheel=False)``) for the heap-only kernel; both modes
+    reorders anything.  ``Simulator(wheel=False)`` is the heap-only
+    reference kernel the equivalence tests compare against; both modes
     dispatch the identical event sequence.
   - Cancelled entries that must stay heap-resident (sub-tick or
     already-flushed timers) become tombstones; the heap is compacted in
@@ -60,11 +60,14 @@ Design notes
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .wheel import TimingWheel
+
+#: Timing-wheel slot width (simulated seconds); timers at least this far
+#: out are routed to the wheel instead of the heap.
+WHEEL_TICK = 0.5
 
 __all__ = [
     "Event",
@@ -659,9 +662,7 @@ class Simulator:
     #: (benchmarks/e2e/probe.py); there is one kernel.
     backend = "python"
 
-    def __init__(
-        self, wheel: Optional[bool] = None, wheel_tick: float = 0.5
-    ) -> None:
+    def __init__(self, wheel: bool = True) -> None:
         self._now = 0.0
         self._heap: list = []
         self._seq = 0
@@ -669,14 +670,11 @@ class Simulator:
         self._tpool: list = []
         self._cbpool: list = []
         # Timing wheel for cancellable long-horizon timers.  When
-        # disabled (wheel=False, or REPRO_NO_WHEEL=1 in the environment)
-        # the routing threshold becomes inf and every timer takes the
-        # heap path — the wheel object stays inert, so both modes run
-        # the same dispatch loop.
-        if wheel is None:
-            wheel = not os.environ.get("REPRO_NO_WHEEL")
-        self._wheel = TimingWheel(wheel_tick, _Callback)
-        self._wheel_tick = wheel_tick if wheel else float("inf")
+        # disabled (wheel=False) the routing threshold becomes inf and
+        # every timer takes the heap path — the wheel object stays inert,
+        # so both modes run the same dispatch loop.
+        self._wheel = TimingWheel(WHEEL_TICK, _Callback)
+        self._wheel_tick = WHEEL_TICK if wheel else float("inf")
         #: Cancelled-but-heap-resident entries awaiting dispatch, and how
         #: many times compaction reclaimed them early.
         self._tombstones = 0

@@ -28,8 +28,8 @@ sources that keep O(classes + bins + budget) state:
   hitting a full backlog is charged to the SUT in one batch
   (:meth:`~repro.net.tcp.ListenSocket.drop_flood`).
 
-Equivalence contract (mirrors the timing wheel's ``REPRO_NO_WHEEL``
-gate): when the whole population fits the boundary budget (``n <=
+Equivalence contract (mirrors the timing wheel's heap-only reference
+kernel): when the whole population fits the boundary budget (``n <=
 budget`` or ``budget is None``) the generator *pins* every client as a
 persistent discrete :class:`EmulatedClient` with the same per-client
 streams (``client[i]``), start offsets (``ramp * i / n``) and link

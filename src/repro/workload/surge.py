@@ -143,14 +143,9 @@ class SurgeWorkload:
         Pairs with :meth:`FilePopulation.shared`: when the population is
         the process-wide cached instance, the workload (and its
         precomputed distribution objects) is reused too instead of being
-        rebuilt at every sweep point.  Honours ``REPRO_NO_WORKLOAD_CACHE``.
+        rebuilt at every sweep point.
         """
-        from ..http.files import _cache_enabled
-
         config = config or SurgeConfig()
-        if not _cache_enabled():
-            _WORKLOAD_CACHE_STATS["misses"] += 1
-            return cls(files, config)
         key = (id(files), config)
         cached = _WORKLOAD_CACHE.get(key)
         # Guard against id() reuse after the population was collected:

@@ -1,0 +1,39 @@
+"""Shared fixtures for the tier-1 suite."""
+
+import contextlib
+
+import pytest
+
+from repro.core import experiment
+from repro.sim import Simulator
+
+
+@pytest.fixture
+def heap_only(monkeypatch):
+    """Context manager: Experiments inside it run on the heap-only kernel.
+
+    ``Simulator(wheel=False)`` is the reference dispatcher the timing
+    wheel is compared against.  On exit the context checks that at least
+    one simulator was built and that none of them routed a timer to the
+    wheel, so a wheel-vs-heap comparison cannot pass vacuously.
+    """
+
+    @contextlib.contextmanager
+    def use():
+        built = []
+
+        def build():
+            sim = Simulator(wheel=False)
+            built.append(sim)
+            return sim
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "Simulator", build)
+            yield
+        assert built, "no Experiment ran inside heap_only()"
+        for sim in built:
+            stats = sim.timer_stats()
+            assert stats["wheel_enabled"] is False
+            assert stats["wheel_scheduled"] == 0
+
+    return use

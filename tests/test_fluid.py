@@ -250,29 +250,6 @@ def test_fluid_stats_surface_in_server_stats():
         assert key in metrics.server_stats, key
 
 
-def test_env_gate_forces_fluid_on_and_off(monkeypatch):
-    workload = WorkloadSpec(
-        clients=48, duration=2.0, warmup=1.0, fluid=FluidConfig(budget=8)
-    )
-    experiment = Experiment(ServerSpec.nio(1), workload, seed=5)
-    monkeypatch.setenv("REPRO_FLUID", "0")
-    off = experiment.run()
-    assert "fluid.aggregate" not in off.server_stats
-    monkeypatch.delenv("REPRO_FLUID")
-    on = experiment.run()
-    assert on.server_stats["fluid.aggregate"] == 1
-
-    plain = Experiment(
-        ServerSpec.nio(1),
-        WorkloadSpec(clients=48, duration=2.0, warmup=1.0),
-        seed=5,
-    )
-    monkeypatch.setenv("REPRO_FLUID", "1")
-    forced = plain.run()
-    assert forced.server_stats["fluid.aggregate"] == 0  # 48 <= 4096: pinned
-    assert forced.server_stats["fluid.budget"] == 4096
-
-
 # -- scale plumbing ----------------------------------------------------------
 
 def test_scale_profile_covers_the_scale_range():

@@ -76,18 +76,20 @@ def test_pinned_regime_ignores_the_budget_value():
     assert capped == uncapped
 
 
-def test_pinned_fluid_is_wheel_invariant(monkeypatch):
-    """The fluid gate composes with REPRO_NO_WHEEL: all four mode
-    combinations produce the same row."""
+def test_pinned_fluid_is_wheel_invariant(heap_only):
+    """The pinned fluid population composes with the heap-only kernel:
+    all four mode combinations produce the same row."""
     spec, machine = ServerSpec.httpd(64), MachineSpec(cpus=1)
-    rows = []
-    for no_wheel in (False, True):
-        if no_wheel:
-            monkeypatch.setenv("REPRO_NO_WHEEL", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_WHEEL", raising=False)
-        rows.append(_row(spec, machine, "gigabit").row())
-        rows.append(_row(spec, machine, "gigabit", fluid=FluidConfig()).row())
+
+    def both():
+        return [
+            _row(spec, machine, "gigabit").row(),
+            _row(spec, machine, "gigabit", fluid=FluidConfig()).row(),
+        ]
+
+    rows = both()
+    with heap_only():
+        rows += both()
     assert all(r == rows[0] for r in rows[1:])
 
 

@@ -305,16 +305,6 @@ def test_shared_population_matches_direct_construction():
     clear_population_cache()
 
 
-def test_population_cache_can_be_disabled(monkeypatch):
-    from repro.http.files import FilePopulation, clear_population_cache
-
-    clear_population_cache()
-    monkeypatch.setenv("REPRO_NO_WORKLOAD_CACHE", "1")
-    a = FilePopulation.shared(42, n_files=200)
-    b = FilePopulation.shared(42, n_files=200)
-    assert a is not b
-
-
 def test_shared_population_arrays_are_immutable():
     import numpy as np
 

@@ -25,13 +25,9 @@ def test_wheel_rejects_bad_tick():
         TimingWheel(-1.0, object)
 
 
-def test_simulator_wheel_flag_and_env(monkeypatch):
+def test_simulator_wheel_flag():
     assert Simulator().wheel_enabled
     assert not Simulator(wheel=False).wheel_enabled
-    monkeypatch.setenv("REPRO_NO_WHEEL", "1")
-    assert not Simulator().wheel_enabled
-    # An explicit argument beats the environment.
-    assert Simulator(wheel=True).wheel_enabled
 
 
 def test_benchmark_harness_contract():

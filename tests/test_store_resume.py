@@ -23,9 +23,11 @@ from repro.core import (
     RunStore,
     ServerSpec,
     WorkloadSpec,
+    run_point,
     run_points,
     sweep_clients,
 )
+from repro.sim import Simulator
 
 CLIENTS = [10, 25, 40]
 
@@ -105,6 +107,30 @@ def test_fingerprint_change_invalidates_everything(tmp_path):
     run_points(_specs(), store=v2)
     assert v2.stats()["hits"] == 0
     assert v2.stats()["puts"] == len(CLIENTS)
+
+
+def test_environment_cannot_change_a_stored_row(tmp_path, monkeypatch):
+    """A row depends on its spec alone, so its store key is honest.
+
+    The spec is discrete and its population exceeds the default fluid
+    budget (4096), so a hidden environment switch into fluid mode would
+    store a different row under the same key.
+    """
+    spec = PointSpec(
+        server=ServerSpec.nio(1),
+        workload=WorkloadSpec(clients=5000, duration=2.0, warmup=1.0),
+        machine=UP_GIGABIT.machine,
+        network=UP_GIGABIT.network,
+    )
+    switches = ("REPRO_FLUID", "REPRO_NO_WHEEL", "REPRO_NO_WORKLOAD_CACHE")
+    for name in switches:
+        monkeypatch.setenv(name, "1")
+    assert Simulator().wheel_enabled is True
+    stored = run_points([spec], store=RunStore(str(tmp_path), fingerprint="fp"))
+
+    for name in switches:
+        monkeypatch.delenv(name)
+    assert stored == [run_point(spec)]
 
 
 def test_parallel_resume_matches_serial(tmp_path):
