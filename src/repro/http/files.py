@@ -20,9 +20,12 @@ at peak reply rates on the 1 Gbit configuration).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
+
+from .messages import Request
 
 __all__ = [
     "FilePopulation",
@@ -104,6 +107,8 @@ class FilePopulation:
         # instead of cross-point contamination.
         for arr in (self.sizes, self._popularity_order, self._probs, self._cdf):
             arr.setflags(write=False)
+        # One shared Request per file, built on first use (request_for).
+        self._requests: List[Optional[Request]] = [None] * n_files
 
     @classmethod
     def shared(cls, seed: int, n_files: int = 2000, **kwargs) -> "FilePopulation":
@@ -133,16 +138,40 @@ class FilePopulation:
         return population
 
     # -- sampling ------------------------------------------------------------
+    def pick_files(self, uniforms: ArrayLike) -> np.ndarray:
+        """File ids for uniform draws in [0, 1), by popularity inverse CDF.
+
+        The one mapping from uniforms to files: :meth:`sample_file`,
+        :meth:`sample_files` and the session sampler all go through it.
+        """
+        return self._popularity_order[
+            self._cdf.searchsorted(uniforms, side="right")
+        ]
+
     def sample_file(self, rng: np.random.Generator) -> Tuple[int, int]:
         """Draw ``(file_id, size_bytes)`` according to popularity."""
-        rank = int(np.searchsorted(self._cdf, rng.random(), side="right"))
-        file_id = int(self._popularity_order[rank])
+        file_id = int(self.pick_files(rng.random()))
         return file_id, int(self.sizes[file_id])
 
     def sample_files(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Vectorised draw of ``count`` file ids."""
-        ranks = np.searchsorted(self._cdf, rng.random(count), side="right")
-        return self._popularity_order[ranks]
+        return self.pick_files(rng.random(count))
+
+    def request_for(self, file_id: int) -> Request:
+        """The population's one ``GET`` :class:`Request` for ``file_id``.
+
+        Built on first use and shared by every session that picks the
+        file, so resident request state is bounded by the population
+        size, not by the number of emulated requests.
+        """
+        request = self._requests[file_id]
+        if request is None:
+            request = self._requests[file_id] = Request(
+                path=f"/file/{file_id}",
+                response_bytes=int(self.sizes[file_id]),
+                file_id=int(file_id),
+            )
+        return request
 
     # -- inspection ------------------------------------------------------------
     def size_of(self, file_id: int) -> int:

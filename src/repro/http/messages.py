@@ -16,13 +16,16 @@ DEFAULT_REQUEST_WIRE_BYTES = 300
 DEFAULT_RESPONSE_HEAD_BYTES = 250
 
 
-@dataclass
+@dataclass(frozen=True)
 class Request:
     """One HTTP request as seen by the simulation.
 
     ``response_bytes`` is the size of the file the request targets; the
     workload generator samples it from the SURGE population, and the server
     model "discovers" it during its (CPU-charged) file lookup.
+
+    Frozen because the workload shares one instance per file across every
+    session that picks it (see :meth:`FilePopulation.request_for`).
     """
 
     path: str

@@ -29,8 +29,7 @@ discusses.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, List, Optional
 
 from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
@@ -153,7 +152,9 @@ class Connection:
         self._backlog_since: Optional[float] = None  # accept-queue entry time
         self._established_ev = Event(sim)
         self._syn_accepted = False
-        self._recv_pending: Deque[PendingResponse] = deque()
+        # Replies arrive in request order and at most a pipeline's worth
+        # is outstanding: a short list, far cheaper to hold than a deque.
+        self._recv_pending: List[PendingResponse] = []
         self._writable_waiters: List[Event] = []
         self._kernel_bytes = 0
 
@@ -401,7 +402,7 @@ class Connection:
         if not pending.first_byte.triggered:
             pending.first_byte.succeed(self.sim.now)
         if last:
-            self._recv_pending.popleft()
+            self._recv_pending.pop(0)
             pending.complete.succeed(self.sim.now)
             if self.span is not None:
                 self.span.mark("reply_done")

@@ -18,8 +18,7 @@ timeouts), which are true-cancelled when their race settles.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, List, Optional
 
 from ..http.protocol import HttpSemantics
 from ..net.selector import READ, WRITE, Selector
@@ -42,7 +41,7 @@ class _ConnState:
     __slots__ = ("queue", "remaining", "closed")
 
     def __init__(self) -> None:
-        self.queue: Deque[int] = deque()
+        self.queue: List[int] = []
         self.remaining = 0
         self.closed = False
 
@@ -149,7 +148,7 @@ class AmpedServer(Server):
             if state.remaining == 0:
                 if not state.queue:
                     break
-                state.remaining = state.queue.popleft()
+                state.remaining = state.queue.pop(0)
                 if conn.span is not None:
                     conn.span.mark("tx_start")
             if not conn.peer_alive:

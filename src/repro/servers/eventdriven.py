@@ -26,8 +26,7 @@ losing timers when the race settles.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, List, Optional
 
 from ..http.protocol import HttpSemantics
 from ..net.selector import READ, WRITE, Selector
@@ -50,7 +49,8 @@ class _ConnState:
                  "last_activity")
 
     def __init__(self, now: float = 0.0) -> None:
-        self.queue: Deque[int] = deque()  # response byte counts to write
+        # Response byte counts to write, at most a pipeline's worth.
+        self.queue: List[int] = []
         self.remaining = 0  # bytes left of the in-progress response
         self.busy = False
         self.deferred = False
@@ -178,7 +178,7 @@ class EventDrivenServer(Server):
             if state.remaining == 0:
                 if not state.queue:
                     break
-                state.remaining = state.queue.popleft()
+                state.remaining = state.queue.pop(0)
                 if conn.span is not None:
                     conn.span.mark("tx_start")
             if not conn.peer_alive:

@@ -25,8 +25,7 @@ O(1) wheel unlink) and the opt-in adaptive sweeper in the selector loop.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, List, Optional
 
 from ..http.protocol import HttpSemantics
 from ..net.selector import READ, Selector
@@ -47,7 +46,8 @@ class _WriteState:
     __slots__ = ("pending", "busy", "closed")
 
     def __init__(self) -> None:
-        self.pending: Deque[int] = deque()
+        # Response byte counts, at most a pipeline's worth.
+        self.pending: List[int] = []
         self.busy = False
         self.closed = False
 
@@ -135,7 +135,7 @@ class StagedServer(Server):
                 continue  # closed, or another sender is draining this conn
             state.busy = True
             while state.pending and not state.closed:
-                remaining = state.pending.popleft()
+                remaining = state.pending.pop(0)
                 if conn.span is not None:
                     conn.span.mark("tx_start")
                 while remaining > 0:

@@ -104,6 +104,11 @@ class Store:
     ``put`` is immediate: it raises :class:`StoreFull` when a bounded store
     is full (models a kernel SYN backlog dropping packets) rather than
     blocking the producer.
+
+    The item and getter deques are allocated on first use: a simulation
+    holds one store per connection (its inbox), most of which never see
+    a blocked ``get`` and many of which never see an item, so an unused
+    store costs only its own slots.
     """
 
     __slots__ = ("sim", "capacity", "_items", "_getters")
@@ -113,36 +118,49 @@ class Store:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._items: Optional[Deque[Any]] = None
+        self._getters: Optional[Deque[Event]] = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        items = self._items
+        return 0 if items is None else len(items)
 
     @property
     def waiting_getters(self) -> int:
         """Number of pending (uncancelled) ``get`` requests."""
-        return sum(1 for ev in self._getters if not ev.triggered)
+        getters = self._getters
+        if getters is None:
+            return 0
+        return sum(1 for ev in getters if not ev.triggered)
 
     @property
     def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
+        items = self._items
+        return (
+            self.capacity is not None
+            and items is not None
+            and len(items) >= self.capacity
+        )
 
     def try_put(self, item: Any, front: bool = False) -> bool:
         """Like :meth:`put` but returns False instead of raising when full."""
         # Hand the item directly to a waiting getter when possible: the
         # queue is then logically empty, so capacity never blocks this path.
-        while self._getters:
-            getter = self._getters.popleft()
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
             if not getter.triggered:
                 getter.succeed(item)
                 return True
         if self.is_full:
             return False
+        items = self._items
+        if items is None:
+            items = self._items = deque()
         if front:
-            self._items.appendleft(item)
+            items.appendleft(item)
         else:
-            self._items.append(item)
+            items.append(item)
         return True
 
     def put(self, item: Any, front: bool = False) -> None:
@@ -168,7 +186,10 @@ class Store:
         if self._items:
             ev.succeed(self._items.popleft())
         else:
-            self._getters.append(ev)
+            getters = self._getters
+            if getters is None:
+                getters = self._getters = deque()
+            getters.append(ev)
         return ev
 
     def try_get(self) -> Any:
@@ -179,7 +200,7 @@ class Store:
 
     def cancel(self, get_request: Event) -> bool:
         """Withdraw a pending ``get``; mirrors :meth:`Resource.cancel`."""
-        if get_request.triggered:
+        if get_request.triggered or self._getters is None:
             return False
         try:
             self._getters.remove(get_request)

@@ -103,7 +103,11 @@ class BoundedPareto(Distribution):
             raise ValueError("upper bound must exceed k")
 
     def sample(self, rng: np.random.Generator) -> float:
-        value = self.k * rng.random() ** (-1.0 / self.alpha)
+        return self.from_uniform(rng.random())
+
+    def from_uniform(self, u: float) -> float:
+        """The sample one uniform draw ``u`` in [0, 1) maps to."""
+        value = self.k * u ** (-1.0 / self.alpha)
         return min(value, self.upper)
 
     def tail_probability(self, x: float) -> float:

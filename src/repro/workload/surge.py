@@ -1,10 +1,10 @@
 """SURGE-derived session model.
 
 The paper configures httperf to replay a SURGE-derived distribution:
-each emulated client runs *sessions* averaging ~6.5 requests; within a
-session, requests come in *groups* (a page plus pipelined embedded
-objects) separated by heavy-tailed think (OFF) times.  Think times
-exceeding the server's idle timeout are what produce httpd2's
+each emulated client runs *sessions* averaging ~6.2 requests (the paper
+reports ~6.5); within a session, requests come in *groups* (a page plus
+pipelined embedded objects) separated by heavy-tailed think (OFF) times.
+Think times exceeding the server's idle timeout are what produce httpd2's
 connection-reset errors, so their Pareto tail matters.
 
 :class:`SurgeWorkload` samples :class:`SessionPlan` objects; the load
@@ -34,10 +34,11 @@ __all__ = [
 class SurgeConfig:
     """Knobs of the SURGE session model (defaults follow the paper).
 
-    Defaults give ~6.5 requests per session (the paper's figure) and an
-    offered load of roughly 0.6 requests/s per emulated client, so the
-    paper's 60-6000 client range spans under-load to well past saturation
-    of a single modelled CPU.
+    Defaults give 6.19 requests per session (the paper reports ~6.5;
+    see :meth:`mean_requests_per_session`) and an offered load of roughly
+    0.9 requests/s per emulated client, so the paper's 60-6000 client
+    range spans under-load to well past saturation of a single modelled
+    CPU.
     """
 
     #: Mean request groups (active periods) per session.
@@ -74,10 +75,20 @@ class SurgeConfig:
         )
 
     def mean_requests_per_session(self) -> float:
-        """Analytic estimate (the paper's ~6.5)."""
-        return self.groups_per_session * min(
-            self.embedded_distribution().mean(), self.max_group_size
+        """Expected requests per sampled session (6.19 at the defaults).
+
+        A group holds ``max(1, int(X))`` objects for ``X`` the embedded
+        bounded Pareto, so ``P(size >= j) = min(1, (k/j)^alpha)`` for
+        ``2 <= j <= max_group_size`` and the mean group size is one plus
+        their sum — not the continuous Pareto mean, which the truncation
+        to whole objects undercuts.
+        """
+        k, alpha = self.embedded_k, self.embedded_alpha
+        group_mean = 1.0 + sum(
+            min(1.0, (k / j) ** alpha)
+            for j in range(2, int(self.max_group_size) + 1)
         )
+        return self.groups_per_session * group_mean
 
 
 @dataclass
@@ -161,33 +172,38 @@ class SurgeWorkload:
         return workload
 
     def sample_session(self, rng: np.random.Generator) -> SessionPlan:
-        """Draw a complete session plan."""
+        """Draw a complete session plan.
+
+        Three generator calls: the geometric group count, one uniform per
+        group for the group sizes, then one block of uniforms for the
+        file picks, the think gaps and the inter-session gap, in that
+        order.  ``rng.random(n)`` consumes the stream exactly as ``n``
+        scalar draws do, so each value (and the generator's position
+        afterwards) is the one drawing them one at a time would give.
+        Requests are the population's shared instances
+        (:meth:`FilePopulation.request_for`).
+        """
         n_groups = max(1, int(self._groups.sample(rng)))
+        embedded = self._embedded.from_uniform
         group_sizes = [
-            max(1, int(self._embedded.sample(rng))) for _ in range(n_groups)
+            max(1, int(embedded(u))) for u in rng.random(n_groups).tolist()
         ]
-        # One vectorised popularity draw for the whole session.
-        file_ids = self.files.sample_files(rng, sum(group_sizes))
-        sizes = self.files.sizes[file_ids]
+        n_picks = sum(group_sizes)
+        inter_session = self.config.inter_session_think
+        draws = rng.random(n_picks + n_groups - 1 + (1 if inter_session else 0))
+        files = self.files
+        request_for = files.request_for
+        requests = [
+            request_for(f) for f in files.pick_files(draws[:n_picks]).tolist()
+        ]
+        think = self._think.from_uniform
+        think_times = [think(u) for u in draws[n_picks:].tolist()]
+        gap = think_times.pop() if inter_session else 0.0
         groups: List[List[Request]] = []
         cursor = 0
         for n_objects in group_sizes:
-            group = [
-                Request(
-                    path=f"/file/{file_ids[cursor + j]}",
-                    response_bytes=int(sizes[cursor + j]),
-                    file_id=int(file_ids[cursor + j]),
-                )
-                for j in range(n_objects)
-            ]
+            groups.append(requests[cursor:cursor + n_objects])
             cursor += n_objects
-            groups.append(group)
-        think_times = [self._think.sample(rng) for _ in range(n_groups - 1)]
-        gap = (
-            self._think.sample(rng)
-            if self.config.inter_session_think
-            else 0.0
-        )
         return SessionPlan(groups, think_times, gap)
 
     def sample_gaps(self, rng: np.random.Generator, k: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Shared fixtures for the tier-1 suite."""
 
 import contextlib
+import gc
+import tracemalloc
 
 import pytest
 
@@ -37,3 +39,27 @@ def heap_only(monkeypatch):
             assert stats["wheel_scheduled"] == 0
 
     return use
+
+
+@pytest.fixture
+def bytes_per_instance():
+    """``measure(factory, n=1000)``: traced bytes one ``factory()`` keeps.
+
+    Builds ``n`` instances under :mod:`tracemalloc`, keeps them all
+    alive, and returns the allocated bytes per instance (the list that
+    holds them adds one pointer each).
+    """
+
+    def measure(factory, n=1000):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = [factory() for _ in range(n)]
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        del kept
+        return held / n
+
+    return measure

@@ -38,6 +38,13 @@ def connect_ok(sim, listener, duplex, timeout=10.0):
     return conn, proc
 
 
+def test_fresh_connection_is_small(bytes_per_instance):
+    sim, _machine, listener, duplex = make_testbed()
+    # Queues are allocated on first use, so a connection that has not
+    # carried a byte holds no empty deques.
+    assert bytes_per_instance(lambda: Connection(sim, duplex, listener)) < 1024
+
+
 # ---------------------------------------------------------------------------
 # handshake
 # ---------------------------------------------------------------------------

@@ -217,3 +217,27 @@ def test_store_len_tracks_queue():
     assert len(store) == 2
     store.get()
     assert len(store) == 1
+
+
+# ---------------------------------------------------------------------------
+# Store: queues allocated on first use
+# ---------------------------------------------------------------------------
+
+def test_unused_store_behaves_as_empty():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    assert len(store) == 0
+    assert not store.is_full
+    assert store.waiting_getters == 0
+    assert store.peek_front() is None
+    assert store.peek_back() is None
+    assert store.try_get() is None
+    # A request this store never issued is not cancellable here.
+    assert store.cancel(Store(sim).get()) is False
+    store.put("x")
+    assert store.is_full and store.peek_front() == "x"
+
+
+def test_unused_store_is_small(bytes_per_instance):
+    sim = Simulator()
+    assert bytes_per_instance(lambda: Store(sim)) < 200

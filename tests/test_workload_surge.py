@@ -1,9 +1,14 @@
 """Unit tests for the SURGE session model."""
 
-import numpy as np
+import dataclasses
 
-from repro.http import FilePopulation
-from repro.workload import SurgeConfig, SurgeWorkload
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.http import FilePopulation, Request
+from repro.workload import SessionPlan, SurgeConfig, SurgeWorkload
 
 
 def make_workload(config=None):
@@ -95,5 +100,115 @@ def test_no_inter_session_think_config():
 
 def test_mean_requests_analytic_estimate():
     cfg = SurgeConfig()
-    est = cfg.mean_requests_per_session()
-    assert 5.0 < est < 9.0
+    w = make_workload(cfg)
+    rng = np.random.default_rng(9)
+    sampled = np.mean(
+        [w.sample_session(rng).total_requests for _ in range(100_000)]
+    )
+    assert cfg.mean_requests_per_session() == pytest.approx(sampled, rel=0.01)
+
+
+def reference_sample_session(workload, rng):
+    """The session sampler as one draw per value: the behavioural spec.
+
+    The group count, each group's size, the session's file picks (one
+    vectorised popularity draw), each think gap and the inter-session
+    gap, in that order, with a fresh :class:`Request` per pick.
+    ``SurgeWorkload.sample_session`` batches the draws and shares
+    requests, and must agree with this exactly.
+    """
+    n_groups = max(1, int(workload._groups.sample(rng)))
+    group_sizes = [
+        max(1, int(workload._embedded.sample(rng))) for _ in range(n_groups)
+    ]
+    file_ids = workload.files.sample_files(rng, sum(group_sizes))
+    sizes = workload.files.sizes[file_ids]
+    groups = []
+    cursor = 0
+    for n_objects in group_sizes:
+        group = [
+            Request(
+                path=f"/file/{file_ids[cursor + j]}",
+                response_bytes=int(sizes[cursor + j]),
+                file_id=int(file_ids[cursor + j]),
+            )
+            for j in range(n_objects)
+        ]
+        cursor += n_objects
+        groups.append(group)
+    think_times = [workload._think.sample(rng) for _ in range(n_groups - 1)]
+    gap = (
+        workload._think.sample(rng)
+        if workload.config.inter_session_think
+        else 0.0
+    )
+    return SessionPlan(groups, think_times, gap)
+
+
+def _plan_key(plan):
+    return (
+        [
+            [(r.path, r.response_bytes, r.file_id) for r in group]
+            for group in plan.groups
+        ],
+        plan.think_times,
+        plan.inter_session_gap,
+    )
+
+
+@st.composite
+def surge_configs(draw):
+    think_k = draw(st.floats(0.05, 2.0))
+    return SurgeConfig(
+        groups_per_session=draw(st.floats(1.0, 12.0)),
+        embedded_alpha=draw(st.floats(0.5, 4.0)),
+        max_group_size=draw(st.integers(2, 8)),
+        think_alpha=draw(st.floats(0.5, 3.0)),
+        think_k=think_k,
+        think_max=think_k * draw(st.floats(1.5, 300.0)),
+        inter_session_think=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_files=st.integers(1, 3000),
+    cfg=surge_configs(),
+)
+def test_sample_session_matches_one_draw_per_value_reference(seed, n_files, cfg):
+    files = FilePopulation(np.random.default_rng(seed ^ 0x5EED), n_files)
+    w = SurgeWorkload(files, cfg)
+    rng_fast = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    for _ in range(6):
+        assert _plan_key(w.sample_session(rng_fast)) == _plan_key(
+            reference_sample_session(w, rng_ref)
+        )
+    # Same stream position afterwards: the batching consumed exactly
+    # the draws the reference did.
+    assert rng_fast.random() == rng_ref.random()
+
+
+def test_sessions_share_one_frozen_request_per_file():
+    files = FilePopulation(np.random.default_rng(31), n_files=5)
+    w = SurgeWorkload(files)
+    rng = np.random.default_rng(10)
+    plans = [w.sample_session(rng) for _ in range(50)]
+    requests = [r for plan in plans for group in plan.groups for r in group]
+    first = {r.file_id: r for r in plans[0].groups[0]}
+    again = [
+        r
+        for plan in plans[1:]
+        for group in plan.groups
+        for r in group
+        if r.file_id in first
+    ]
+    assert again
+    assert all(r is first[r.file_id] for r in again)
+    # One object per distinct file across all fifty sessions.
+    assert len({id(r) for r in requests}) == len({r.file_id for r in requests})
+    req = requests[0]
+    assert req is files.request_for(req.file_id)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        req.response_bytes = 1
