@@ -9,10 +9,10 @@ Two measurements, two JSON artifacts:
 * :func:`measure_figures` -> ``BENCH_figures.json``: wall-clock seconds
   to regenerate paper figures serially and with a worker pool, plus the
   speedup.  This is the headline number for the parallel sweep runner.
-* :func:`measure_scale` -> ``BENCH_scale.json``: wall-clock, peak RSS
-  and live-object counts of the fluid-population scale sweep (100k-1M
-  client sessions), each point in a fresh subprocess so ``ru_maxrss``
-  is an honest per-point peak.
+* :func:`measure_scale` -> ``BENCH_scale.json``: wall-clock, peak RSS,
+  live-object counts and cyclic-collector runs of the fluid-population
+  scale sweep (100k-1M client sessions), each point in a fresh
+  subprocess so ``ru_maxrss`` is an honest per-point peak.
 
 Both artifacts carry a ``schema`` tag, the measurement environment
 (python version, cpu count, profile) and a caller-supplied ``label`` so
@@ -234,9 +234,14 @@ def _scale_point_main() -> None:  # pragma: no cover - subprocess entry
         clients=clients, duration=duration, warmup=warmup,
         fluid=FluidConfig(budget=budget if budget > 0 else None),
     )
+    before = [gen["collections"] for gen in gc.get_stats()]
     t0 = time.perf_counter()
     metrics = Experiment(ServerSpec.nio(1), workload, seed=seed).run()
     wall = time.perf_counter() - t0
+    # Cyclic-collector runs per generation (0, 1, 2) during run().
+    gc_collections = [
+        gen["collections"] - n for gen, n in zip(gc.get_stats(), before)
+    ]
     gc.collect()
     # ru_maxrss is kilobytes on Linux.
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
@@ -246,6 +251,7 @@ def _scale_point_main() -> None:  # pragma: no cover - subprocess entry
             "wall_seconds": round(wall, 3),
             "peak_rss_bytes": peak_rss,
             "live_objects": len(gc.get_objects()),
+            "gc_collections": gc_collections,
             "row": metrics.row(),
             "fluid": {
                 key: value
@@ -310,7 +316,7 @@ def measure_scale(
             )
         points.append(json.loads(proc.stdout))
     return {
-        "schema": "repro-bench-scale/1",
+        "schema": "repro-bench-scale/2",
         "label": label,
         "duration": duration,
         "warmup": warmup,

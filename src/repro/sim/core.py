@@ -573,6 +573,12 @@ class Condition(Event):
     is a dict mapping each *triggered-so-far* child to its value, in child
     order.  Any child failure fails the condition immediately (the child is
     defused; the exception is the condition's value).
+
+    Once settled, a condition keeps no reference to its children.  A
+    losing child still holds the condition's bound ``_check`` in its
+    callback list, so keeping the child list would close a reference
+    cycle (condition -> children -> loser -> callbacks -> condition) on
+    every race, freeable only by the cyclic garbage collector.
     """
 
     __slots__ = ("_events", "_need", "_done")
@@ -585,6 +591,7 @@ class Condition(Event):
         self._need = need
         self._done = 0
         if not self._events or need == 0:
+            self._events = ()
             self.succeed({})
             return
         for ev in self._events:
@@ -613,10 +620,12 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._events = ()
             return
         self._done += 1
         if self._done >= self._need:
             self.succeed(self._collect())
+            self._events = ()
 
 
 class AnyOf(Condition):

@@ -283,12 +283,14 @@ def test_measure_scale_emits_the_artifact_schema(tmp_path):
         client_counts=[2000], duration=2.0, warmup=1.0, seed=3,
         budget=64, label="unit",
     )
-    assert report["schema"] == "repro-bench-scale/1"
+    assert report["schema"] == "repro-bench-scale/2"
     (point,) = report["points"]
     assert point["clients"] == 2000
     assert point["wall_seconds"] > 0
     assert point["peak_rss_bytes"] > 0
     assert point["live_objects"] > 0
+    assert len(point["gc_collections"]) == 3  # one count per generation
+    assert min(point["gc_collections"]) >= 0
     assert point["fluid"]["fluid.aggregate"] == 1
     path = write_json(report, str(tmp_path / "BENCH_scale.json"))
     assert json.loads(open(path).read())["points"][0]["clients"] == 2000

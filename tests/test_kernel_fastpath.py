@@ -135,8 +135,9 @@ def test_condition_children_are_not_pooled():
 
     def proc():
         # any_of registers _check on each child; the loser keeps firing
-        # after the condition resolved and must NOT be recycled while the
-        # condition still references it.
+        # after the condition settled.  Neither child is recycled: only
+        # Process._resume marks a timeout poolable, and only a timeout
+        # the process yielded itself.
         winner = sim.timeout(0.1, value="fast")
         loser = sim.timeout(5.0, value="slow")
         got = yield sim.any_of([winner, loser])

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -7,7 +9,9 @@ from repro.sim import (
     Interrupted,
     SimulationError,
     Simulator,
+    Store,
 )
+from repro.sim.core import WHEEL_TICK
 
 
 def test_clock_starts_at_zero():
@@ -339,6 +343,108 @@ def test_any_of_with_pretriggered_child():
     sim.run(until=1.0)  # ev is processed
     cond = sim.any_of([ev, sim.timeout(10.0)])
     assert cond.triggered
+
+
+# -- settled conditions leave no reference cycles ----------------------------
+# A losing child keeps the condition's bound _check in its callback list;
+# the condition must not point back at it once settled, or every race
+# becomes garbage only the cyclic collector can free.  Each case runs
+# with the collector off and counts unreachable objects while the
+# simulator is still alive.  Tests keep no reference to a condition or a
+# losing child: one would make a cycle reachable and hide it.
+
+
+@pytest.fixture
+def collector_off():
+    """Switch the cyclic collector off; yields ``gc.collect``."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield gc.collect
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_any_of_won_by_event_with_cancelled_wheel_timeout(collector_off):
+    sim = Simulator()
+    got = []
+
+    def proc():
+        reply = sim.event()
+        sim.call_later(1.0, reply.succeed, "reply")
+        pause = sim.timeout(4 * WHEEL_TICK)
+        value = yield sim.any_of([reply, pause])
+        assert pause.cancel()  # wheel-resident: unlinked, never fires
+        got.append((sim.now, value == {reply: "reply"}))
+
+    sim.process(proc())
+    sim.run()
+    assert got == [(1.0, True)]
+    assert sim.timer_stats()["wheel_cancelled"] == 1
+    assert collector_off() == 0
+
+
+def test_any_of_won_by_timeout_with_cancelled_store_get(collector_off):
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def proc():
+        get = store.get()
+        pause = sim.timeout(2.0, value="idle")
+        value = yield sim.any_of([get, pause])
+        assert store.cancel(get)
+        got.append((sim.now, value == {pause: "idle"}))
+
+    sim.process(proc())
+    sim.run()
+    assert got == [(2.0, True)]
+    assert collector_off() == 0
+
+
+def test_all_of_failed_by_child(collector_off):
+    sim = Simulator()
+    errors = []
+
+    def failing_child():
+        bad = sim.event()
+        sim.call_later(1.0, bad.fail, KeyError("child"))
+        return bad
+
+    def proc():
+        # No local names the failed child: its exception's traceback
+        # points at this frame, so a local would close a cycle of the
+        # test's own making.  The first child never triggers: it
+        # outlives the race.
+        try:
+            yield sim.all_of([sim.event(), failing_child()])
+        except KeyError as exc:
+            errors.append((sim.now, exc.args))
+
+    sim.process(proc())
+    sim.run()
+    assert errors == [(1.0, ("child",))]
+    assert collector_off() == 0
+
+
+def test_condition_over_already_processed_child(collector_off):
+    sim = Simulator()
+    got = []
+    done = sim.timeout(0.0, value="now")
+    sim.run(until=1.0)  # done is processed
+
+    def proc():
+        # The pending child registers _check before the processed one
+        # settles the condition inside its constructor.
+        value = yield sim.any_of([sim.event(), done])
+        got.append((sim.now, value == {done: "now"}))
+
+    sim.process(proc())
+    sim.run()
+    assert got == [(1.0, True)]
+    assert collector_off() == 0
 
 
 def test_call_later_runs_function_with_args():
