@@ -176,12 +176,10 @@ class Connection:
         next_retry_at = self.connect_started + SYN_RETRANSMIT_GAPS[0]
         while True:
             wait_until = min(next_retry_at, deadline)
-            pause = self.sim.timeout(max(0.0, wait_until - self.sim.now))
-            yield self.sim.any_of([self._established_ev, pause])
+            yield self.sim.within(
+                self._established_ev, max(0.0, wait_until - self.sim.now)
+            )
             if self.established:
-                # The retransmit pause lost the race: unlink it from the
-                # wheel (its only callback is the settled any_of check).
-                pause.cancel()
                 self.established_at = self.sim.now
                 return self.established_at - self.connect_started
             if self.sim.now >= deadline - 1e-12:
@@ -239,17 +237,13 @@ class Connection:
         ``ttfb_timeout`` or the body within ``stall_timeout``.
         """
         if not pending.first_byte.triggered:
-            pause = self.sim.timeout(ttfb_timeout)
-            yield self.sim.any_of([pending.first_byte, pause])
+            yield self.sim.within(pending.first_byte, ttfb_timeout)
             if not pending.first_byte.triggered:
                 raise ResponseTimeout("timed out waiting for reply")
-            pause.cancel()
         if not pending.complete.triggered:
-            pause = self.sim.timeout(stall_timeout)
-            yield self.sim.any_of([pending.complete, pause])
+            yield self.sim.within(pending.complete, stall_timeout)
             if not pending.complete.triggered:
                 raise ResponseTimeout("timed out receiving reply body")
-            pause.cancel()
         return pending.complete.value
 
     def client_close(self) -> None:
@@ -333,13 +327,13 @@ class Connection:
         if idle_timeout is None:
             item = yield get
             return item
-        pause = self.sim.timeout(idle_timeout)
-        yield self.sim.any_of([get, pause])
+        # The paper's hottest cancel site: every request that beats the
+        # 15 s idle reap cancels the wait's timeout, an O(1) wheel unlink.
+        yield self.sim.within(get, idle_timeout)
+        # Read get itself, not the wait's value: in a same-instant tie a
+        # request can arrive after the timeout fired, and it must then be
+        # returned, not dropped by Store.cancel.
         if get.triggered:
-            # This is the paper's hottest cancel site: every request that
-            # beats the 15 s idle reap abandons its pause.  True-cancel
-            # keeps those timers off the heap entirely (O(1) unlink).
-            pause.cancel()
             return get.value
         self.inbox.cancel(get)
         return None
@@ -636,12 +630,10 @@ class ListenSocket:
         while True:
             get = self._backlog.get()
             if not get.triggered and timeout is not None:
-                pause = self.sim.timeout(timeout)
-                yield self.sim.any_of([get, pause])
+                yield self.sim.within(get, timeout)
                 if not get.triggered:
                     self._backlog.cancel(get)
                     return None
-                pause.cancel()
                 conn = get.value
             else:
                 conn = yield get

@@ -1,14 +1,12 @@
 """Discrete-event simulation substrate (kernel, resources, RNG streams)."""
 
 from .core import (
-    AllOf,
-    AnyOf,
-    Condition,
     Event,
     Interrupted,
     Process,
     SimulationError,
     Simulator,
+    TimedWait,
     Timeout,
     Timer,
 )
@@ -17,14 +15,12 @@ from .rng import RandomStreams
 from .wheel import TimingWheel
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Event",
     "Interrupted",
     "Process",
     "SimulationError",
     "Simulator",
+    "TimedWait",
     "Timeout",
     "Timer",
     "TimingWheel",

@@ -14,39 +14,59 @@ Design notes
   events per second, which is what the full figure-regeneration sweeps in
   :mod:`repro.core.figures` need (~10^7 events per sweep point at the top
   client counts).
+* ``Simulator.now`` is a plain attribute that only the dispatch loop
+  (``run``/``step``) writes; model code reads it and never assigns it.
 * Fast paths (see DESIGN.md "Kernel fast-path invariants"):
 
-  - :meth:`Simulator.call_later` schedules a pooled bare-callback heap
-    entry instead of a :class:`Timeout` + lambda + callbacks list; the
-    entry is recycled through a free list after it fires.
+  - Same-instant lane: a push for the current instant — ``Event.succeed``
+    and ``fail`` (so also process completion, interrupts and relays) and
+    ``call_later(0, ...)`` — appends ``(seq, entry)`` to a deque instead
+    of the heap.  Dispatch takes the heap top before the lane's head only
+    when the top is due now and has the older sequence number, so the
+    dispatch order is exactly the heap's ``(time, seq)`` order.  Entries
+    with a cancel handle (:class:`Timeout`, :class:`Timer`) keep their
+    heap or wheel route, even at zero delay.
+  - :meth:`Simulator.call_later` schedules a pooled bare-callback entry
+    instead of a :class:`Timeout` + lambda + callbacks list; the entry is
+    recycled through a free list after it fires.
   - :meth:`Simulator.timeout` recycles :class:`Timeout` objects through a
     free list.  A timeout is recycled only when, at processing time, its
     sole callback is the :meth:`Process._resume` that was appended when a
     process yielded it — i.e. the single-use ``yield sim.timeout(d)``
-    pattern.  Timeouts with user callbacks, condition memberships, or
-    multiple waiters are never recycled.  Corollary: a timeout a process
-    has *yielded* must not be stored and re-inspected after a later
-    resume — create an :class:`Event` or keep a condition for that.
+    pattern — or the check of the :class:`TimedWait` that owns it.
+    Timeouts with user callbacks or multiple waiters are never recycled.
+    Corollary: a timeout a process has *yielded* must not be stored and
+    re-inspected after a later resume — create an :class:`Event` for
+    that.
+  - :meth:`Simulator.within` is the one timed wait ("this event, or a
+    timeout after ``d``"): one :class:`TimedWait` and one pooled timeout,
+    no child lists or value dict, and it cancels its losing timeout
+    itself.
   - ``run()`` inlines the dispatch loop; :meth:`Simulator.step` is the
     single-event reference implementation of the same logic.
   - Timers at least one wheel tick out (:data:`WHEEL_TICK`, 0.5 s) are
     staged on a hierarchical timing wheel (:mod:`repro.sim.wheel`)
     instead of the heap: O(1) schedule and — via :meth:`Timeout.cancel`,
-    :meth:`Simulator.schedule_timer`, and the interrupt path — O(1) true
-    cancel with no tombstone.  Due wheel slots are flushed *into* the
-    heap, keys intact, before dispatch can pass them, so the wheel never
-    reorders anything.  ``Simulator(wheel=False)`` is the heap-only
-    reference kernel the equivalence tests compare against; both modes
-    dispatch the identical event sequence.
+    :meth:`Simulator.schedule_timer`, the interrupt path and a timed
+    wait's losing timeout — O(1) true cancel with no tombstone.  Due
+    wheel slots are flushed *into* the heap, keys intact, before dispatch
+    can pass them, so the wheel never reorders anything.
+    ``Simulator(wheel=False)`` is the heap-only kernel the equivalence
+    tests compare against; both modes dispatch the identical event
+    sequence.
   - Cancelled entries that must stay heap-resident (sub-tick or
     already-flushed timers) become tombstones; the heap is compacted in
     place once tombstones exceed half the live entries (see
     ``tombstones_compacted``), so cancel-heavy runs no longer grow the
     heap without bound.
 
-  None of the fast paths changes scheduling order: every former push maps
-  one-to-one onto a push with the same sequence number, so tie-breaking
+  None of the fast paths changes scheduling order: every push takes
+  exactly one sequence number, in the same order as a kernel with one
+  heap and no fast paths (``tests/reference_kernel.py``), so tie-breaking
   (and therefore determinism for a fixed seed) is unchanged.
+* Delays must be finite numbers >= 0: a NaN or infinite delay would
+  corrupt the heap order or the wheel's slot arithmetic, so every entry
+  point raises :class:`SimulationError` for one.
 * Failures propagate: an event that fails with no registered callbacks and
   that nobody *defused* re-raises inside :meth:`Simulator.step`, so model
   bugs surface in tests instead of being silently dropped.
@@ -60,8 +80,9 @@ Design notes
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from .wheel import TimingWheel
 
@@ -74,9 +95,7 @@ __all__ = [
     "Timeout",
     "Timer",
     "Process",
-    "Condition",
-    "AnyOf",
-    "AllOf",
+    "TimedWait",
     "Interrupted",
     "Simulator",
     "SimulationError",
@@ -97,6 +116,17 @@ _POOL_MAX = 1024
 #: Marks a cancelled timer (Timeout._node).  Distinct from None, which
 #: means "heap-resident and live".
 _DEAD = object()
+
+_INF = float("inf")
+
+
+def _bad_delay(delay: Any) -> SimulationError:
+    """The error for a delay that is not a finite number >= 0.
+
+    Callers test ``0.0 <= delay < _INF``, which is False for NaN, for
+    infinities and for negative numbers alike.
+    """
+    return SimulationError(f"delay must be a finite number >= 0, got {delay!r}")
 
 
 def _noop(*_args: Any) -> None:
@@ -220,7 +250,7 @@ class Event:
         self._ok = True
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim._now, seq, self))
+        sim._lane.append((seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -238,7 +268,7 @@ class Event:
         self._ok = False
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim._now, seq, self))
+        sim._lane.append((seq, self))
         return self
 
     def defuse(self) -> None:
@@ -268,9 +298,9 @@ class Timeout(Event):
     __slots__ = ("_node",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        # Flattened Event.__init__ + Simulator._push: a Timeout is born
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
+        # Flattened Event.__init__ + the scheduling push: a Timeout is born
         # triggered, and this constructor is the hottest allocation site
         # in the kernel.
         self.sim = sim
@@ -280,7 +310,7 @@ class Timeout(Event):
         self._defused = False
         self._pooled = False
         sim._seq = seq = sim._seq + 1
-        when = sim._now + delay
+        when = sim.now + delay
         if delay < sim._wheel_tick:
             self._node = None
             heappush(sim._heap, (when, seq, self))
@@ -295,8 +325,8 @@ class Timeout(Event):
         residents have their callback list cleared and pop later as a
         tombstone (reclaimed early by compaction when tombstones pile
         up).  Contract: the caller must ensure nothing would observe the
-        firing — the canonical site is the *losing* timeout of a settled
-        ``any_of`` race, whose only callback is a dead condition check.
+        firing.  :class:`TimedWait` cancels its own losing timeout this
+        way.
         """
         node = self._node
         if node is _DEAD:
@@ -381,12 +411,12 @@ class Timer:
         uniformly with first-time arming.
         """
         sim = self.sim
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
         if args:
             self.args = args
         sim._seq = seq = sim._seq + 1
-        when = sim._now + delay
+        when = sim.now + delay
         node = self._node
         if node is not None:
             # Live and wheel-resident — the hot path.
@@ -497,7 +527,7 @@ class Process(Event):
         # _resume.  (The recycling contract already forbids model code
         # from re-inspecting a yielded timeout, so nothing can observe
         # the difference between "fired stale" and "never fired".)
-        # Anything shared — gates, conditions, user callbacks — keeps the
+        # Anything shared — gates, timed waits, user callbacks — keeps the
         # lazy tombstone semantics: no O(waiters) scan.
         if (
             type(target) is Timeout
@@ -566,98 +596,72 @@ class Process(Event):
             self._target = relay
 
 
-class Condition(Event):
-    """Triggers based on the outcome of a set of child events.
+class TimedWait(Event):
+    """``event`` or a timeout after ``delay``, whichever is processed first.
 
-    ``need`` children must succeed for the condition to succeed.  The value
-    is a dict mapping each *triggered-so-far* child to its value, in child
-    order.  Any child failure fails the condition immediately (the child is
-    defused; the exception is the condition's value).
+    Built by :meth:`Simulator.within`; a process yields it.  The value is
+    ``True`` when ``event`` was processed first and ``False`` when the
+    timeout fired first.  If ``event`` fails first, its exception is
+    thrown into the waiter and ``event`` is defused.
 
-    Once settled, a condition keeps no reference to its children.  A
-    losing child still holds the condition's bound ``_check`` in its
-    callback list, so keeping the child list would close a reference
-    cycle (condition -> children -> loser -> callbacks -> condition) on
-    every race, freeable only by the cyclic garbage collector.
+    The wait owns its timeout.  The timeout takes its sequence number when
+    the wait is built; the wait pushes its own entry, which resumes the
+    waiter, when the first child is processed.  A losing timeout is
+    cancelled: unlinked from the wheel and returned to the free list with
+    no callbacks, or left on the heap as a tombstone.  A winning timeout
+    is recycled after it fires.
+
+    Once settled, the wait references neither child.  A losing ``event``
+    still holds the wait's ``_check``, so a reference back would close a
+    cycle only the cyclic garbage collector could free.
+
+    A waiter that acts on whether ``event`` has *triggered* must read
+    ``event.triggered``: in a same-instant tie ``event`` can trigger after
+    the timeout fired but before the waiter resumes (value ``False``).
     """
 
-    __slots__ = ("_events", "_need", "_done")
+    __slots__ = ("_timer",)
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event], need: int) -> None:
-        super().__init__(sim)
-        self._events = list(events)
-        if need < 0 or need > len(self._events):
-            raise SimulationError("invalid condition threshold")
-        self._need = need
-        self._done = 0
-        if not self._events or need == 0:
-            self._events = ()
-            self.succeed({})
+    def _check(self, child: Event) -> None:
+        timer = self._timer
+        if timer is None:
+            return  # already settled: this child came second
+        self._timer = None
+        if child is timer:
+            self.succeed(False)
             return
-        for ev in self._events:
-            if ev.sim is not sim:
-                raise SimulationError("condition mixes simulators")
-            if ev.callbacks is None:
-                # Already processed child.
-                self._check(ev)
-                if self.triggered:
-                    break
-            else:
-                ev.callbacks.append(self._check)
+        wheel_resident = timer._node is not None
+        timer.cancel()
+        if wheel_resident:
+            timer.callbacks = None
+            pool = self.sim._tpool
+            if len(pool) < _POOL_MAX:
+                pool.append(timer)
+        self._take(child)
 
-    def _collect(self) -> dict:
-        # Only *processed* children count: a Timeout pre-sets its value at
-        # creation, so "triggered" alone would claim future timeouts fired.
-        return {
-            ev: ev._value
-            for ev in self._events
-            if ev.callbacks is None and ev._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
+    def _take(self, event: Event) -> None:
+        """Settle with the outcome of ``event``, which was processed first."""
+        if event._ok:
+            self.succeed(True)
+        else:
             event._defused = True
             self.fail(event._value)
-            self._events = ()
-            return
-        self._done += 1
-        if self._done >= self._need:
-            self.succeed(self._collect())
-            self._events = ()
-
-
-class AnyOf(Condition):
-    """Condition triggering when *any* child succeeds."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        events = list(events)
-        super().__init__(sim, events, need=min(1, len(events)))
-
-
-class AllOf(Condition):
-    """Condition triggering when *all* children succeed."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        events = list(events)
-        super().__init__(sim, events, need=len(events))
 
 
 class Simulator:
-    """The event loop: a clock plus a heap of (time, seq, entry) tuples.
+    """The event loop: a clock, a heap of ``(time, seq, entry)`` tuples and
+    a same-instant lane of ``(seq, entry)`` tuples.
 
     Entries are triggered :class:`Event` objects or internal
-    :class:`_Callback` fast-path entries (see :meth:`call_later`).
+    :class:`_Callback` fast-path entries (see :meth:`call_later`).  The
+    lane holds entries pushed for the current instant; the clock never
+    advances while it is non-empty.
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_heap",
+        "_lane",
         "_seq",
         "_tpool",
         "_cbpool",
@@ -665,6 +669,7 @@ class Simulator:
         "_wheel_tick",
         "_tombstones",
         "tombstones_compacted",
+        "lane_dispatched",
     )
 
     #: Kernel name, read by the end-to-end benchmark's probe
@@ -672,8 +677,11 @@ class Simulator:
     backend = "python"
 
     def __init__(self, wheel: bool = True) -> None:
-        self._now = 0.0
+        #: Current simulated time (seconds by convention in this
+        #: library).  Only the dispatch loop writes it.
+        self.now = 0.0
         self._heap: list = []
+        self._lane: deque = deque()
         self._seq = 0
         #: Free lists: recycled Timeouts / bare-callback entries.
         self._tpool: list = []
@@ -683,26 +691,26 @@ class Simulator:
         # every timer takes the heap path — the wheel object stays inert,
         # so both modes run the same dispatch loop.
         self._wheel = TimingWheel(WHEEL_TICK, _Callback)
-        self._wheel_tick = WHEEL_TICK if wheel else float("inf")
+        self._wheel_tick = WHEEL_TICK if wheel else _INF
         #: Cancelled-but-heap-resident entries awaiting dispatch, and how
         #: many times compaction reclaimed them early.
         self._tombstones = 0
         self.tombstones_compacted = 0
+        #: Entries dispatched from the same-instant lane (run() adds its
+        #: count when it returns).
+        self.lane_dispatched = 0
 
-    # -- clock -----------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time (seconds by convention in this library)."""
-        return self._now
-
+    # -- inspection --------------------------------------------------------
     @property
     def wheel_enabled(self) -> bool:
         """True when long-horizon timers are routed to the timing wheel."""
-        return self._wheel_tick != float("inf")
+        return self._wheel_tick != _INF
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        when = self._heap[0][0] if self._heap else float("inf")
+        if self._lane:
+            return self.now
+        when = self._heap[0][0] if self._heap else _INF
         if self._wheel._count:
             wheel_when = self._wheel.earliest()
             if wheel_when < when:
@@ -710,7 +718,8 @@ class Simulator:
         return when
 
     def timer_stats(self) -> dict:
-        """Kernel timer counters (wheel traffic, tombstones, pool sizes)."""
+        """Kernel timer counters (wheel and lane traffic, tombstones, pool
+        sizes)."""
         wheel = self._wheel
         return {
             "wheel_enabled": self.wheel_enabled,
@@ -723,6 +732,7 @@ class Simulator:
             "wheel_batch_flushes": 0,
             "wheel_pending": wheel._count,
             "heap_pending": len(self._heap),
+            "lane_dispatched": self.lane_dispatched,
             "tombstones": self._tombstones,
             "tombstones_compacted": self.tombstones_compacted,
         }
@@ -739,10 +749,10 @@ class Simulator:
         the module docstring for the exact recycling rule).
         """
         # One check for both branches: the pooled and non-pooled paths
-        # must reject a negative delay at the same point, with the same
+        # must reject a bad delay at the same point, with the same
         # error, regardless of the free list's state.
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
         pool = self._tpool
         if pool:
             ev = pool.pop()
@@ -752,7 +762,7 @@ class Simulator:
             ev._defused = False
             ev._pooled = False
             self._seq = seq = self._seq + 1
-            when = self._now + delay
+            when = self.now + delay
             if delay < self._wheel_tick:
                 ev._node = None
                 heappush(self._heap, (when, seq, ev))
@@ -761,31 +771,57 @@ class Simulator:
             return ev
         return Timeout(self, delay, value)
 
+    def within(self, event: Event, delay: float) -> TimedWait:
+        """Wait for ``event`` or for ``delay`` to pass, whichever is first.
+
+        A process yields the result and resumes with ``True`` if ``event``
+        was processed first or ``False`` if the delay ran out first; a
+        failure of ``event`` is thrown into it instead.  The losing
+        timeout is cancelled by the wait, so the caller never sees it.
+        See :class:`TimedWait` for the ordering and memory rules.
+        """
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
+        if event.sim is not self:
+            raise SimulationError("timed wait on an event from another simulator")
+        wait = TimedWait(self)
+        wait._timer = None
+        callbacks = event.callbacks
+        if callbacks is None:
+            # Already processed: settle at once.  No timeout is built,
+            # but its sequence number is still taken: a wait always takes
+            # one for its timeout and one to settle.
+            self._seq += 1
+            wait._take(event)
+            return wait
+        timer = self.timeout(delay)
+        # The wait's check is the timer's sole callback and nothing else
+        # holds the timer, so it is recyclable once it fires.
+        timer._pooled = True
+        wait._timer = timer
+        check = wait._check
+        callbacks.append(check)
+        timer.callbacks.append(check)
+        return wait
+
     def process(
         self, gen: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:
         """Start a generator as a process."""
         return Process(self, gen, name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition triggering when any child succeeds."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition triggering when every child succeeds."""
-        return AllOf(self, events)
-
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` as a bare callback ``delay`` from now.
 
         This is the kernel's cheapest way to schedule work: no
         :class:`Event` is allocated (no callbacks list, no value/failure
-        bookkeeping) and the internal heap entry is recycled after it
-        fires.  Use :meth:`timeout` plus ``callbacks.append`` when the
-        caller needs an event handle to wait on or compose.
+        bookkeeping) and the internal entry is recycled after it fires.
+        A zero delay takes the same-instant lane instead of the heap.  Use
+        :meth:`timeout` plus ``callbacks.append`` when the caller needs an
+        event handle to wait on or compose.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
         pool = self._cbpool
         if pool:
             cb = pool.pop()
@@ -794,7 +830,10 @@ class Simulator:
         cb.fn = fn
         cb.args = args
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, seq, cb))
+        if delay:
+            heappush(self._heap, (self.now + delay, seq, cb))
+        else:
+            self._lane.append((seq, cb))
 
     def schedule_timer(
         self, delay: float, fn: Callable[..., Any], *args: Any
@@ -804,20 +843,22 @@ class Simulator:
         This is the API for the paper's dominant timer pattern — idle
         reaps, retransmits, adaptive deadlines — where the timer is
         re-armed or abandoned far more often than it fires.  Long delays
-        sit on the timing wheel (cancel = O(1) unlink); sub-tick delays
-        keep the plain heap path and cancel by neutralising the entry.
+        sit on the timing wheel (cancel = O(1) unlink); shorter delays,
+        zero included, keep the plain heap path and cancel by
+        neutralising the entry.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
         timer = Timer(self, fn, args)
         self._seq = seq = self._seq + 1
-        _route_callback(self, timer, delay, self._now + delay, seq)
+        _route_callback(self, timer, delay, self.now + delay, seq)
         return timer
 
     # -- scheduling --------------------------------------------------------
-    def _push(self, event: Event, delay: float = 0.0) -> None:
+    def _push(self, event: Event) -> None:
+        """Schedule an already-triggered event for the current instant."""
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, seq, event))
+        self._lane.append((seq, event))
 
     def _note_tombstone(self) -> None:
         """Account one cancelled heap-resident entry; compact if due.
@@ -851,21 +892,31 @@ class Simulator:
         inlines; behavioural changes must be mirrored there.  Raises
         :class:`SimulationError` when nothing is scheduled.
         """
-        # Flush the wheel before the heap-top could pass a due slot, so
-        # staged entries re-enter the total order in time.
-        wheel = self._wheel
+        lane = self._lane
         heap = self._heap
-        while True:
-            if heap:
-                if heap[0][0] < wheel._next:
-                    break
-                wheel.advance(heap[0][0], self)
-            elif wheel._count:
-                wheel.advance(wheel._next, self)
+        if lane:
+            # Same instant: the heap top goes first only if it is due now
+            # and was pushed before the lane's head.
+            if heap and heap[0][0] <= self.now and heap[0][1] < lane[0][0]:
+                event = heappop(heap)[2]
             else:
-                raise SimulationError("no scheduled events")
-        when, _seq, event = heappop(heap)
-        self._now = when
+                event = lane.popleft()[1]
+                self.lane_dispatched += 1
+        else:
+            # Flush the wheel before the heap-top could pass a due slot,
+            # so staged entries re-enter the total order in time.
+            wheel = self._wheel
+            while True:
+                if heap:
+                    if heap[0][0] < wheel._next:
+                        break
+                    wheel.advance(heap[0][0], self)
+                elif wheel._count:
+                    wheel.advance(wheel._next, self)
+                else:
+                    raise SimulationError("no scheduled events")
+            when, _seq, event = heappop(heap)
+            self.now = when
         callbacks = event.callbacks
         if callbacks is None:
             # Bare-callback fast-path entry: recycle it before invoking
@@ -893,14 +944,14 @@ class Simulator:
             self._tpool.append(event)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or the clock reaches ``until``.
+        """Run until nothing is scheduled or the clock reaches ``until``.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if no event falls on it, so back-to-back ``run`` calls compose.
         """
         if until is None:
-            bound = float("inf")
-        elif until < self._now:
+            bound = _INF
+        elif until < self.now:
             raise SimulationError(f"cannot run backwards to {until!r}")
         else:
             bound = until
@@ -908,60 +959,78 @@ class Simulator:
         # point, so locals replace attribute lookups and the per-event
         # method call.  Keep in sync with step() above.
         heap = self._heap
+        lane = self._lane
+        take = lane.popleft
         wheel = self._wheel
         tpool = self._tpool
         cbpool = self._cbpool
         pop = heappop
-        while True:
-            if heap:
-                when = heap[0][0]
-                if when >= wheel._next:
-                    # A wheel slot starts at or before the heap top:
-                    # flush it (and any earlier ones) into the heap
-                    # first so staged entries keep their place in the
-                    # total (time, seq) order.  _next is never
-                    # stale-high, so no flush can be missed.
-                    wheel.advance(when, self)
+        now = self.now
+        from_lane = 0
+        try:
+            while True:
+                if lane:
+                    # Lane entries are due now, and every wheel slot
+                    # starts after now, so only the heap top can precede
+                    # the lane's head: when it is due now and older.
+                    if heap and heap[0][0] <= now and heap[0][1] < lane[0][0]:
+                        event = pop(heap)[2]
+                    else:
+                        event = take()[1]
+                        from_lane += 1
+                elif heap:
+                    when = heap[0][0]
+                    if when >= wheel._next:
+                        # A wheel slot starts at or before the heap top:
+                        # flush it (and any earlier ones) into the heap
+                        # first so staged entries keep their place in
+                        # the total (time, seq) order.  _next is never
+                        # stale-high, so no flush can be missed.
+                        wheel.advance(when, self)
+                        continue
+                    if when > bound:
+                        break
+                    when, _seq, event = pop(heap)
+                    self.now = now = when
+                elif wheel._count:
+                    if wheel._next > bound:
+                        break
+                    wheel.advance(wheel._next, self)
                     continue
-                if when > bound:
+                else:
                     break
-                when, _seq, event = pop(heap)
-            elif wheel._count:
-                if wheel._next > bound:
-                    break
-                wheel.advance(wheel._next, self)
-                continue
-            else:
-                break
-            self._now = when
-            callbacks = event.callbacks
-            if callbacks is None:
-                fn = event.fn
-                args = event.args
-                if len(cbpool) < _POOL_MAX:
-                    event.fn = event.args = None
-                    cbpool.append(event)
-                fn(*args)
-                continue
-            event.callbacks = None
-            for cb in callbacks:
-                cb(event)
-            if not event._ok and not event._defused:
-                raise event._value
-            if (
-                event._pooled
-                and len(callbacks) == 1
-                and len(tpool) < _POOL_MAX
-            ):
-                tpool.append(event)
+                callbacks = event.callbacks
+                if callbacks is None:
+                    fn = event.fn
+                    args = event.args
+                    if len(cbpool) < _POOL_MAX:
+                        event.fn = event.args = None
+                        cbpool.append(event)
+                    fn(*args)
+                    continue
+                event.callbacks = None
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+                if (
+                    event._pooled
+                    and len(callbacks) == 1
+                    and len(tpool) < _POOL_MAX
+                ):
+                    tpool.append(event)
+        finally:
+            # One attribute write per run() call, not one per event.
+            self.lane_dispatched += from_lane
         if until is not None:
-            self._now = until
+            self.now = until
 
     def run_process(self, proc: Process) -> Any:
         """Run until ``proc`` finishes; return its value or raise its error."""
+        lane = self._lane
         heap = self._heap
         wheel = self._wheel
-        while (heap or wheel._count) and proc._value is _PENDING:
+        while (lane or heap or wheel._count) and proc._value is _PENDING:
             self.step()
         if proc._value is _PENDING:
             raise SimulationError(

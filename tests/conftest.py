@@ -5,9 +5,15 @@ import gc
 import tracemalloc
 
 import pytest
+from hypothesis import settings
 
 from repro.core import experiment
 from repro.sim import Simulator
+
+# A harder search for properties that take their example count from the
+# active profile (tests/test_reference_kernel.py):
+#   pytest tests/test_reference_kernel.py --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture

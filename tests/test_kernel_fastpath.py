@@ -129,24 +129,24 @@ def test_timeout_with_user_callback_is_not_pooled():
     assert t.processed and t.value == "v"
 
 
-def test_condition_children_are_not_pooled():
+def test_timed_wait_event_is_not_pooled():
     sim = Simulator()
     results = []
+    # within() registers the wait's check on the caller's event, so that
+    # timeout stays off the free list even though it won and fired: only
+    # Process._resume and the wait mark a timeout poolable, and only one
+    # nobody else holds.  The wait's own losing timeout is recycled.
+    winner = sim.timeout(0.1, value="fast")
 
     def proc():
-        # any_of registers _check on each child; the loser keeps firing
-        # after the condition settled.  Neither child is recycled: only
-        # Process._resume marks a timeout poolable, and only a timeout
-        # the process yielded itself.
-        winner = sim.timeout(0.1, value="fast")
-        loser = sim.timeout(5.0, value="slow")
-        got = yield sim.any_of([winner, loser])
-        results.append(list(got.values()))
+        won = yield sim.within(winner, 5.0)
+        results.append(won)
 
     sim.process(proc())
     sim.run()
-    assert results == [["fast"]]
-    assert sim._tpool == []
+    assert results == [True]
+    assert len(sim._tpool) == 1 and sim._tpool[0] is not winner
+    assert winner.processed and winner.value == "fast"
 
 
 def test_pool_respects_negative_delay_check():

@@ -5,7 +5,6 @@ import gc
 import pytest
 
 from repro.sim import (
-    AnyOf,
     Interrupted,
     SimulationError,
     Simulator,
@@ -283,75 +282,95 @@ def test_interrupted_process_can_continue():
     assert trace == [3.0]
 
 
-def test_any_of_triggers_on_first():
+# -- timed waits: sim.within(event, delay) ----------------------------------
+
+
+def test_within_takes_one_sequence_number_then_one_to_settle():
+    # The timeout's number when the wait is built, then one push when
+    # the first child is processed: every e2e row depends on these.
     sim = Simulator()
-    results = []
+    reply = sim.event()
+    wait = sim.within(reply, 3.0)
+    assert sim._seq == 1
+    reply.succeed()
+    assert sim._seq == 2
+    sim.run()
+    assert sim._seq == 3
+    assert wait.processed and wait.value is True
+
+
+def test_within_wheel_loser_goes_back_to_the_free_list():
+    sim = Simulator()
+    reply = sim.event()
+    wait = sim.within(reply, 4 * WHEEL_TICK)
+    timer = wait._timer
+    assert timer._node is not None  # wheel-resident
+    reply.succeed()
+    sim.run()
+    assert wait.value is True
+    assert wait._timer is None
+    assert sim.timer_stats()["wheel_cancelled"] == 1
+    assert timer.callbacks is None  # holds no reference to the wait
+    assert sim.timeout(1.0) is timer
+
+
+def test_within_winning_timeout_is_recycled():
+    sim = Simulator()
+    wait = sim.within(sim.event(), 0.1)
+    timer = wait._timer
+    sim.run()
+    assert wait.value is False
+    assert sim._tpool == [timer]
+
+
+def test_within_heap_resident_loser_becomes_a_tombstone():
+    sim = Simulator()
+    reply = sim.event()
+    wait = sim.within(reply, 0.25)  # sub-tick: heap-resident
+    timer = wait._timer
+    reply.succeed()
+    sim.run(until=0.1)
+    assert wait.value is True
+    assert sim.timer_stats()["tombstones"] == 1
+    assert timer.callbacks == []
+    sim.run()
+    assert sim._tpool == []  # a tombstone is never recycled
+
+
+def test_within_tie_event_triggered_after_timeout_fired():
+    # The timeout fires first, then a heap entry due at the same instant
+    # (and pushed before the wait's settle entry) delivers the request:
+    # the waiter resumes with False but must find the request triggered,
+    # which is why net/tcp.py reads get.triggered and not the value.
+    sim = Simulator()
+    store = Store(sim)
+    seen = []
 
     def proc():
-        fast = sim.timeout(1.0, value="fast")
-        slow = sim.timeout(9.0, value="slow")
-        got = yield sim.any_of([fast, slow])
-        results.append((sim.now, list(got.values())))
+        get = store.get()
+        won = yield sim.within(get, 2.0)
+        seen.append((sim.now, won, get.triggered, get.value))
 
     sim.process(proc())
+    sim.run(until=1.0)
+    sim.call_later(1.0, store.put, "request")
     sim.run()
-    assert results[0][0] == 1.0
-    assert results[0][1] == ["fast"]
+    assert seen == [(2.0, False, True, "request")]
 
 
-def test_all_of_waits_for_every_child():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        evs = [sim.timeout(t, value=t) for t in (1.0, 3.0, 2.0)]
-        got = yield sim.all_of(evs)
-        results.append((sim.now, sorted(got.values())))
-
-    sim.process(proc())
-    sim.run()
-    assert results == [(3.0, [1.0, 2.0, 3.0])]
+def test_within_rejects_event_from_another_simulator():
+    sim_a, sim_b = Simulator(), Simulator()
+    with pytest.raises(SimulationError, match="another simulator"):
+        sim_a.within(sim_b.event(), 1.0)
 
 
-def test_any_of_empty_triggers_immediately():
-    sim = Simulator()
-    cond = AnyOf(sim, [])
-    assert cond.triggered
-    assert cond.value == {}
-
-
-def test_condition_fails_when_child_fails():
-    sim = Simulator()
-    errors = []
-
-    def proc():
-        bad = sim.event()
-        sim.call_later(1.0, lambda: bad.fail(KeyError("child")))
-        try:
-            yield sim.all_of([sim.timeout(5.0), bad])
-        except KeyError:
-            errors.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert errors == [1.0]
-
-
-def test_any_of_with_pretriggered_child():
-    sim = Simulator()
-    ev = sim.timeout(0.0, value="now")
-    sim.run(until=1.0)  # ev is processed
-    cond = sim.any_of([ev, sim.timeout(10.0)])
-    assert cond.triggered
-
-
-# -- settled conditions leave no reference cycles ----------------------------
-# A losing child keeps the condition's bound _check in its callback list;
-# the condition must not point back at it once settled, or every race
-# becomes garbage only the cyclic collector can free.  Each case runs
-# with the collector off and counts unreachable objects while the
-# simulator is still alive.  Tests keep no reference to a condition or a
-# losing child: one would make a cycle reachable and hide it.
+# -- settled timed waits leave no reference cycles ----------------------------
+# A losing event keeps the wait's bound _check in its callback list; the
+# wait must not point back at it once settled, or every race becomes
+# garbage only the cyclic collector can free.  Each case runs with the
+# collector off and counts unreachable objects while the simulator is
+# still alive.  Tests keep no reference to a wait or a losing child: one
+# would make a cycle reachable and hide it.
 
 
 @pytest.fixture
@@ -367,79 +386,85 @@ def collector_off():
             gc.enable()
 
 
-def test_any_of_won_by_event_with_cancelled_wheel_timeout(collector_off):
+def test_within_won_by_event_cancels_wheel_timeout(collector_off):
     sim = Simulator()
     got = []
 
     def proc():
         reply = sim.event()
         sim.call_later(1.0, reply.succeed, "reply")
-        pause = sim.timeout(4 * WHEEL_TICK)
-        value = yield sim.any_of([reply, pause])
-        assert pause.cancel()  # wheel-resident: unlinked, never fires
-        got.append((sim.now, value == {reply: "reply"}))
+        won = yield sim.within(reply, 4 * WHEEL_TICK)
+        got.append((sim.now, won, reply.value))
 
     sim.process(proc())
     sim.run()
-    assert got == [(1.0, True)]
+    assert got == [(1.0, True, "reply")]
+    # The losing timeout was unlinked from the wheel: nothing is left.
     assert sim.timer_stats()["wheel_cancelled"] == 1
+    assert sim.peek() == float("inf")
     assert collector_off() == 0
 
 
-def test_any_of_won_by_timeout_with_cancelled_store_get(collector_off):
+def test_within_won_by_timeout_with_cancelled_store_get(collector_off):
     sim = Simulator()
     store = Store(sim)
     got = []
 
     def proc():
         get = store.get()
-        pause = sim.timeout(2.0, value="idle")
-        value = yield sim.any_of([get, pause])
+        won = yield sim.within(get, 2.0)
         assert store.cancel(get)
-        got.append((sim.now, value == {pause: "idle"}))
+        got.append((sim.now, won))
 
     sim.process(proc())
     sim.run()
-    assert got == [(2.0, True)]
+    assert got == [(2.0, False)]
     assert collector_off() == 0
 
 
-def test_all_of_failed_by_child(collector_off):
+def test_within_failed_by_event(collector_off):
     sim = Simulator()
     errors = []
 
-    def failing_child():
+    def failing_event():
         bad = sim.event()
         sim.call_later(1.0, bad.fail, KeyError("child"))
         return bad
 
     def proc():
-        # No local names the failed child: its exception's traceback
+        # No local names the failed event: its exception's traceback
         # points at this frame, so a local would close a cycle of the
-        # test's own making.  The first child never triggers: it
-        # outlives the race.
+        # test's own making.
         try:
-            yield sim.all_of([sim.event(), failing_child()])
+            yield sim.within(failing_event(), 4 * WHEEL_TICK)
         except KeyError as exc:
             errors.append((sim.now, exc.args))
 
     sim.process(proc())
-    sim.run()
+    sim.run()  # would re-raise KeyError had the wait not defused the event
     assert errors == [(1.0, ("child",))]
+    assert sim.timer_stats()["wheel_cancelled"] == 1  # the timeout lost
     assert collector_off() == 0
 
 
-def test_condition_over_already_processed_child(collector_off):
+def test_within_on_processed_event_settles_at_once(collector_off):
     sim = Simulator()
     got = []
     done = sim.timeout(0.0, value="now")
     sim.run(until=1.0)  # done is processed
+    pooled = len(sim._tpool)
 
     def proc():
-        # The pending child registers _check before the processed one
-        # settles the condition inside its constructor.
-        value = yield sim.any_of([sim.event(), done])
-        got.append((sim.now, value == {done: "now"}))
+        seq = sim._seq
+        wait = sim.within(done, 5.0)
+        # Settled inside within(): no timeout left scheduled or taken
+        # from the free list, but its sequence number is used.
+        assert wait.triggered and sim._seq == seq + 2
+        assert len(sim._tpool) == pooled
+        stats = sim.timer_stats()
+        assert stats["heap_pending"] == stats["wheel_pending"] == 0
+        won = yield wait
+        got.append((sim.now, won))
 
     sim.process(proc())
     sim.run()
@@ -478,3 +503,128 @@ def test_event_repr_smoke():
     assert "pending" in repr(ev)
     ev.succeed()
     assert "ok" in repr(ev)
+
+
+# -- the same-instant lane ----------------------------------------------------
+
+
+@pytest.mark.parametrize("dispatch", ["run", "step"])
+def test_lane_yields_to_an_older_heap_entry_due_now(dispatch):
+    sim = Simulator()
+    order = []
+    sim.run(until=1.0)
+    # now + d == now for this d > 0, so the entry is heap-resident but
+    # due now, and it was pushed before the zero-delay ones.
+    tiny = 1e-20
+    assert sim.now + tiny == sim.now
+    sim.call_later(tiny, order.append, "heap-older")
+    sim.call_later(0.0, order.append, "lane-1")
+    sim.call_later(tiny, order.append, "heap-younger")
+    sim.event().succeed()
+    sim.call_later(0.0, order.append, "lane-2")
+    assert sim.peek() == 1.0
+    if dispatch == "run":
+        sim.run()
+    else:
+        for _ in range(5):
+            sim.step()
+    assert order == ["heap-older", "lane-1", "heap-younger", "lane-2"]
+    assert sim.now == 1.0
+
+
+def test_timer_stats_counts_lane_dispatches():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+
+    sim.process(proc())  # boot: lane
+    sim.event().succeed()  # lane
+    sim.call_later(0.0, lambda: None)  # lane
+    sim.call_later(0.25, lambda: None)  # heap
+    sim.timeout(0.0)  # a timeout keeps its heap route at zero delay
+    sim.run()  # ... and the process's completion: lane
+    assert sim.timer_stats()["lane_dispatched"] == 4
+    sim.event().succeed()
+    sim.step()
+    assert sim.timer_stats()["lane_dispatched"] == 5
+    # run() stores its count when a failure propagates, too.
+    sim.call_later(0.0, lambda: None)
+    sim.event().fail(ValueError("boom"))
+    with pytest.raises(ValueError):
+        sim.run()
+    assert sim.timer_stats()["lane_dispatched"] == 7
+
+
+def test_only_the_kernel_assigns_now():
+    """``Simulator.now`` is a plain attribute that the dispatch loop
+    writes; no other module under ``src/repro`` may assign or delete an
+    attribute named ``now``."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    kernel = root / "sim" / "core.py"
+
+    def writes(path):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "now"
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+            ):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "now"
+            ):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+        return found
+
+    assert writes(kernel), "the scan no longer sees the kernel's own writes"
+    offenders = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        if path != kernel
+        for hit in writes(path)
+    ]
+    assert offenders == []
+
+
+# -- delays must be finite numbers >= 0 ---------------------------------------
+
+DELAY_ENTRY_POINTS = {
+    "timeout": lambda sim, timer, d: sim.timeout(d),
+    "call_later": lambda sim, timer, d: sim.call_later(d, lambda: None),
+    "schedule_timer": lambda sim, timer, d: sim.schedule_timer(d, lambda: None),
+    "rearm": lambda sim, timer, d: timer.rearm(d),
+    "within": lambda sim, timer, d: sim.within(sim.event(), d),
+}
+
+
+@pytest.mark.parametrize(
+    "delay", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"]
+)
+@pytest.mark.parametrize(
+    "entry", DELAY_ENTRY_POINTS.values(), ids=list(DELAY_ENTRY_POINTS)
+)
+def test_bad_delays_are_rejected(entry, delay):
+    sim = Simulator()
+    fired = []
+    # A wheel-resident timer: rearm's target, a bystander for the rest.
+    timer = sim.schedule_timer(1.0, fired.append, "armed")
+    seq = sim._seq
+    with pytest.raises(SimulationError, match="finite number >= 0"):
+        entry(sim, timer, delay)
+    # Nothing was scheduled, and the armed timer still fires once.
+    assert sim._seq == seq
+    sim.run()
+    assert fired == ["armed"]
+    assert sim.now == 1.0
