@@ -238,7 +238,9 @@ def _scale_point_main() -> None:  # pragma: no cover - subprocess entry
     t0 = time.perf_counter()
     metrics = Experiment(ServerSpec.nio(1), workload, seed=seed).run()
     wall = time.perf_counter() - t0
-    # Cyclic-collector runs per generation (0, 1, 2) during run().
+    # Cyclic-collector runs per generation (0, 1, 2) during run(): only
+    # in set-up and row building, since Simulator.run dispatches with
+    # automatic collection off.
     gc_collections = [
         gen["collections"] - n for gen, n in zip(gc.get_stats(), before)
     ]

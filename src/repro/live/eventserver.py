@@ -84,7 +84,7 @@ class AsyncioEventServer:
             raise RuntimeError("event server failed to start")
 
     def stop(self) -> None:
-        """Stop the loop and join the thread."""
+        """Stop the loop, close every open connection and join the thread."""
         loop, thread = self._loop, self._thread
         if loop is None or thread is None:
             return
@@ -109,9 +109,30 @@ class AsyncioEventServer:
         try:
             loop.run_forever()
         finally:
-            if self._server is not None:
-                self._server.close()
-            loop.close()
+            self._shutdown(loop)
+
+    def _shutdown(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Close the listener and every connection, then the loop.
+
+        Handler tasks still waiting on an open connection are cancelled
+        and run to completion, so each one's ``finally`` closes its
+        writer (and the client sees EOF) while the loop can still run
+        the transport's close.
+        """
+        server = self._server
+        if server is not None:
+            server.close()
+        tasks = asyncio.all_tasks(loop)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            loop.run_until_complete(
+                asyncio.gather(*tasks, return_exceptions=True)
+            )
+        if server is not None:
+            loop.run_until_complete(server.wait_closed())
+        loop.run_until_complete(loop.shutdown_asyncgens())
+        loop.close()
 
     # -- per-connection protocol -------------------------------------------------
     async def _handle_connection(

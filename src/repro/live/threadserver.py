@@ -12,7 +12,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from ..http.parser import ParseError, RequestParser, render_response_head
 from ..obs import Registry, SpanRecorder
@@ -66,6 +66,8 @@ class ThreadPoolHttpServer:
         self.recorder = recorder
         self._sock: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
+        #: Connections being served, so stop() can wake their workers.
+        self._conns: Set[socket.socket] = set()
         self._stopping = threading.Event()
         self._lock = threading.Lock()
 
@@ -89,8 +91,19 @@ class ThreadPoolHttpServer:
             self._threads.append(t)
 
     def stop(self) -> None:
-        """Stop accepting, join workers, close the listening socket."""
+        """Stop accepting, close open connections, join workers.
+
+        Shutting a connection down wakes a worker blocked in ``recv`` on
+        an idle keep-alive connection, which would otherwise hold its
+        thread until the idle timeout.
+        """
         self._stopping.set()
+        with self._lock:
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already closed it
         for t in self._threads:
             t.join(timeout=5.0)
         if self._sock is not None:
@@ -115,6 +128,8 @@ class ThreadPoolHttpServer:
                 self.connections_accepted += 1
                 self.registry.counter("connections_accepted").inc()
                 admitted = self._admit_locked()
+                if admitted:
+                    self._conns.add(conn)
             if not admitted:
                 try:
                     conn.close()  # shed: refuse before reading a byte
@@ -127,6 +142,7 @@ class ThreadPoolHttpServer:
             finally:
                 with self._lock:
                     self.active_connections -= 1
+                    self._conns.discard(conn)
                 self.registry.gauge("open_connections").add(-1)
                 try:
                     conn.close()

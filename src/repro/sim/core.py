@@ -67,6 +67,12 @@ Design notes
 * Delays must be finite numbers >= 0: a NaN or infinite delay would
   corrupt the heap order or the wheel's slot arithmetic, so every entry
   point raises :class:`SimulationError` for one.
+* ``run()`` pauses automatic cyclic garbage collection while it
+  dispatches and restores the caller's setting on every exit path: the
+  kernel and the model build no per-event reference cycles (DESIGN.md §8,
+  fourth invariant), so reference counting frees a run's garbage at once
+  and the collections a run would trigger find nothing.  A cycle built
+  during ``run()`` is collected after it returns.
 * Failures propagate: an event that fails with no registered callbacks and
   that nobody *defused* re-raises inside :meth:`Simulator.step`, so model
   bugs surface in tests instead of being silently dropped.
@@ -80,6 +86,7 @@ Design notes
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, List, Optional
@@ -948,6 +955,9 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if no event falls on it, so back-to-back ``run`` calls compose.
+        Automatic cyclic garbage collection is off while the loop
+        dispatches and is restored to the caller's setting when ``run``
+        returns or raises.
         """
         if until is None:
             bound = _INF
@@ -967,6 +977,8 @@ class Simulator:
         pop = heappop
         now = self.now
         from_lane = 0
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if lane:
@@ -1022,6 +1034,8 @@ class Simulator:
         finally:
             # One attribute write per run() call, not one per event.
             self.lane_dispatched += from_lane
+            if collecting:
+                gc.enable()
         if until is not None:
             self.now = until
 

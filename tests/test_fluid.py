@@ -10,6 +10,7 @@ profile, cluster bridge).
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ def test_measure_scale_emits_the_artifact_schema(tmp_path):
     assert min(point["gc_collections"]) >= 0
     assert point["fluid"]["fluid.aggregate"] == 1
     path = write_json(report, str(tmp_path / "BENCH_scale.json"))
-    assert json.loads(open(path).read())["points"][0]["clients"] == 2000
+    assert json.loads(Path(path).read_text())["points"][0]["clients"] == 2000
 
 
 def test_fluid_uses_per_class_streams():

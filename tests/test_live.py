@@ -1,7 +1,10 @@
 """Integration tests for the live (real-socket) servers and load generator."""
 
+import gc
 import socket
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -169,6 +172,50 @@ def test_event_server_never_reaps_idle_connections(event_server):
         s.settimeout(0.3)
         with pytest.raises(socket.timeout):
             s.recv(1024)  # still open: no data, no EOF
+
+
+# ---------------------------------------------------------------------------
+# shutdown with a connection still open
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "make_server",
+    [AsyncioEventServer, ThreadPoolHttpServer],
+    ids=["event_server", "thread_server"],
+)
+def test_stop_closes_an_open_keepalive_connection(make_server, docroot):
+    server = make_server(docroot)  # thread server: 15 s idle timeout
+    server.start()
+    path = docroot.paths()[0]
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), 5.0) as s:
+            s.sendall(f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode())
+            response = b""
+            while not _complete(response):
+                chunk = s.recv(65536)
+                assert chunk, "server closed a keep-alive connection"
+                response += chunk
+            assert response.startswith(b"HTTP/1.1 200 OK")
+            # The connection is kept alive and idle: the server's handler
+            # is waiting for the next request.
+            t0 = time.monotonic()
+            server.stop()
+            assert time.monotonic() - t0 < 1.0
+            s.settimeout(1.0)
+            assert s.recv(1024) == b""
+    finally:
+        server.stop()
+    unraisable = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = unraisable.append
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [str(w.message) for w in caught] == []
+    assert [u.exc_value for u in unraisable] == []
 
 
 # ---------------------------------------------------------------------------

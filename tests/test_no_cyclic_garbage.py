@@ -1,10 +1,12 @@
 """Cycle census: a run leaves nothing for the cyclic garbage collector.
 
-The kernel allocates an event object (or more) per simulated step, so any
-reference cycle formed per event turns into work for Python's cyclic
-collector, which then walks the whole live model at every generation-2
-collection.  The kernel's invariant (DESIGN.md §8) is that every per-event
-object is freed by reference counting alone.
+The kernel allocates an event object (or more) per simulated step, and
+:meth:`Simulator.run` dispatches with automatic cyclic collection off.  A
+reference cycle formed per event would therefore not be freed during the
+run: it would pile up, and the process's memory with it, until ``run``
+returns.  The kernel's invariant (DESIGN.md §8) is that every per-event
+object is freed by reference counting alone, so this census guards a
+run's memory.
 
 Each case below runs a small experiment with a patched
 :meth:`Simulator.run`: on first entry it collects whatever set-up left

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -470,6 +471,76 @@ def test_within_on_processed_event_settles_at_once(collector_off):
     sim.run()
     assert got == [(1.0, True)]
     assert collector_off() == 0
+
+
+# -- run() pauses automatic cyclic collection ---------------------------------
+# The dispatch loop switches the collector off and restores the caller's
+# setting on every way out; a cycle made meanwhile waits, it is not lost.
+
+
+@pytest.fixture
+def collector_on():
+    """Switch the cyclic collector on; restore the caller's setting after."""
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+@pytest.mark.parametrize("until", [None, 5.0])
+def test_run_pauses_the_collector_while_it_dispatches(collector_on, until):
+    sim = Simulator()
+    seen = []
+    sim.call_later(1.0, lambda: seen.append(gc.isenabled()))
+    sim.run(until)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_run_restores_the_collector_when_a_failure_escapes(collector_on):
+    sim = Simulator()
+    sim.call_later(1.0, sim.event().fail, KeyError("undefused"))
+    with pytest.raises(KeyError):
+        sim.run()
+    assert gc.isenabled()
+
+
+def test_run_leaves_a_disabled_collector_off(collector_on):
+    gc.disable()
+    sim = Simulator()
+    sim.call_later(1.0, lambda: None)
+    sim.run()
+    assert not gc.isenabled()
+
+
+class _Node:
+    __slots__ = ("peer", "__weakref__")
+
+
+def test_cycle_built_during_run_is_collected_after_it(collector_on):
+    sim = Simulator()
+    refs = []
+    alive = []
+
+    def build():
+        # Enough allocations to set off a generation-0 collection, were
+        # the collector running.
+        for _ in range(2 * gc.get_threshold()[0]):
+            node = _Node()
+            node.peer = node
+            refs.append(weakref.ref(node))
+
+    sim.call_later(1.0, build)
+    sim.call_later(2.0, lambda: alive.append(sum(r() is not None for r in refs)))
+    sim.run()
+    assert alive == [len(refs)]
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_call_later_runs_function_with_args():
