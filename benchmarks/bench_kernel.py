@@ -51,15 +51,14 @@ def run_link_transmissions(n):
     return done[0]
 
 
-def run_idle_timeout_storm(n, wheel=True):
+def run_idle_timeout_storm(n):
     """httpd-4096 idle-timeout storm (mirrors repro.core.perf).
 
     4096 standing 15 s idle-reap deadlines; every batch of arrivals
-    pushes its connections' deadlines back out via ``Timer.rearm``.  The
-    cancel-heavy path the timing wheel exists for — ``wheel=False``
-    measures the heap-only baseline (tombstone + compaction).
+    pushes its connections' deadlines back out via ``Timer.rearm``: the
+    cancel-heavy path the timing wheel exists for.
     """
-    sim = Simulator(wheel=wheel)
+    sim = Simulator()
     conns, batch, interval, idle = 4096, 128, 0.25, 15.0
     reaped = [0]
 

@@ -31,7 +31,7 @@ def test_perf_trajectory_kernel_smoke():
     from repro.core.perf import KERNEL_BENCHES, measure_kernel
 
     report = measure_kernel(n=2_000, rounds=1, label="smoke")
-    assert report["schema"] == "repro-bench-kernel/4"
+    assert report["schema"] == "repro-bench-kernel/5"
     assert set(report["benchmarks"]) == set(KERNEL_BENCHES)
     for name, row in report["benchmarks"].items():
         assert row["events_per_second"] > 0, name

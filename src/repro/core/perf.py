@@ -3,9 +3,10 @@
 Two measurements, two JSON artifacts:
 
 * :func:`measure_kernel` -> ``BENCH_kernel.json``: events/second of the
-  three kernel micro-benchmarks (timeout chain, processor-sharing CPU
-  bursts, fluid-link transmissions).  These bound the dispatch cost the
-  whole figure suite leans on (~10^7 events per full regeneration).
+  four kernel micro-benchmarks (timeout chain, processor-sharing CPU
+  bursts, fluid-link transmissions, idle-timeout re-arm storm).  These
+  bound the dispatch cost the whole figure suite leans on (~10^7 events
+  per full regeneration).
 * :func:`measure_figures` -> ``BENCH_figures.json``: wall-clock seconds
   to regenerate paper figures serially and with a worker pool, plus the
   speedup.  This is the headline number for the parallel sweep runner.
@@ -112,11 +113,10 @@ def _kernel_runner(name: str):
     if name == "idle_timeout_storm":
         # The cancel-heavy benchmark: httpd's 4096-connection pool, each
         # connection holding a 15 s idle-reap deadline that every batch
-        # of arrivals pushes back out (Timer.rearm).  In wheel mode each
-        # re-arm is an O(1) node relocation; the heap-only baseline pays
-        # a tombstone + heappush + amortised compaction per re-arm.
-        def run(n: int, wheel: bool = True) -> int:
-            sim = Simulator(wheel=wheel)
+        # of arrivals pushes back out (Timer.rearm), an O(1) node
+        # relocation on the timing wheel.
+        def run(n: int) -> int:
+            sim = Simulator()
             conns, batch, interval, idle = 4096, 128, 0.25, 15.0
             reaped = [0]
 
@@ -138,8 +138,7 @@ def _kernel_runner(name: str):
 
             sim.call_later(interval, driver)
             # Stop after the last batch: the measured region is the storm
-            # itself, not the final drain of 4096 reaps (identical in
-            # both modes).
+            # itself, not the final drain of 4096 reaps.
             sim.run(until=interval * ((n + batch - 1) // batch + 1))
             return state[1]
 
@@ -158,12 +157,12 @@ def measure_kernel(
     only ever makes a round *slower*, so the fastest round is the
     closest estimate of the true cost.
     """
-    def best_of(run, count: int, **kwargs) -> float:
-        run(count, **kwargs)  # warm caches/allocator before timing
+    def best_of(run, count: int) -> float:
+        run(count)  # warm caches/allocator before timing
         best = float("inf")
         for _ in range(rounds):
             t0 = time.perf_counter()
-            dispatched = run(count, **kwargs)
+            dispatched = run(count)
             elapsed = time.perf_counter() - t0
             if dispatched != count:
                 raise RuntimeError(
@@ -185,23 +184,13 @@ def measure_kernel(
         else:
             count = n
         best = best_of(run, count)
-        results[name] = row = {
+        results[name] = {
             "events": count,
             "best_seconds": round(best, 6),
             "events_per_second": round(count / best, 1),
         }
-        if name == "idle_timeout_storm":
-            # The storm is the wheel's acceptance benchmark: measure the
-            # identical workload again on the heap-only kernel
-            # (tombstone + compaction cancellation) and report the
-            # speedup the timing wheel buys.
-            heap_best = best_of(run, count, wheel=False)
-            row["heap_baseline_events_per_second"] = round(
-                count / heap_best, 1
-            )
-            row["wheel_speedup"] = round(heap_best / best, 3)
     return {
-        "schema": "repro-bench-kernel/4",
+        "schema": "repro-bench-kernel/5",
         "label": label,
         "rounds": rounds,
         "environment": _environment(),
@@ -445,12 +434,6 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     write_json(kernel, args.kernel_out)
     for name, row in kernel["benchmarks"].items():
         print(f"[kernel] {name:>20s}: {row['events_per_second']:>12,.0f} ev/s")
-        if "wheel_speedup" in row:
-            print(
-                f"[kernel] {'':>20s}  heap baseline "
-                f"{row['heap_baseline_events_per_second']:>12,.0f} ev/s "
-                f"-> wheel speedup {row['wheel_speedup']:.2f}x"
-            )
     print(f"wrote {args.kernel_out}")
 
     if not args.skip_scale:

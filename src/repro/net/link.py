@@ -15,8 +15,9 @@ Timer routing: delivery timers always fire, so they use the kernel's
 non-cancellable fast paths — :meth:`Link.transmit` a pooled Timeout,
 :meth:`Link.transmit_call` a pooled bare callback.  Sub-tick delays (the
 uncongested common case) stay on the heap; under congestion, delivery
-times stretch past the wheel tick and the same calls are staged on the
-timing wheel automatically.  Cancellation pressure from transmissions
+times stretch past the wheel tick and :meth:`Link.transmit`'s timeout is
+staged on the timing wheel automatically (a bare callback always takes
+the heap).  Cancellation pressure from transmissions
 that *race* these timers (SYN retransmits, response timeouts) lives at
 the call sites in :mod:`repro.net.tcp`, which true-cancel their losing
 pause timers.

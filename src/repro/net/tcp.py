@@ -34,6 +34,7 @@ from typing import Any, List, Optional
 from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..osmodel.memory import MemoryExhausted
+from ..overload.policies import Signals
 from ..sim.core import Event, SimulationError, Simulator
 from ..sim.resources import Store
 from .link import DuplexLink
@@ -94,8 +95,8 @@ class PendingResponse:
     def __init__(self, sim: Simulator, request: Any) -> None:
         self.request = request
         self.sent_at = sim.now
-        self.first_byte = Event(sim)  # fires with the arrival timestamp
-        self.complete = Event(sim)  # fires with the completion timestamp
+        self.first_byte = sim.event()  # fires with the arrival timestamp
+        self.complete = sim.event()  # fires with the completion timestamp
         self.bytes_received = 0
 
 
@@ -150,7 +151,7 @@ class Connection:
         recorder = listener.recorder
         self.span = recorder.open() if recorder is not None else None
         self._backlog_since: Optional[float] = None  # accept-queue entry time
-        self._established_ev = Event(sim)
+        self._established_ev = sim.event()
         self._syn_accepted = False
         # Replies arrive in request order and at most a pipeline's worth
         # is outstanding: a short list, far cheaper to hold than a deque.
@@ -349,7 +350,7 @@ class Connection:
     def wait_writable(self, nbytes: int):
         """Generator: block until ``nbytes`` fit in the send buffer."""
         while not self.can_send(nbytes) and self.peer_alive:
-            ev = Event(self.sim)
+            ev = self.sim.event()
             self._writable_waiters.append(ev)
             yield ev
 
@@ -540,10 +541,8 @@ class ListenSocket:
             return 0.0
         return self.sim.now - conn._backlog_since
 
-    def signals(self):
+    def signals(self) -> Signals:
         """Current :class:`~repro.overload.Signals` snapshot for policies."""
-        from ..overload import Signals
-
         return Signals(
             queue_depth=self.backlog_depth,
             queue_capacity=self.backlog_capacity,

@@ -14,8 +14,12 @@ Design notes
   events per second, which is what the full figure-regeneration sweeps in
   :mod:`repro.core.figures` need (~10^7 events per sweep point at the top
   client counts).
-* ``Simulator.now`` is a plain attribute that only the dispatch loop
-  (``run``/``step``) writes; model code reads it and never assigns it.
+* ``Simulator.now`` is a plain attribute that only the dispatch loop in
+  :meth:`Simulator.run` writes; model code reads it and never assigns it.
+* Model code uses only the public API (``now``, ``event``, ``timeout``,
+  ``within``, ``process``, ``call_later``, ``run``), so the naive
+  reference kernel in ``tests/reference_kernel.py`` can run whole
+  experiments in its place: it is the oracle for this module.
 * Fast paths (see DESIGN.md "Kernel fast-path invariants"):
 
   - Same-instant lane: a push for the current instant — ``Event.succeed``
@@ -42,23 +46,19 @@ Design notes
     timeout after ``d``"): one :class:`TimedWait` and one pooled timeout,
     no child lists or value dict, and it cancels its losing timeout
     itself.
-  - ``run()`` inlines the dispatch loop; :meth:`Simulator.step` is the
-    single-event reference implementation of the same logic.
-  - Timers at least one wheel tick out (:data:`WHEEL_TICK`, 0.5 s) are
-    staged on a hierarchical timing wheel (:mod:`repro.sim.wheel`)
-    instead of the heap: O(1) schedule and — via :meth:`Timeout.cancel`,
-    :meth:`Simulator.schedule_timer`, the interrupt path and a timed
-    wait's losing timeout — O(1) true cancel with no tombstone.  Due
-    wheel slots are flushed *into* the heap, keys intact, before dispatch
-    can pass them, so the wheel never reorders anything.
-    ``Simulator(wheel=False)`` is the heap-only kernel the equivalence
-    tests compare against; both modes dispatch the identical event
-    sequence.
+  - Timeouts and :class:`Timer` callbacks at least one wheel tick out
+    (:data:`WHEEL_TICK`, 0.5 s) are staged on a hierarchical timing wheel
+    (:mod:`repro.sim.wheel`) instead of the heap: O(1) schedule and — via
+    :meth:`Timeout.cancel`, :meth:`Timer.cancel`, the interrupt path and
+    a timed wait's losing timeout — O(1) true cancel with no tombstone.
+    Due wheel slots are flushed *into* the heap, keys intact, before
+    dispatch can pass them, so the wheel never reorders anything.
   - Cancelled entries that must stay heap-resident (sub-tick or
-    already-flushed timers) become tombstones; the heap is compacted in
-    place once tombstones exceed half the live entries (see
-    ``tombstones_compacted``), so cancel-heavy runs no longer grow the
-    heap without bound.
+    already-flushed timers) become tombstones (``_node is _DEAD``).
+    Dispatch and :meth:`Simulator.peek` skip them, so a tombstone never
+    moves the clock; the heap is compacted in place once tombstones
+    exceed half the live entries (see ``tombstones_compacted``), so
+    cancel-heavy runs no longer grow the heap without bound.
 
   None of the fast paths changes scheduling order: every push takes
   exactly one sequence number, in the same order as a kernel with one
@@ -74,7 +74,7 @@ Design notes
   and the collections a run would trigger find nothing.  A cycle built
   during ``run()`` is collected after it returns.
 * Failures propagate: an event that fails with no registered callbacks and
-  that nobody *defused* re-raises inside :meth:`Simulator.step`, so model
+  that nobody *defused* re-raises from :meth:`Simulator.run`, so model
   bugs surface in tests instead of being silently dropped.
 * Determinism: ties in time are broken by a monotonically increasing
   sequence number, so runs are exactly reproducible for a fixed seed.
@@ -120,8 +120,9 @@ _PENDING = object()
 #: tiny; the cap only bounds pathological churn).
 _POOL_MAX = 1024
 
-#: Marks a cancelled timer (Timeout._node).  Distinct from None, which
-#: means "heap-resident and live".
+#: Marks a cancelled timer (``Timeout._node``) and a cancelled
+#: heap-resident callback entry (``_Callback._node``).  Distinct from
+#: None, which means "heap-resident and live".
 _DEAD = object()
 
 _INF = float("inf")
@@ -136,13 +137,8 @@ def _bad_delay(delay: Any) -> SimulationError:
     return SimulationError(f"delay must be a finite number >= 0, got {delay!r}")
 
 
-def _noop(*_args: Any) -> None:
-    """Target swapped into a cancelled heap-resident callback entry.
-
-    The entry still pops (keeping its sequence-number slot in the
-    dispatch order) but does nothing; compaction recognises ``fn is
-    _noop`` and reclaims the entry early.
-    """
+class _Stop(Exception):
+    """Ends :meth:`Simulator.run` from a callback (``run_process``)."""
 
 
 class _Callback:
@@ -153,13 +149,18 @@ class _Callback:
     recycled through ``Simulator._cbpool`` after it fires.  The dispatch
     loop recognises it by ``callbacks is None``, which can never be true
     of a heap-resident :class:`Event` (events enter the heap only when
-    triggered and leave it processed).
+    triggered and leave it processed).  ``_node`` is ``_DEAD`` once a
+    :class:`Timer` cancelled the entry in place: a tombstone, which
+    dispatch skips and never recycles.
     """
 
-    __slots__ = ("fn", "args")
+    __slots__ = ("fn", "args", "_node")
 
     #: Read by the dispatch loop; distinguishes us from Event entries.
     callbacks = None
+
+    def __init__(self) -> None:
+        self._node = None
 
 
 # Wheel-vs-heap routing, one copy per entry flavour.  Both take the
@@ -186,11 +187,11 @@ def _route_callback(
     otherwise.
 
     Wheel residency gives the O(1) true-cancel/rearm path; the heap
-    fallback (sub-tick delay, wheel declined, or wheel disabled) recycles
-    a ``_Callback`` entry and hands the handle over to tombstone
+    fallback (sub-tick delay, or the wheel declined) recycles a
+    ``_Callback`` entry and hands the handle over to tombstone
     cancellation via ``timer._entry``.
     """
-    if delay >= sim._wheel_tick:
+    if delay >= WHEEL_TICK:
         node = sim._wheel.schedule(when, seq, timer._run, (), timer)
         if node is not None:
             timer._node = node
@@ -201,6 +202,13 @@ def _route_callback(
     cb.args = ()
     timer._entry = cb
     heappush(sim._heap, (when, seq, cb))
+
+
+def _bury(sim: "Simulator", entry: _Callback) -> None:
+    """Make a Timer's heap-resident callback entry a tombstone."""
+    entry._node = _DEAD
+    entry.fn = entry.args = None
+    sim._note_tombstone()
 
 
 class Event:
@@ -265,7 +273,7 @@ class Event:
 
         The exception is delivered to waiting processes (thrown into their
         generators).  If nothing waits on the event and nobody calls
-        :meth:`defuse`, the exception re-raises from :meth:`Simulator.step`.
+        :meth:`defuse`, the exception re-raises from :meth:`Simulator.run`.
         """
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() requires an exception instance")
@@ -318,7 +326,7 @@ class Timeout(Event):
         self._pooled = False
         sim._seq = seq = sim._seq + 1
         when = sim.now + delay
-        if delay < sim._wheel_tick:
+        if delay < WHEEL_TICK:
             self._node = None
             heappush(sim._heap, (when, seq, self))
         else:
@@ -329,11 +337,11 @@ class Timeout(Event):
 
         Returns True if the timeout was still pending dispatch.  Wheel
         residents are unlinked outright (O(1), no trace left); heap
-        residents have their callback list cleared and pop later as a
-        tombstone (reclaimed early by compaction when tombstones pile
-        up).  Contract: the caller must ensure nothing would observe the
-        firing.  :class:`TimedWait` cancels its own losing timeout this
-        way.
+        residents have their callback list cleared and stay on the heap
+        as a tombstone that dispatch skips (reclaimed early by compaction
+        when tombstones pile up).  Contract: the caller must ensure
+        nothing would observe the firing.  :class:`TimedWait` cancels its
+        own losing timeout this way.
         """
         node = self._node
         if node is _DEAD:
@@ -390,13 +398,11 @@ class Timer:
             return True
         entry = self._entry
         if entry is not None:
-            # Heap-resident: neutralise the entry in place.  It still
-            # pops (sequence slot preserved) but runs _noop; compaction
-            # reclaims it early if tombstones accumulate.
+            # Heap-resident: mark the entry a tombstone in place.
+            # Dispatch skips it; compaction reclaims it early if
+            # tombstones accumulate.
             self._entry = None
-            entry.fn = _noop
-            entry.args = ()
-            self.sim._note_tombstone()
+            _bury(self.sim, entry)
         return True
 
     def rearm(self, delay: float, *args: Any) -> "Timer":
@@ -411,7 +417,7 @@ class Timer:
         entry allocated.  Fired, cancelled, or heap-resident timers fall
         back to cancel + fresh placement.  A new sequence number is
         consumed either way, exactly as cancel + ``schedule_timer``
-        would, so wheel and heap-only modes stay order-identical.
+        would, so the dispatch order is the reference kernel's.
 
         ``args`` (if given) replace the callback arguments.  Returns
         ``self`` so call sites can write ``timer = timer.rearm(d)``
@@ -427,20 +433,18 @@ class Timer:
         node = self._node
         if node is not None:
             # Live and wheel-resident — the hot path.
-            if delay >= sim._wheel_tick and sim._wheel.move(node, when, seq):
+            if delay >= WHEEL_TICK and sim._wheel.move(node, when, seq):
                 return self
             # move() already unlinked on failure; a sub-tick target
             # bypasses it and unlinks here.
-            if delay < sim._wheel_tick:
+            if delay < WHEEL_TICK:
                 sim._wheel.unlink(node)
             self._node = None
         else:
             entry = self._entry
             if entry is not None:
                 self._entry = None
-                entry.fn = _noop
-                entry.args = ()
-                sim._note_tombstone()
+                _bury(sim, entry)
             self._dead = False
         _route_callback(sim, self, delay, when, seq)
         return self
@@ -592,7 +596,7 @@ class Process(Event):
             callbacks.append(self._resume)
             self._target = nxt
         else:
-            # Already processed: relay its outcome on the next step.
+            # Already processed: relay its outcome one push later.
             relay = Event(self.sim)
             relay._value = nxt._value
             relay._ok = nxt._ok
@@ -673,7 +677,6 @@ class Simulator:
         "_tpool",
         "_cbpool",
         "_wheel",
-        "_wheel_tick",
         "_tombstones",
         "tombstones_compacted",
         "lane_dispatched",
@@ -682,8 +685,10 @@ class Simulator:
     #: Kernel name, read by the end-to-end benchmark's probe
     #: (benchmarks/e2e/probe.py); there is one kernel.
     backend = "python"
+    #: Also read by the probe: long timers always ride the timing wheel.
+    wheel_enabled = True
 
-    def __init__(self, wheel: bool = True) -> None:
+    def __init__(self) -> None:
         #: Current simulated time (seconds by convention in this
         #: library).  Only the dispatch loop writes it.
         self.now = 0.0
@@ -693,14 +698,11 @@ class Simulator:
         #: Free lists: recycled Timeouts / bare-callback entries.
         self._tpool: list = []
         self._cbpool: list = []
-        # Timing wheel for cancellable long-horizon timers.  When
-        # disabled (wheel=False) the routing threshold becomes inf and
-        # every timer takes the heap path — the wheel object stays inert,
-        # so both modes run the same dispatch loop.
+        #: Timing wheel for cancellable long-horizon timers.
         self._wheel = TimingWheel(WHEEL_TICK, _Callback)
-        self._wheel_tick = WHEEL_TICK if wheel else _INF
-        #: Cancelled-but-heap-resident entries awaiting dispatch, and how
-        #: many times compaction reclaimed them early.
+        #: Tombstones made since the last compaction (cancelled entries
+        #: left on the heap), and how many times compaction reclaimed
+        #: them early.
         self._tombstones = 0
         self.tombstones_compacted = 0
         #: Entries dispatched from the same-instant lane (run() adds its
@@ -708,16 +710,18 @@ class Simulator:
         self.lane_dispatched = 0
 
     # -- inspection --------------------------------------------------------
-    @property
-    def wheel_enabled(self) -> bool:
-        """True when long-horizon timers are routed to the timing wheel."""
-        return self._wheel_tick != _INF
-
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled event, or ``inf`` if none.
+
+        Tombstones at the top of the heap are popped first, as dispatch
+        would skip them.
+        """
         if self._lane:
             return self.now
-        when = self._heap[0][0] if self._heap else _INF
+        heap = self._heap
+        while heap and heap[0][2]._node is _DEAD:
+            heappop(heap)
+        when = heap[0][0] if heap else _INF
         if self._wheel._count:
             wheel_when = self._wheel.earliest()
             if wheel_when < when:
@@ -729,7 +733,7 @@ class Simulator:
         sizes)."""
         wheel = self._wheel
         return {
-            "wheel_enabled": self.wheel_enabled,
+            "wheel_enabled": True,
             "wheel_scheduled": wheel.scheduled,
             "wheel_cancelled": wheel.cancelled,
             "wheel_flushed": wheel.flushed,
@@ -770,7 +774,7 @@ class Simulator:
             ev._pooled = False
             self._seq = seq = self._seq + 1
             when = self.now + delay
-            if delay < self._wheel_tick:
+            if delay < WHEEL_TICK:
                 ev._node = None
                 heappush(self._heap, (when, seq, ev))
             else:
@@ -873,88 +877,23 @@ class Simulator:
         Compaction triggers when tombstones exceed half the live entries
         (3t > heap size  <=>  t > (heap - t) / 2) and rebuilds the heap
         in place, so cancel-heavy runs stay O(live) instead of growing
-        without bound.  In-place matters: the inlined run() loop holds a
-        local reference to the heap list.
+        without bound.  In-place matters: the run() loop holds a local
+        reference to the heap list.
         """
         self._tombstones = count = self._tombstones + 1
         heap = self._heap
         if count >= 64 and count * 3 > len(heap):
-            heap[:] = [
-                entry
-                for entry in heap
-                if not (
-                    entry[2]._node is _DEAD
-                    if type(entry[2]) is Timeout
-                    else (type(entry[2]) is _Callback and entry[2].fn is _noop)
-                )
-            ]
+            heap[:] = [entry for entry in heap if entry[2]._node is not _DEAD]
             heapify(heap)
             self._tombstones = 0
             self.tombstones_compacted += 1
-
-    def step(self) -> None:
-        """Process exactly one event.
-
-        Reference implementation of the dispatch logic that ``run()``
-        inlines; behavioural changes must be mirrored there.  Raises
-        :class:`SimulationError` when nothing is scheduled.
-        """
-        lane = self._lane
-        heap = self._heap
-        if lane:
-            # Same instant: the heap top goes first only if it is due now
-            # and was pushed before the lane's head.
-            if heap and heap[0][0] <= self.now and heap[0][1] < lane[0][0]:
-                event = heappop(heap)[2]
-            else:
-                event = lane.popleft()[1]
-                self.lane_dispatched += 1
-        else:
-            # Flush the wheel before the heap-top could pass a due slot,
-            # so staged entries re-enter the total order in time.
-            wheel = self._wheel
-            while True:
-                if heap:
-                    if heap[0][0] < wheel._next:
-                        break
-                    wheel.advance(heap[0][0], self)
-                elif wheel._count:
-                    wheel.advance(wheel._next, self)
-                else:
-                    raise SimulationError("no scheduled events")
-            when, _seq, event = heappop(heap)
-            self.now = when
-        callbacks = event.callbacks
-        if callbacks is None:
-            # Bare-callback fast-path entry: recycle it before invoking
-            # (fn/args are captured locally) so the callback itself can
-            # reuse the slot when it schedules follow-up work.
-            fn = event.fn
-            args = event.args
-            if len(self._cbpool) < _POOL_MAX:
-                event.fn = event.args = None
-                self._cbpool.append(event)
-            fn(*args)
-            return
-        event.callbacks = None
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event._defused:
-            raise event._value
-        if (
-            event._pooled
-            and len(callbacks) == 1
-            and len(self._tpool) < _POOL_MAX
-        ):
-            # Single-use awaited timeout: nothing can reference it any
-            # more (its sole waiter has moved on), so recycle it.
-            self._tpool.append(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until nothing is scheduled or the clock reaches ``until``.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if no event falls on it, so back-to-back ``run`` calls compose.
+        Without ``until`` the clock stops at the last entry dispatched.
         Automatic cyclic garbage collection is off while the loop
         dispatches and is restored to the caller's setting when ``run``
         returns or raises.
@@ -965,9 +904,8 @@ class Simulator:
             raise SimulationError(f"cannot run backwards to {until!r}")
         else:
             bound = until
-        # Inlined step(): this loop dispatches ~10^7 events per sweep
-        # point, so locals replace attribute lookups and the per-event
-        # method call.  Keep in sync with step() above.
+        # This loop dispatches ~10^7 events per sweep point, so locals
+        # replace attribute lookups.
         heap = self._heap
         lane = self._lane
         take = lane.popleft
@@ -975,6 +913,7 @@ class Simulator:
         tpool = self._tpool
         cbpool = self._cbpool
         pop = heappop
+        dead = _DEAD
         now = self.now
         from_lane = 0
         collecting = gc.isenabled()
@@ -987,6 +926,8 @@ class Simulator:
                     # the lane's head: when it is due now and older.
                     if heap and heap[0][0] <= now and heap[0][1] < lane[0][0]:
                         event = pop(heap)[2]
+                        if event._node is dead:
+                            continue
                     else:
                         event = take()[1]
                         from_lane += 1
@@ -1003,6 +944,11 @@ class Simulator:
                     if when > bound:
                         break
                     when, _seq, event = pop(heap)
+                    if event._node is dead:
+                        # A tombstone: skipped before it can move the
+                        # clock, so the clock and peek() never see a
+                        # cancelled entry.
+                        continue
                     self.now = now = when
                 elif wheel._count:
                     if wheel._next > bound:
@@ -1013,6 +959,9 @@ class Simulator:
                     break
                 callbacks = event.callbacks
                 if callbacks is None:
+                    # Bare-callback entry: recycle it before invoking
+                    # (fn/args are captured locally) so the callback
+                    # itself can reuse the slot for follow-up work.
                     fn = event.fn
                     args = event.args
                     if len(cbpool) < _POOL_MAX:
@@ -1030,6 +979,8 @@ class Simulator:
                     and len(callbacks) == 1
                     and len(tpool) < _POOL_MAX
                 ):
+                    # Single-use awaited timeout: nothing can reference
+                    # it any more (its sole waiter has moved on).
                     tpool.append(event)
         finally:
             # One attribute write per run() call, not one per event.
@@ -1040,16 +991,36 @@ class Simulator:
             self.now = until
 
     def run_process(self, proc: Process) -> Any:
-        """Run until ``proc`` finishes; return its value or raise its error."""
-        lane = self._lane
-        heap = self._heap
-        wheel = self._wheel
-        while (lane or heap or wheel._count) and proc._value is _PENDING:
-            self.step()
-        if proc._value is _PENDING:
-            raise SimulationError(
-                f"simulation ran out of events before {proc.name!r} finished"
-            )
+        """Run until ``proc`` is processed; return its value or raise its
+        error.
+
+        This is :meth:`run`, stopped from a callback on ``proc`` by a
+        private exception (SimPy's ``StopSimulation`` idiom), so no event
+        pays for the check.  The callback moves itself behind waiters
+        that registered on ``proc`` after it, so every waiter has resumed
+        when this returns.
+        """
+        callbacks = proc.callbacks
+        if callbacks is not None:
+
+            def stop(_proc: Process) -> None:
+                if callbacks[-1] is not stop:
+                    callbacks.append(stop)
+                    return
+                raise _Stop
+
+            callbacks.append(stop)
+            try:
+                self.run()
+            except _Stop:
+                pass
+            finally:
+                if proc.callbacks is not None:
+                    callbacks.remove(stop)
+            if proc.callbacks is not None:
+                raise SimulationError(
+                    f"simulation ran out of events before {proc.name!r} finished"
+                )
         if not proc._ok:
             proc._defused = True
             raise proc._value

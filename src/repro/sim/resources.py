@@ -60,7 +60,7 @@ class Resource:
 
     def request(self) -> Event:
         """Acquire a slot; the returned event succeeds when granted."""
-        ev = Event(self.sim)
+        ev = self.sim.event()
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed()
@@ -182,7 +182,7 @@ class Store:
 
     def get(self) -> Event:
         """Dequeue an item; the event succeeds with the item."""
-        ev = Event(self.sim)
+        ev = self.sim.event()
         if self._items:
             ev.succeed(self._items.popleft())
         else:

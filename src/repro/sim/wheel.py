@@ -30,16 +30,16 @@ Order preservation (the load-bearing invariant)
 -----------------------------------------------
 The wheel is a *staging area in front of the heap*, never a second
 dispatch queue.  An entry keeps the ``(time, seq)`` key it was assigned
-at schedule time — sequence numbers are consumed exactly as in the
-heap-only kernel — and :meth:`TimingWheel.advance` flushes every slot
+at schedule time — sequence numbers are consumed exactly as in a kernel
+with one heap — and :meth:`TimingWheel.advance` flushes every slot
 whose span has been reached *into the heap* before the dispatch loop
 pops past it.  The heap then restores the total order by its usual
 ``(time, seq)`` comparison.  Slots are flushed whole, so an entry can
 enter the heap a fraction of a tick early, but never late — and early
 entry is harmless because the heap reorders it.  Consequently the
-dispatch sequence is *identical* to the heap-only kernel's, event for
-event, which is what keeps RunMetrics byte-identical between the two
-modes (pinned by tests/test_wheel_equivalence.py).
+dispatch sequence is *identical* to a one-heap kernel's, event for
+event, which is what keeps RunMetrics byte-identical to those of the
+naive reference kernel (pinned by tests/test_wheel_equivalence.py).
 
 Cursor invariant: ``_cursor[j]`` is the absolute index of the next
 unflushed slot at level *j*; all live entries at level *j* lie in

@@ -15,8 +15,8 @@ sources that keep O(classes + bins + budget) state:
   order never matters);
 * client-side waiting (ramp offsets, SYN-retry backoff, the 10 s abandon
   deadline, inter-session gaps) is aggregated into *cohorts* — counts in
-  bin-quantised batch timers scheduled through the kernel's timing wheel
-  — with inverse-CDF deterministic ramp offsets and vectorised numpy
+  bin-quantised batch timers, one bare kernel callback per bin — with
+  inverse-CDF deterministic ramp offsets and vectorised numpy
   draws from per-class RNG streams keyed ``fluid[<class>]`` off the run
   seed (name-keyed like the cluster tier's replica streams, so streams
   are independent of construction order);
@@ -28,9 +28,9 @@ sources that keep O(classes + bins + budget) state:
   hitting a full backlog is charged to the SUT in one batch
   (:meth:`~repro.net.tcp.ListenSocket.drop_flood`).
 
-Equivalence contract (mirrors the timing wheel's heap-only reference
-kernel): when the whole population fits the boundary budget (``n <=
-budget`` or ``budget is None``) the generator *pins* every client as a
+Equivalence contract (like the kernel's against its reference kernel):
+when the whole population fits the boundary budget (``n <= budget`` or
+``budget is None``) the generator *pins* every client as a
 persistent discrete :class:`EmulatedClient` with the same per-client
 streams (``client[i]``), start offsets (``ramp * i / n``) and link
 round-robin the discrete generator uses — runs are byte-identical to
@@ -415,13 +415,8 @@ class FluidLoadGenerator:
         cohorts[key] = cohorts.get(key, 0) + count
         if idx not in self._scheduled:
             self._scheduled.add(idx)
-            delay = idx * bin_s - now
-            # Batch timers ride the wheel when far enough out (one O(1)
-            # slot per bin); near bins take the bare-callback heap path.
-            if delay >= self.sim._wheel_tick:
-                self.sim.schedule_timer(delay, self._fire_bin, idx)
-            else:
-                self.sim.call_later(delay, self._fire_bin, idx)
+            # One bare callback per bin: bins are never cancelled.
+            self.sim.call_later(idx * bin_s - now, self._fire_bin, idx)
 
     def _fire_bin(self, idx: int) -> None:
         """Process every cohort due in bin ``idx``."""

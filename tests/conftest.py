@@ -1,50 +1,81 @@
 """Shared fixtures for the tier-1 suite."""
 
-import contextlib
+import dataclasses
 import gc
+import json
 import tracemalloc
 
 import pytest
 from hypothesis import settings
 
+from repro.cluster import experiment as cluster_experiment
 from repro.core import experiment
 from repro.sim import Simulator
+from tests import reference_kernel
 
 # A harder search for properties that take their example count from the
 # active profile (tests/test_reference_kernel.py):
 #   pytest tests/test_reference_kernel.py --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
+#: Modules whose experiments build a Simulator; the oracle swaps it.
+KERNEL_USERS = (experiment, cluster_experiment)
+
+
+def canonical(metrics) -> str:
+    """A RunMetrics as JSON text, minus ``tombstones_compacted``.
+
+    This is the form ``benchmarks/e2e/probe.py`` hashes: every field,
+    with the one counter that counts the production heap's compactions
+    (always 0 on the reference kernel) left out.  Text, not a dict, so
+    a NaN compares equal to itself.
+    """
+    body = dataclasses.asdict(metrics)
+    body["server_stats"].pop("tombstones_compacted", None)
+    return json.dumps(body, sort_keys=True, indent=1, default=float)
+
 
 @pytest.fixture
-def heap_only(monkeypatch):
-    """Context manager: Experiments inside it run on the heap-only kernel.
+def reference_oracle(monkeypatch):
+    """``check(run)``: ``run()`` on the production and reference kernels.
 
-    ``Simulator(wheel=False)`` is the reference dispatcher the timing
-    wheel is compared against.  On exit the context checks that at least
-    one simulator was built and that none of them routed a timer to the
-    wheel, so a wheel-vs-heap comparison cannot pass vacuously.
+    ``run`` builds and runs experiments and returns a RunMetrics or a
+    list of them.  ``check`` calls it twice: once as is, and once with
+    every Experiment and ClusterExperiment running on the naive kernel
+    in ``tests/reference_kernel.py``, which shares no fast path with the
+    production one.  It asserts that at least one reference simulator
+    ran, that the whole RunMetrics agree (:func:`canonical`), and that
+    each reference simulator took as many pushes as its production twin
+    took sequence numbers.  It returns the production result.
     """
 
-    @contextlib.contextmanager
-    def use():
+    def on(kernel, run):
         built = []
 
         def build():
-            sim = Simulator(wheel=False)
+            sim = kernel()
             built.append(sim)
             return sim
 
         with monkeypatch.context() as patch:
-            patch.setattr(experiment, "Simulator", build)
-            yield
-        assert built, "no Experiment ran inside heap_only()"
-        for sim in built:
-            stats = sim.timer_stats()
-            assert stats["wheel_enabled"] is False
-            assert stats["wheel_scheduled"] == 0
+            for module in KERNEL_USERS:
+                patch.setattr(module, "Simulator", build)
+            result = run()
+        return result, built
 
-    return use
+    def texts(result):
+        rows = result if isinstance(result, list) else [result]
+        return [canonical(m) for m in rows]
+
+    def check(run):
+        production, sims = on(Simulator, run)
+        reference, references = on(reference_kernel.Simulator, run)
+        assert references, "no experiment ran on the reference kernel"
+        assert texts(reference) == texts(production)
+        assert [r.pushes for r in references] == [s._seq for s in sims]
+        return production
+
+    return check
 
 
 @pytest.fixture

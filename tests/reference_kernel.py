@@ -11,13 +11,15 @@ Every push takes the next id at the point where the production kernel
 takes its next sequence number, so the two must dispatch the same entries
 in the same order, and ``pushes`` must equal the production ``_seq``.
 ``tests/test_reference_kernel.py`` drives both with random operation
-sequences and compares what fires, when, and with which values.
+sequences and compares what fires, when, and with which values; the
+``reference_oracle`` fixture (``tests/conftest.py``) runs whole
+experiments on both and compares their metrics.
 
-The API is the part of ``repro.sim.Simulator`` that property drives:
-``now``, ``event``, ``timeout`` (with ``cancel``), ``process`` (with
+The API is the public part of ``repro.sim.Simulator``: ``now``,
+``event``, ``timeout`` (with ``cancel``), ``process`` (with
 ``interrupt``), ``call_later``, ``schedule_timer`` (with ``cancel`` and
-``rearm``), ``within``, ``run(until)``, ``step``, ``peek`` and
-``run_process``.
+``rearm``), ``within``, ``run``, ``peek``, ``run_process`` and
+``tombstones_compacted``, which servers report (always 0 here).
 """
 
 from __future__ import annotations
@@ -244,6 +246,10 @@ class TimedWait(Event):
 class Simulator:
     """The reference event loop."""
 
+    #: Servers report the production kernel's heap compactions; there are
+    #: none here.
+    tombstones_compacted = 0
+
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: List[list] = []
@@ -297,10 +303,7 @@ class Simulator:
         entry = self._next_live()
         return _INF if entry is None else entry[0]
 
-    def step(self) -> None:
-        entry = self._next_live()
-        if entry is None:
-            raise SimulationError("no scheduled events")
+    def _fire(self, entry: list) -> None:
         heapq.heappop(self._heap)
         self.now = entry[0]
         entry[2]()
@@ -313,15 +316,20 @@ class Simulator:
             entry = self._next_live()
             if entry is None or entry[0] > bound:
                 break
-            self.step()
+            self._fire(entry)
         if until is not None:
             self.now = until
 
     def run_process(self, proc: Process) -> Any:
-        while proc.is_alive and self._next_live() is not None:
-            self.step()
-        if proc.is_alive:
-            raise SimulationError(f"simulation ran out of events before {proc.name!r} finished")
+        """Dispatch until ``proc`` has been processed (so every waiter on
+        it has resumed); return its value or raise its error."""
+        while proc.callbacks is not None:
+            entry = self._next_live()
+            if entry is None:
+                raise SimulationError(
+                    f"simulation ran out of events before {proc.name!r} finished"
+                )
+            self._fire(entry)
         if not proc._ok:
             proc._defused = True
             raise proc._value

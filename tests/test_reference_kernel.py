@@ -3,33 +3,38 @@
 ``tests/reference_kernel.py`` is a one-heap kernel with lazy removal and
 none of the production fast paths: no same-instant lane, free lists,
 timing wheel or compaction.  A random operation sequence is applied to a
-production :class:`repro.sim.Simulator` (wheel on and off) and to the
-reference in lockstep.  After every operation both must have fired the
-same callbacks and resumed the same processes at the same times with the
-same values, read the same clock, and taken the same number of sequence
-numbers.  ``peek()`` must agree too whenever the production heap holds no
-tombstone (the reference drops cancelled entries, production may still
-hold them).
+production :class:`repro.sim.Simulator` and to the reference in
+lockstep.  After every operation both must have fired the same callbacks
+and resumed the same processes at the same times with the same values,
+read the same clock and the same ``peek()``, and taken the same number
+of sequence numbers.
 
 The operations cover what the model does to the kernel: bare and
 cancellable callbacks, re-arms and cancels, timeouts with user callbacks,
 events triggered (successfully or not) from callbacks, later or never,
 timed-wait races won each way, interrupts of processes parked on a race
 or a timeout, timeouts shared by two waiters and re-read after they fire,
-zero delays and delays ``d > 0`` with ``now + d == now``, and the three
-ways to dispatch: ``run(until)``, ``step()``/``peek()`` and
-``run_process()``.
+cancelled timeouts at the head of the schedule, zero delays and delays
+``d > 0`` with ``now + d == now``, and the ways to dispatch:
+``run(until)``, ``run()`` to exhaustion, ``run(until=peek())`` one
+instant at a time and ``run_process()``.
+
+Whole experiments are compared on both kernels by the
+``reference_oracle`` fixture (``tests/test_wheel_equivalence.py``); that
+works only while model code keeps to the public kernel API, which the
+last test here pins.
 
 The example count comes from the active hypothesis profile; CI runs this
 file again with ``--hypothesis-profile=ci`` (see ``tests/conftest.py``).
 """
 
-from __future__ import annotations
+import ast
+from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.sim import Interrupted, Simulator
 from tests import reference_kernel
 
@@ -38,7 +43,7 @@ from tests import reference_kernel
 #: gives heap entries due now that are older than the lane's head.
 DELAYS = (0.0, 1e-17, 0.1, 0.25, 0.5, 0.75, 1.0, 2.5, 4.0, 40.0)
 #: Operation kinds; see drive().
-KINDS = 16
+KINDS = 18
 #: Bound for the final drain: past every deadline any operation can set.
 DRAIN = 1e4
 #: Failures that escape dispatch: an event failed with no waiter, or a
@@ -125,9 +130,15 @@ def drive(sim, ops):
         try:
             if how == "run":
                 sim.run(until=bound)
+            elif how == "drain":
+                sim.run()
             else:
                 while sim.peek() <= bound:
-                    sim.step()
+                    at = sim.peek()
+                    sim.run(until=at)
+                    # Everything due by ``at`` has run; a kernel that
+                    # left it would loop here forever.
+                    assert sim.peek() > at, f"run(until={at}) left an entry due"
                 sim.run(until=bound)
         except RAISED as exc:
             fire(("raised", type(exc).__name__), exc.args)
@@ -182,14 +193,21 @@ def drive(sim, ops):
         elif kind == 13:
             dispatch("run", sim.now + delay)
         elif kind == 14:
-            dispatch("step", sim.now + delay)
+            dispatch("peek", sim.now + delay)
         elif kind == 15:
             try:
                 fire(("returned", i), sim.run_process(sim.process(finisher(i, delay))))
             except RAISED as exc:
                 fire(("raised", type(exc).__name__), exc.args)
-        tombstones = getattr(sim, "_tombstones", 0)
-        yield (len(trace), sim.now, seq(), sim.peek() if not tombstones else None)
+        elif kind == 16:
+            dispatch("drain", None)
+        elif kind == 17:
+            # A cancelled timeout ahead of a live callback: neither the
+            # clock nor peek() may stop at the cancelled one.
+            doomed = sim.timeout(delay)
+            sim.call_later(delay + DELAYS[pick % len(DELAYS)], fire, ("after", i))
+            fire(("cancelled", i), doomed.cancel(), sim.peek())
+        yield (len(trace), sim.now, seq(), sim.peek())
     for _ in range(len(ops) + 1):
         try:
             sim.run(until=sim.now + DRAIN)
@@ -214,24 +232,20 @@ ops_strategy = st.lists(
 )
 
 
-def assert_same_dispatch(production, ops):
-    reference = reference_kernel.Simulator()
+def assert_same_dispatch(ops):
+    production, reference = Simulator(), reference_kernel.Simulator()
     steps = zip(drive(production, ops), drive(reference, ops))
     for step, (got, want) in enumerate(steps):
         if step == len(ops):
             assert got == want, "final traces differ"
             break
-        n, now, seq, peek = got
-        assert (n, now, seq) == want[:3], f"after op {step}: {got} != {want}"
-        if peek is not None:
-            assert peek == want[3], f"peek after op {step}: {peek} != {want[3]}"
+        assert got == want, f"after op {step}: {got} != {want}"
 
 
-@pytest.mark.parametrize("wheel", [True, False], ids=["wheel", "heap-only"])
 @given(ops=ops_strategy)
 @settings(deadline=None)
-def test_production_kernel_dispatches_like_the_reference(wheel, ops):
-    assert_same_dispatch(Simulator(wheel=wheel), ops)
+def test_production_kernel_dispatches_like_the_reference(ops):
+    assert_same_dispatch(ops)
 
 
 def test_reference_agrees_on_a_same_instant_tie():
@@ -243,6 +257,84 @@ def test_reference_agrees_on_a_same_instant_tie():
         (6, 0, 7),  # an event (never triggered by a callback) ...
         (11, 0, 1),  # ... triggered now: a lane entry, younger
         (0, 0, 0),  # call_later(0): lane
-        (14, 0, 0),  # step() through the instant
+        (14, 0, 0),  # run(until=peek()) through the instant
     ]
-    assert_same_dispatch(Simulator(), ops)
+    assert_same_dispatch(ops)
+
+
+def test_reference_agrees_when_run_ends_after_a_cancelled_timeout():
+    """A cancelled heap-resident timeout after the last live entry must
+    not move the clock: ``run()`` ends at 0.1, not at 0.25."""
+    ops = [
+        (0, 2, 0),  # call_later(0.1)
+        (4, 3, 0),  # timeout(0.25), heap-resident ...
+        (5, 0, 0),  # ... cancelled
+        (16, 0, 0),  # run() to exhaustion
+    ]
+    assert_same_dispatch(ops)
+
+
+def test_reference_agrees_on_peek_over_a_cancelled_head():
+    """A cancelled timeout at the head of the heap is not the next event:
+    ``peek()`` reports the live callback behind it."""
+    assert_same_dispatch([(17, 3, 2)])  # 0.25 cancelled; live at 0.35
+    assert_same_dispatch([(4, 2, 0), (5, 0, 0), (0, 4, 0)])  # 0.1 dead; 0.5
+
+
+# -- model code keeps to the public kernel API --------------------------------
+
+#: Kernel classes model code must not build itself: it asks the simulator
+#: (``sim.event()``, ``sim.timeout()``, ...), so any kernel can serve.
+KERNEL_CLASSES = {"Event", "Timeout", "Timer", "Process", "TimedWait"}
+
+
+def kernel_api_violations(source, filename="<model>"):
+    """``file:line`` of each call of a kernel class imported from
+    ``repro.sim`` and each underscore attribute of ``sim`` or ``<x>.sim``
+    in ``source``."""
+    tree = ast.parse(source, filename=filename)
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and "sim" in (node.module or "").split(".")
+        for alias in node.names
+        if alias.name in KERNEL_CLASSES
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            hit = isinstance(node.func, ast.Name) and node.func.id in names
+        else:
+            hit = (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and (
+                    (isinstance(node.value, ast.Name) and node.value.id == "sim")
+                    or (isinstance(node.value, ast.Attribute) and node.value.attr == "sim")
+                )
+            )
+        if hit:
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_model_code_uses_only_the_public_kernel_api():
+    """No module under ``src/repro`` outside ``sim/`` builds a kernel
+    event or reads a simulator's private attributes; the reference kernel
+    could not stand in for the production one otherwise."""
+    bad = """
+from ..sim.core import Simulator, Timeout as T
+def f(sim, conn):
+    done = T(sim, 1.0)
+    return sim._seq, conn.sim._wheel, sim.now, sim.event(), Simulator()
+"""
+    assert len(kernel_api_violations(bad)) == 3, "the scan misses violations"
+    root = Path(repro.__file__).parent
+    offenders = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).parts[0] != "sim"
+        for hit in kernel_api_violations(path.read_text(), str(path.relative_to(root)))
+    ]
+    assert offenders == []

@@ -12,6 +12,7 @@ from repro.sim import (
     Store,
 )
 from repro.sim.core import WHEEL_TICK
+from tests import reference_kernel
 
 
 def test_clock_starts_at_zero():
@@ -104,16 +105,15 @@ def test_unhandled_failure_raises_from_step():
         sim.run()
 
 
-def test_step_on_empty_simulator_raises_simulation_error():
+def test_run_on_empty_simulator_returns_and_peek_is_inf():
     sim = Simulator()
-    with pytest.raises(SimulationError, match="no scheduled events"):
-        sim.step()
+    sim.run()
+    assert sim.now == 0.0 and sim.peek() == float("inf")
     # Also once the last event (here a wheel-staged one) is consumed.
     sim.timeout(3.0)
-    sim.step()
-    assert sim.now == 3.0
-    with pytest.raises(SimulationError, match="no scheduled events"):
-        sim.step()
+    assert sim.peek() == 3.0
+    sim.run()
+    assert sim.now == 3.0 and sim.peek() == float("inf")
 
 
 def test_defused_failure_does_not_raise():
@@ -562,6 +562,42 @@ def test_run_process_detects_starvation():
         sim.run_process(p)
 
 
+@pytest.mark.parametrize(
+    "kernel", [Simulator, reference_kernel.Simulator], ids=["production", "reference"]
+)
+def test_run_process_returns_after_every_waiter_resumed(kernel):
+    """A process that starts waiting on the target while run_process()
+    runs has resumed by the time it returns, and the kernel keeps no
+    trace of the call: later runs dispatch normally."""
+    sim = kernel()
+    seen = []
+    gate = sim.event()
+
+    def target():
+        yield sim.timeout(1.0)
+        return "done"
+
+    def watcher(proc):
+        got = yield proc
+        seen.append(("watched", sim.now, got))
+
+    def blocked():
+        yield gate
+        seen.append(("unblocked", sim.now))
+
+    proc = sim.process(target())
+    sim.process(watcher(proc))
+    assert sim.run_process(proc) == "done"
+    assert seen == [("watched", 1.0, "done")]
+    # A starved call leaves nothing behind on its process either.
+    stuck = sim.process(blocked())
+    with pytest.raises(SimulationError, match="ran out of events"):
+        sim.run_process(stuck)
+    sim.call_later(2.0, gate.succeed)
+    sim.run()
+    assert seen[-1] == ("unblocked", 3.0) and not stuck.is_alive
+
+
 def test_process_requires_generator():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -579,7 +615,7 @@ def test_event_repr_smoke():
 # -- the same-instant lane ----------------------------------------------------
 
 
-@pytest.mark.parametrize("dispatch", ["run", "step"])
+@pytest.mark.parametrize("dispatch", ["run", "until"])
 def test_lane_yields_to_an_older_heap_entry_due_now(dispatch):
     sim = Simulator()
     order = []
@@ -597,8 +633,7 @@ def test_lane_yields_to_an_older_heap_entry_due_now(dispatch):
     if dispatch == "run":
         sim.run()
     else:
-        for _ in range(5):
-            sim.step()
+        sim.run(until=sim.peek())
     assert order == ["heap-older", "lane-1", "heap-younger", "lane-2"]
     assert sim.now == 1.0
 
@@ -617,7 +652,7 @@ def test_timer_stats_counts_lane_dispatches():
     sim.run()  # ... and the process's completion: lane
     assert sim.timer_stats()["lane_dispatched"] == 4
     sim.event().succeed()
-    sim.step()
+    sim.run()
     assert sim.timer_stats()["lane_dispatched"] == 5
     # run() stores its count when a failure propagates, too.
     sim.call_later(0.0, lambda: None)

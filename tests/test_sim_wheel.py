@@ -1,11 +1,12 @@
 """Unit and property tests for the hierarchical timing wheel.
 
 The wheel (repro.sim.wheel) stages cancellable timers in front of the
-dispatch heap; its contract is that enabling it changes *nothing* about
-what fires when — only what schedule/cancel cost.  The property tests at
-the bottom hammer exactly that: a random interleaving of schedules,
-cancels, re-arms, interrupts, processes and time advances must produce
-an identical firing history with the wheel on and off.
+dispatch heap; its contract is that it changes *nothing* about what fires
+when — only what schedule/cancel cost.  The property tests at the bottom
+hammer exactly that: a random interleaving of schedules, cancels,
+re-arms, interrupts, processes and time advances must produce an
+identical firing history on the production kernel and on the naive
+reference kernel (tests/reference_kernel.py), which has no wheel.
 """
 
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.sim import Interrupted, Simulator
 from repro.sim.wheel import TimingWheel
+from tests import reference_kernel
 
 
 def test_wheel_rejects_bad_tick():
@@ -26,8 +28,11 @@ def test_wheel_rejects_bad_tick():
 
 
 def test_simulator_wheel_flag():
-    assert Simulator().wheel_enabled
-    assert not Simulator(wheel=False).wheel_enabled
+    """Long timers always ride the wheel: there is no heap-only mode."""
+    assert Simulator().wheel_enabled is True
+    assert Simulator().timer_stats()["wheel_enabled"] is True
+    with pytest.raises(TypeError):
+        Simulator(wheel=False)
 
 
 def test_benchmark_harness_contract():
@@ -190,19 +195,23 @@ def test_timeout_cancel_true_cancels_on_wheel():
 
 
 def test_timeout_cancel_tombstones_on_heap():
-    sim = Simulator(wheel=False)
-    ev = sim.timeout(10.0)
+    sim = Simulator()
+    sim.call_later(0.125, lambda: None)
+    ev = sim.timeout(0.25)  # sub-tick: heap-resident
     assert ev._node is None
     assert ev.cancel() is True
-    assert sim.timer_stats()["tombstones"] == 1
+    stats = sim.timer_stats()
+    assert stats["tombstones"] == 1 and stats["heap_pending"] == 2
     sim.run()
-    assert sim.now == 10.0  # the tombstone still pops (sequence slot kept)
+    # The tombstone is skipped: it never moves the clock.
+    assert sim.now == 0.125
+    assert sim.timer_stats()["heap_pending"] == 0
 
 
 def test_tombstone_compaction_bounds_heap_growth():
-    sim = Simulator(wheel=False)
+    sim = Simulator()
     for _ in range(1000):
-        sim.timeout(50.0).cancel()
+        sim.timeout(0.25).cancel()  # sub-tick: each leaves a tombstone
     stats = sim.timer_stats()
     assert stats["tombstones_compacted"] >= 1
     # Without compaction the heap would hold ~1000 dead entries.
@@ -230,14 +239,14 @@ def test_timer_stats_accounting():
 
 
 # ---------------------------------------------------------------------------
-# Property: wheel on == wheel off, for arbitrary op interleavings.
+# Property: production == reference, for arbitrary op interleavings.
 # ---------------------------------------------------------------------------
 
 
-def _random_history(seed: int, wheel: bool, ops: int = 400):
-    """Replay a seed-determined op sequence; return the firing history."""
+def _random_history(seed: int, sim, ops: int = 400):
+    """Replay a seed-determined op sequence on ``sim``; return the firing
+    history."""
     rng = random.Random(seed)
-    sim = Simulator(wheel=wheel)
     fired = []
     live = []  # Timer handles that may still be pending
     timeouts = []  # cancellable Timeout events
@@ -266,38 +275,34 @@ def _random_history(seed: int, wheel: bool, ops: int = 400):
         else:
             sim.run(until=sim.now + rng.choice([0.1, 0.7, 3.0, 21.0]))
         fired.append(("now", round(sim.now, 9)))
-    # Drain with an explicit bound covering every delay above: a bare
-    # run() would end at the last *entry* popped, and in heap-only mode
-    # that can be a cancelled timer's tombstone — the clocks (not the
-    # firings) would then differ.  See DESIGN.md §9.
-    sim.run(until=2_000_000.0)
+    # Drain to exhaustion: the clock stops at the last live entry, never
+    # at a cancelled timer's tombstone (DESIGN.md §9).
+    sim.run()
     fired.append(("end", round(sim.now, 9)))
     return fired
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
 def test_property_wheel_matches_heap_firing_order(seed):
-    assert _random_history(seed, wheel=True) == _random_history(
-        seed, wheel=False
+    assert _random_history(seed, Simulator()) == _random_history(
+        seed, reference_kernel.Simulator()
     )
 
 
 # ---------------------------------------------------------------------------
-# Property: wheel on == wheel off, with processes and interrupts too.
+# Property: production == reference, with processes and interrupts too.
 # ---------------------------------------------------------------------------
 
 
-def _interleaving_trace(wheel: bool, ops):
-    """Drive one simulator through an op schedule; return the firing trace.
+def _interleaving_trace(sim, ops):
+    """Drive ``sim`` through an op schedule; return the firing trace.
 
     Op kinds: 0 ``call_later``, 1 ``schedule_timer``, 2 ``rearm``,
     3 ``cancel``, 4 a two-timeout process, 5 a process parked on a
     timeout at least one wheel tick out that is interrupted while
-    parked.  With the wheel on, that interrupt unlinks the timeout and
-    recycles it (or tombstones it once flushed); heap-only, it always
-    tombstones.
+    parked.  On the production kernel that interrupt unlinks the timeout
+    and recycles it (or tombstones it once flushed).
     """
-    sim = Simulator(wheel=wheel)
     trace = []
     timers = []
 
@@ -355,37 +360,39 @@ op_strategy = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_random_interleavings_dispatch_identically(ops):
     """Any mix of timeouts, timers, re-arms, cancels, processes and
-    interrupts fires in the same order with the wheel on and off."""
-    assert _interleaving_trace(True, ops) == _interleaving_trace(False, ops)
+    interrupts fires in the same order on both kernels."""
+    assert _interleaving_trace(Simulator(), ops) == _interleaving_trace(
+        reference_kernel.Simulator(), ops
+    )
 
 
 def test_interrupt_of_wheel_parked_process_unlinks_and_recycles():
-    """Op kind 5 really takes the wheel branch (unlink + recycle) with
-    the wheel on, and the tombstone branch heap-only."""
-    waits = {}
-    for wheel in (True, False):
-        sim = Simulator(wheel=wheel)
-        seen = waits[wheel] = []
+    """Op kind 5 really takes the wheel branch (unlink + recycle) for a
+    timeout at least one tick out, and the tombstone branch for a
+    sub-tick one."""
+    for delay, on_wheel in ((3.5, True), (0.375, False)):
+        sim = Simulator()
+        seen = []
 
         def sleeper():
             try:
-                seen.append((yield sim.timeout(3.5)))
+                seen.append((yield sim.timeout(delay)))
             except Interrupted:
                 seen.append(sim.now)
-                ev = sim.timeout(3.5)
+                ev = sim.timeout(delay)
                 seen.append(ev)
                 yield ev
 
         proc = sim.process(sleeper())
         parked = []
-        sim.call_later(0.5, lambda: parked.append(proc._target))
-        sim.call_later(0.875, proc.interrupt)
+        sim.call_later(delay / 7, lambda: parked.append(proc._target))
+        sim.call_later(delay / 4, proc.interrupt)
         sim.run()
         stats = sim.timer_stats()
-        if wheel:
+        if on_wheel:
             assert stats["wheel_cancelled"] == 1 and stats["tombstones"] == 0
             assert seen[1] is parked[0]  # the unlinked Timeout was reused
         else:
-            assert stats["tombstones"] == 1
+            assert stats["wheel_scheduled"] == 0 and stats["tombstones"] == 1
             assert seen[1] is not parked[0]
-        assert seen[0] == 0.875 and sim.now == 0.875 + 3.5
+        assert seen[0] == delay / 4 and sim.now == delay / 4 + delay

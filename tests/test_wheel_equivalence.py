@@ -1,13 +1,15 @@
-"""Determinism pinning: the timing wheel must not change any result.
+"""Determinism pinning: the kernel's fast paths must not change any result.
 
-The wheel's whole license to exist is that it stages timers in front of
-the dispatch heap without perturbing ``(time, seq)`` order (DESIGN.md
-§9).  These tests run complete experiments — client workload, TCP model,
-server architecture, metrics pipeline — twice, with the wheel enabled
-and on the heap-only reference kernel (the ``heap_only`` fixture), and
-require the *entire* RunMetrics row to be identical, not approximately
-equal.  Any divergence means a timer fired in a different order between
-the modes.
+The same-instant lane, the free lists, the timing wheel and tombstone
+compaction are licensed only because none of them perturbs the
+``(time, seq)`` dispatch order (DESIGN.md §8-§9).  These tests run
+complete experiments — client workload, TCP model, server architecture,
+metrics pipeline — on the production kernel and again on the naive
+reference kernel in ``tests/reference_kernel.py`` (one heap, no fast
+paths; the ``reference_oracle`` fixture), and require the *entire*
+RunMetrics to be identical and both kernels to have pushed the same
+number of entries.  Any divergence means some entry was dispatched in a
+different order, or at a different time, by one of the two kernels.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import json
 
 import pytest
 
+from repro.cluster import ClusterExperiment, FlashCrowdSpec, straggler_cluster
 from repro.core.experiment import Experiment
 from repro.core.params import ServerSpec, WorkloadSpec
 from repro.net.topology import NetworkSpec
@@ -36,14 +39,13 @@ GRID = [
 
 
 def _run(spec, machine, network):
-    metrics = Experiment(
+    return Experiment(
         server=spec,
         workload=WorkloadSpec(clients=96, duration=3.0, warmup=1.5),
         machine=machine,
         network=getattr(NetworkSpec, network)(),
         seed=7,
     ).run()
-    return metrics.row()
 
 
 @pytest.mark.parametrize(
@@ -52,14 +54,11 @@ def _run(spec, machine, network):
     ids=[g[0] for g in GRID],
 )
 def test_run_metrics_identical_with_and_without_wheel(
-    label, spec, machine, network, heap_only
+    label, spec, machine, network, reference_oracle
 ):
-    wheel_row = _run(spec, machine, network)
-    with heap_only():
-        heap_row = _run(spec, machine, network)
-    assert wheel_row == heap_row
+    metrics = reference_oracle(lambda: _run(spec, machine, network))
     # And the run did something: a row of zeros would pass vacuously.
-    assert wheel_row["replies/s"] > 0 or wheel_row["clients"] > 0
+    assert metrics.replies > 0
 
 
 #: One small run per server architecture on the default testbed (UP,
@@ -83,17 +82,34 @@ def _digest(row):
     "label,spec,digest", ARCHITECTURES, ids=[a[0] for a in ARCHITECTURES]
 )
 def test_architecture_rows_pinned_on_wheel_and_heap(
-    label, spec, digest, heap_only
+    label, spec, digest, reference_oracle
 ):
-    def row():
-        return Experiment(
+    metrics = reference_oracle(
+        lambda: Experiment(
             server=spec,
             workload=WorkloadSpec(clients=96, duration=4.0, warmup=2.0),
             seed=42,
-        ).run().row()
+        ).run()
+    )
+    assert _digest(metrics.row()) == digest
 
-    wheel_row = row()
-    with heap_only():
-        heap_row = row()
-    assert _digest(wheel_row) == digest
-    assert heap_row == wheel_row
+
+def test_cluster_run_identical_on_the_reference_kernel(reference_oracle):
+    """One small cluster: three replicas on one kernel, a balancer, a
+    flash crowd and observation on; the aggregate and every replica's
+    RunMetrics must match."""
+
+    def run():
+        exp = ClusterExperiment(
+            cluster=straggler_cluster(
+                policy="least_connections", cpu_speed=0.12, straggler_factor=0.3
+            ),
+            workload=WorkloadSpec(clients=120, duration=2.0, warmup=2.0),
+            seed=42,
+            flash=FlashCrowdSpec(at=2.5, surge_clients=60, decay=1.0),
+        )
+        aggregate = exp.run()
+        return [aggregate] + [m for _, m in sorted(exp.replica_metrics.items())]
+
+    rows = reference_oracle(run)
+    assert len(rows) == 4 and rows[0].replies > 0
