@@ -225,7 +225,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         machine=scenario.machine,
         network=scenario.network,
         seed=args.seed,
-        trace=("conn", "http", "error", "server") if args.trace else None,
     )
     if args.profile:
         metrics = _run_profiled(experiment.run)
@@ -236,9 +235,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.stats:
         for key, value in sorted(metrics.server_stats.items()):
             print(f"{key:>24s}: {value}")
-    if args.trace and experiment.tracer is not None:
-        print("\n-- trace event counts ------------------------------------")
-        print(experiment.tracer.summary())
     _print_cache_summary()
     return 0
 
@@ -814,9 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="client count; k/M suffixes allowed (250k, 1M)")
     p_run.add_argument("--stats", action="store_true",
                        help="also print server-side counters")
-    p_run.add_argument("--trace", action="store_true",
-                       help="record trace events; print per-category "
-                            "counts (and any ring-buffer drops)")
     p_run.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top 20 "
                             "functions by cumulative time")

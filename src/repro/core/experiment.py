@@ -9,7 +9,6 @@ httperf-style metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..http.files import FilePopulation
 from ..metrics.collectors import MetricsHub
@@ -83,15 +82,10 @@ class Experiment:
     machine: MachineSpec = MachineSpec(cpus=1)
     network: NetworkSpec = None  # type: ignore[assignment]
     seed: int = 42
-    #: Trace categories to record ("conn", "http", "error", "server");
-    #: an empty tuple/None disables tracing.  After run(), the recorder
-    #: is available as ``self.tracer``.
-    trace: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.network is None:
             self.network = NetworkSpec.gigabit()
-        self.tracer = None
         #: Populated by run() when ``server.observe`` is set.
         self.recorder = None
         self.profiler = None
@@ -106,10 +100,6 @@ class Experiment:
             self.server.overload.reset()
         streams = RandomStreams(self.seed)
         machine = Machine(sim, self.machine)
-        if self.trace:
-            from ..sim.trace import Tracer
-
-            self.tracer = Tracer(sim, categories=self.trace)
         if self.server.observe:
             # Fresh per run: spans and phase attribution never leak
             # between sweep points, and determinism is preserved (the
@@ -123,7 +113,6 @@ class Experiment:
             machine,
             costs=self.machine.base_costs(),
             backlog=self.server.backlog,
-            tracer=self.tracer,
             recorder=self.recorder,
             profiler=self.profiler,
         )
@@ -216,16 +205,11 @@ class Experiment:
             )
             if loss > 0.0:
                 self.profiler.add("sched_overhead", loss)
-        tracer_kwargs = {}
-        if self.tracer is not None:
-            tracer_kwargs["trace_dropped"] = self.tracer.dropped
-            tracer_kwargs["trace_counts"] = self.tracer.counts_by_category()
         return RunMetrics.from_hub(
             metrics,
             clients=self.workload.clients,
             cpu_utilization=min(1.0, cpu_util),
             server_stats=stats,
-            **tracer_kwargs,
         )
 
     # -- convenience ---------------------------------------------------------

@@ -214,9 +214,6 @@ class Connection:
         if self.server_closed or self.dead:
             # The server answers with an RST segment.
             yield self.duplex.down.transmit(RST_BYTES)
-            tracer = self.listener.tracer
-            if tracer is not None:
-                tracer.emit("error", "reset_observed", conn=id(self))
             raise ResetByServer()
         self._recv_pending.append(pending)
         if self.span is not None:
@@ -286,14 +283,6 @@ class Connection:
         self._established_ev.succeed()
         if self.span is not None:
             self.span.mark("established")
-        tracer = self.listener.tracer
-        if tracer is not None:
-            tracer.emit(
-                "conn",
-                "established",
-                conn=id(self),
-                wait=self.sim.now - (self.connect_started or self.sim.now),
-            )
 
     def _rst_arrived(self) -> None:
         self.dead = True
@@ -376,9 +365,8 @@ class Connection:
         self.server_closed = True
         self._free_kernel_bytes()
         self._wake_writable_waiters()
-        tracer = self.listener.tracer
-        if tracer is not None:
-            tracer.emit("conn", "server_close", conn=id(self))
+        if self.span is not None:
+            self.span.mark("server_close")
 
     # ------------------------------------------------------------------
     # delivery plumbing
@@ -453,7 +441,6 @@ class ListenSocket:
         costs: Optional[CostModel] = None,
         backlog: int = 511,
         kernel_bytes_per_conn: int = 32 * 1024,
-        tracer=None,
         overload=None,
         recorder=None,
         profiler=None,
@@ -463,7 +450,6 @@ class ListenSocket:
         self.machine = machine
         self.costs = costs or CostModel()
         self.kernel_bytes_per_conn = kernel_bytes_per_conn
-        self.tracer = tracer
         self.overload = overload
         #: Optional :class:`~repro.obs.SpanRecorder`: connections open a
         #: lifecycle span at creation and mark backlog entry/accept here.
@@ -524,10 +510,6 @@ class ListenSocket:
         if self.probe is not None:
             for _ in range(count):
                 self.probe.on_drop(self.sim.now)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "error", "syn_flood", count=count, backlog=self.backlog_depth
-            )
 
     # -- overload-control plumbing ------------------------------------------
     def _oldest_wait(self) -> float:
@@ -562,20 +544,16 @@ class ListenSocket:
             if self.probe is not None:
                 self.probe.on_drop(self.sim.now)
             self._charge_reject()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "error", "syn_shed", backlog=self.backlog_depth
-                )
+            if conn.span is not None:
+                conn.span.mark("syn_shed")
             return False
         if self._backlog.is_full and self._backlog.waiting_getters == 0:
             self.syns_dropped += 1
             if self.probe is not None:
                 self.probe.on_drop(self.sim.now)
             self._charge_reject()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "error", "syn_drop", backlog=self.backlog_depth
-                )
+            if conn.span is not None:
+                conn.span.mark("syn_drop")
             return False
         try:
             self.machine.memory.allocate(
@@ -599,23 +577,36 @@ class ListenSocket:
             self.probe.on_enqueue(self.sim.now, self.backlog_depth)
         return True
 
-    def _admit_dequeued(self, conn: Connection) -> bool:
-        """Record queue delay and apply the dequeue-time policy check."""
+    def _hand_over(self, conn: Connection) -> bool:
+        """Give a dequeued connection to the application, or discard it.
+
+        Discarded: killed by a client RST while queued, or early-closed
+        by the mounted overload control's dequeue-time check.
+        """
+        if conn.dead:
+            self.dead_on_accept += 1
+            conn._free_kernel_bytes()
+            return False
         ctl = self.overload
-        if ctl is None:
-            return True
-        since = conn._backlog_since
-        sojourn = 0.0 if since is None else self.sim.now - since
-        ctl.record_queue_delay(sojourn)
-        if ctl.admission.on_dequeue(self.sim.now, sojourn, self.signals()):
-            return True
-        # Early close: refuse service to a connection that waited too
-        # long; the client observes a reset if it ever sends.
-        self.early_closed += 1
-        conn.server_close()
-        if self.tracer is not None:
-            self.tracer.emit("error", "early_close", conn=id(conn))
-        return False
+        if ctl is not None:
+            since = conn._backlog_since
+            sojourn = 0.0 if since is None else self.sim.now - since
+            ctl.record_queue_delay(sojourn)
+            if not ctl.admission.on_dequeue(
+                self.sim.now, sojourn, self.signals()
+            ):
+                # Early close: refuse service to a connection that waited
+                # too long; the client observes a reset if it ever sends.
+                self.early_closed += 1
+                if conn.span is not None:
+                    conn.span.mark("early_close")
+                conn.server_close()
+                return False
+        conn.accepted_by_app = True
+        if conn.span is not None:
+            conn.span.mark("accept")
+        self.accepted += 1
+        return True
 
     def accept(self, timeout: Optional[float] = None):
         """Generator: block until a live connection is available.
@@ -636,32 +627,12 @@ class ListenSocket:
                 conn = get.value
             else:
                 conn = yield get
-            if conn.dead:
-                self.dead_on_accept += 1
-                conn._free_kernel_bytes()
-                continue
-            if not self._admit_dequeued(conn):
-                continue
-            conn.accepted_by_app = True
-            if conn.span is not None:
-                conn.span.mark("accept")
-            self.accepted += 1
-            return conn
+            if self._hand_over(conn):
+                return conn
 
     def try_accept(self) -> Optional[Connection]:
         """Non-blocking accept; returns ``None`` when the backlog is empty."""
         while True:
             conn = self._backlog.try_get()
-            if conn is None:
-                return None
-            if conn.dead:
-                self.dead_on_accept += 1
-                conn._free_kernel_bytes()
-                continue
-            if not self._admit_dequeued(conn):
-                continue
-            conn.accepted_by_app = True
-            if conn.span is not None:
-                conn.span.mark("accept")
-            self.accepted += 1
-            return conn
+            if conn is None or self._hand_over(conn):
+                return conn

@@ -1,21 +1,36 @@
 """Connection-lifecycle spans: who waited where, for how long.
 
 A :class:`ConnSpan` is one connection's timeline: the moment the first
-SYN left the client, marks for every phase transition the transport and
-the server observe, and a terminal status.  Mark names:
+SYN left the client, marks for every phase transition and connection
+event the transport and the server observe, and a terminal status.
+Mark names:
 
 ==============  ============================================================
 mark            meaning
 ==============  ============================================================
+routed          a cluster front end picked the replica (cluster runs only)
 backlog_enter   handshake completed into the kernel accept queue
 established     SYN-ACK reached the client (httperf's connection time)
 accept          the application dequeued the connection
+req_sent        the client put a request on the wire
 req_arrive      a request became readable at the server
 svc_start       the server began burning CPU on a request (read+parse+file)
 svc_end         request CPU service finished
 tx_start        the first response chunk was queued onto the wire
 reply_done      the last response byte reached the client
+syn_drop        a SYN arrived at a full backlog and was dropped
+syn_shed        the overload control's admission policy refused a SYN
+early_close     the overload control closed the connection at dequeue
+idle_reap       the server reaped the idle connection (httpd's timeout or
+                nio's adaptive sweeper)
+server_close    the server closed its end
 ==============  ============================================================
+
+The last five are connection events rather than phase boundaries:
+:func:`phase_intervals` and the histograms ignore them.  ``syn_drop``
+and ``syn_shed`` are made once per dropped SYN, so a retransmitting
+client can carry several; ``early_close`` and ``idle_reap`` precede the
+``server_close`` they cause.
 
 Terminal statuses: ``closed`` (orderly), ``reset`` (client hit a
 server-reaped connection), ``connect_timeout``, ``client_timeout``,

@@ -231,6 +231,8 @@ class EventDrivenServer(Server):
                 if state.closed or state.busy:
                     continue
                 self.idle_reaps += 1
+                if conn.span is not None:
+                    conn.span.mark("idle_reap")
                 yield self._exec("close", self.costs.close)
                 self._close(conn, state)
 

@@ -29,7 +29,3 @@ __all__ = [
     "StoreFull",
     "RandomStreams",
 ]
-
-from .trace import CONN, ERROR, HTTP, SERVER, TraceEvent, Tracer
-
-__all__ += ["CONN", "ERROR", "HTTP", "SERVER", "TraceEvent", "Tracer"]

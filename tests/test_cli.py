@@ -148,19 +148,6 @@ def test_parser_requires_command():
         parser.parse_args([])
 
 
-def test_run_command_with_trace(capsys):
-    rc = main([
-        "run", "--server", "nio", "--threads", "1",
-        "--clients", "15", "--cpu-speed", "0.2",
-        "--duration", "4", "--warmup", "2",
-        "--trace",
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "trace event counts" in out
-    assert "trace_ev" in out
-
-
 def test_observe_command_report(capsys):
     rc = main([
         "observe", "--server", "httpd", "--threads", "16",

@@ -213,27 +213,10 @@ def test_accumulator_no_drops_below_cap():
 
 
 # ---------------------------------------------------------------------------
-# trace-event surfacing in RunMetrics
+# RunMetrics.row columns
 # ---------------------------------------------------------------------------
 
 def test_run_metrics_trace_columns_absent_by_default():
     row = make_run_metrics().row()
     assert "trace_ev" not in row
     assert "trace_drop" not in row
-
-
-def test_run_metrics_trace_columns():
-    sim = Simulator()
-    hub = MetricsHub(sim, warmup=0.0, duration=10.0)
-    hub.record_reply(0.05, 0.02, 15_000)
-    m = RunMetrics.from_hub(
-        hub, clients=60, cpu_utilization=0.1, server_stats={},
-        trace_dropped=3,
-        trace_counts={"conn": 40, "http": 60},
-    )
-    assert m.trace_dropped == 3
-    assert m.trace_counts == {"conn": 40, "http": 60}
-    row = m.row()
-    assert row["trace_ev"] == 100
-    assert row["trace_drop"] == 3
-    assert "trace_ev" in format_table([row])

@@ -1,6 +1,8 @@
 """End-to-end observability: instrumented sim runs and live endpoints."""
 
+import dataclasses
 import time
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,8 @@ from repro.core.experiment import Experiment
 from repro.net import NetworkSpec
 from repro.obs import Registry, SpanRecorder
 from repro.osmodel import MachineSpec
+from repro.overload import AdaptiveTimeout, CoDelShedder, OverloadControl
+from repro.workload import SurgeConfig
 
 
 def _run_observed(kind, threads, clients=60):
@@ -83,6 +87,127 @@ def test_profiler_select_phase_only_on_event_driven():
     exp_httpd, _ = _run_observed("httpd", 64)
     assert exp_nio.profiler.cpu_seconds.get("select", 0.0) > 0.0
     assert "select" not in exp_httpd.profiler.cpu_seconds
+
+
+# ---------------------------------------------------------------------------
+# connection events as span marks
+# ---------------------------------------------------------------------------
+
+#: Think times far past the 15 s idle reap: reaped keep-alive
+#: connections, then resets when the client sends on one.
+LONG_THINKS = WorkloadSpec(
+    clients=10, duration=30.0, warmup=10.0, n_files=50,
+    surge=SurgeConfig(think_k=20.0, think_max=25.0, groups_per_session=2.0),
+)
+SHORT = WorkloadSpec(clients=60, duration=5.0, warmup=4.0)
+
+
+def _httpd_reaper():
+    return ServerSpec("httpd", 16)
+
+
+def _nio_reaper():
+    return ServerSpec(
+        "nio", 1,
+        overload=OverloadControl(timeout=AdaptiveTimeout(base=5.0, floor=2.0)),
+    )
+
+
+def _small_backlog():
+    return ServerSpec("httpd", 4, backlog=2)
+
+
+def _codel_stale_cap():
+    return ServerSpec(
+        "httpd", 4,
+        overload=OverloadControl(admission=CoDelShedder(stale_cap=0.5)),
+    )
+
+
+def _run(server, workload):
+    experiment = Experiment(server=server, workload=workload, seed=7)
+    return experiment, experiment.run()
+
+
+def _marked_spans(server, workload):
+    experiment, metrics = _run(
+        dataclasses.replace(server, observe=True), workload
+    )
+    recorder = experiment.recorder
+    assert recorder.dropped == 0  # every span of the run is in the ring
+    return list(recorder.spans), metrics.server_stats
+
+
+def _mark_counts(spans):
+    return Counter(name for span in spans for name, _ in span.events)
+
+
+@pytest.mark.parametrize(
+    "server", [_httpd_reaper, _nio_reaper], ids=["httpd-16", "nio-1-adaptive"]
+)
+def test_idle_reaps_are_span_marks(server):
+    spans, stats = _marked_spans(server(), LONG_THINKS)
+    assert _mark_counts(spans)["idle_reap"] == stats["idle_reaps"] > 0
+    for span in spans:
+        reaped = span.first("idle_reap")
+        if reaped is not None:
+            assert span.first("server_close") >= reaped
+    # The paper's reset mechanism: the client sends on a reaped connection.
+    assert any(
+        span.status == "reset"
+        and span.first("idle_reap") is not None
+        and span.first("idle_reap") < span.t_end
+        for span in spans
+    )
+
+
+@pytest.mark.parametrize(
+    "server,expected",
+    [
+        (_small_backlog, {"syn_drop": "syns_dropped"}),
+        (
+            _codel_stale_cap,
+            {"syn_shed": "requests_shed", "early_close": "early_closed"},
+        ),
+    ],
+    ids=["backlog-2", "codel-stale-cap"],
+)
+def test_listener_drops_are_span_marks(server, expected):
+    spans, stats = _marked_spans(server(), SHORT)
+    counts = _mark_counts(spans)
+    for mark, key in expected.items():
+        assert counts[mark] == stats[key] > 0
+    for span in spans:
+        closed_early = span.first("early_close")
+        if closed_early is not None:
+            assert span.first("server_close") == closed_early
+            assert span.first("accept") is None
+
+
+@pytest.mark.parametrize(
+    "server,workload",
+    [
+        pytest.param(lambda: ServerSpec("nio", 1), SHORT, id="nio-1"),
+        pytest.param(lambda: ServerSpec("httpd", 64), SHORT, id="httpd-64"),
+        pytest.param(lambda: ServerSpec("staged", 2), SHORT, id="staged-2"),
+        pytest.param(lambda: ServerSpec("amped", 2), SHORT, id="amped-2"),
+        pytest.param(_httpd_reaper, LONG_THINKS, id="httpd-16-long-think"),
+        pytest.param(_nio_reaper, LONG_THINKS, id="nio-1-adaptive-long-think"),
+        pytest.param(_small_backlog, SHORT, id="httpd-4-backlog-2"),
+        pytest.param(_codel_stale_cap, SHORT, id="httpd-4-codel"),
+    ],
+)
+def test_observation_changes_no_result(server, workload):
+    _, plain = _run(server(), workload)
+    _, observed = _run(dataclasses.replace(server(), observe=True), workload)
+    observed = dataclasses.asdict(observed)
+    # Drop the server_stats keys that exist only because observation is on.
+    observed["server_stats"] = {
+        key: value
+        for key, value in observed["server_stats"].items()
+        if key != "spans_unfinished" and not key.startswith("obs_")
+    }
+    assert observed == dataclasses.asdict(plain)
 
 
 # ---------------------------------------------------------------------------
