@@ -54,7 +54,7 @@ BENCH_EVENTS = {
     "test_kernel_event_dispatch": ("timeout_chain", 20_000),
     "test_cpu_processor_sharing_station": ("cpu_bursts", 10_000),
     "test_link_fluid_transmissions": ("link_transmissions", 20_000),
-    "test_kernel_idle_timeout_storm": ("idle_timeout_storm", 60_000),
+    "test_kernel_timed_wait_storm": ("timed_wait_storm", 60_000),
     # "events" here are population sessions (benchmarks/bench_scale.py).
     "test_fluid_scale_smoke": ("scale_smoke", 50_000),
 }

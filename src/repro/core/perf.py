@@ -4,9 +4,10 @@ Two measurements, two JSON artifacts:
 
 * :func:`measure_kernel` -> ``BENCH_kernel.json``: events/second of the
   four kernel micro-benchmarks (timeout chain, processor-sharing CPU
-  bursts, fluid-link transmissions, idle-timeout re-arm storm).  These
-  bound the dispatch cost the whole figure suite leans on (~10^7 events
-  per full regeneration).
+  bursts, fluid-link transmissions, timed-wait storm).  These bound the
+  dispatch cost the whole figure suite leans on (~10^7 events per full
+  regeneration).  :func:`kernel_runner` is the one copy of each; the
+  pytest-benchmark floors in ``benchmarks/bench_kernel.py`` call it.
 * :func:`measure_figures` -> ``BENCH_figures.json``: wall-clock seconds
   to regenerate paper figures serially and with a worker pool, plus the
   speedup.  This is the headline number for the parallel sweep runner.
@@ -32,19 +33,19 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "KERNEL_BENCHES",
+    "kernel_runner",
     "measure_kernel",
     "measure_figures",
     "measure_scale",
     "write_json",
 ]
 
-#: (name, runner, default event count).  Runners return the number of
-#: events they dispatched so events/sec = n / elapsed.
+#: Kernel micro-benchmark names (see :func:`kernel_runner`).
 KERNEL_BENCHES = (
     "timeout_chain",
     "cpu_bursts",
     "link_transmissions",
-    "idle_timeout_storm",
+    "timed_wait_storm",
 )
 
 
@@ -57,11 +58,13 @@ def _environment() -> Dict:
     }
 
 
-def _kernel_runner(name: str):
-    # Imported lazily so `repro.core` does not depend on benchmarks/.
+def kernel_runner(name: str):
+    """The micro-benchmark ``name`` as ``run(n)``, which does ``n`` events
+    on a fresh simulator and returns how many it did (events/sec = n /
+    elapsed)."""
     from ..net import Link
     from ..osmodel import CPU
-    from ..sim import Simulator
+    from ..sim import Simulator, Store
 
     if name == "timeout_chain":
         def run(n: int) -> int:
@@ -110,27 +113,37 @@ def _kernel_runner(name: str):
             return done[0]
 
         return run
-    if name == "idle_timeout_storm":
-        # The cancel-heavy benchmark: httpd's 4096-connection pool, each
-        # connection holding a 15 s idle-reap deadline that every batch
-        # of arrivals pushes back out (Timer.rearm), an O(1) node
-        # relocation on the timing wheel.
+    if name == "timed_wait_storm":
+        # httpd's 4096-connection pool, each connection parked in its
+        # 15 s idle-reap wait the way Connection.server_recv parks it,
+        # sim.within(inbox.get(), 15.0).  Every arrival beats the
+        # deadline, so it settles a wait, cancels that wait's timeout (an
+        # O(1) wheel unlink) and re-parks the connection.  Events are
+        # arrivals.
         def run(n: int) -> int:
             sim = Simulator()
             conns, batch, interval, idle = 4096, 128, 0.25, 15.0
-            reaped = [0]
+            inboxes = [Store(sim) for _ in range(conns)]
+            served = [0]
 
-            def reap(i: int) -> None:
-                reaped[0] += 1
+            def connection(inbox):
+                while True:
+                    get = inbox.get()
+                    yield sim.within(get, idle)
+                    if not get.triggered:  # reaped: never in the storm
+                        inbox.cancel(get)
+                        return
+                    served[0] += 1
 
-            timers = [sim.schedule_timer(idle, reap, i) for i in range(conns)]
-            state = [0, 0]  # rotation position, re-arms performed
+            for inbox in inboxes:
+                sim.process(connection(inbox))
+            state = [0, 0]  # rotation position, items put
 
             def driver() -> None:
                 pos, done = state
                 take = batch if batch <= n - done else n - done
                 for k in range(pos, pos + take):
-                    timers[k % conns].rearm(idle)
+                    inboxes[k % conns].put(k)
                 state[0] = (pos + take) % conns
                 state[1] = done + take
                 if state[1] < n:
@@ -138,9 +151,9 @@ def _kernel_runner(name: str):
 
             sim.call_later(interval, driver)
             # Stop after the last batch: the measured region is the storm
-            # itself, not the final drain of 4096 reaps.
+            # itself, not the final reap of 4096 idle connections.
             sim.run(until=interval * ((n + batch - 1) // batch + 1))
-            return state[1]
+            return served[0]
 
         return run
     raise ValueError(f"unknown kernel benchmark {name!r}")
@@ -173,13 +186,13 @@ def measure_kernel(
 
     results: Dict[str, Dict] = {}
     for name in KERNEL_BENCHES:
-        run = _kernel_runner(name)
+        run = kernel_runner(name)
         if name == "cpu_bursts":
             count = max(1, n // 2)
-        elif name == "idle_timeout_storm":
-            # The storm arms 4096 standing timers before the re-arm
-            # churn starts; it needs a longer run to amortise that setup
-            # into the per-op rate.
+        elif name == "timed_wait_storm":
+            # The storm parks 4096 connections before the first arrival;
+            # it needs a longer run to amortise that setup into the
+            # per-arrival rate.
             count = n * 3
         else:
             count = n
@@ -190,7 +203,7 @@ def measure_kernel(
             "events_per_second": round(count / best, 1),
         }
     return {
-        "schema": "repro-bench-kernel/5",
+        "schema": "repro-bench-kernel/6",
         "label": label,
         "rounds": rounds,
         "environment": _environment(),

@@ -563,6 +563,8 @@ class ListenSocket:
             self.syns_dropped += 1
             if self.probe is not None:
                 self.probe.on_drop(self.sim.now)
+            if conn.span is not None:
+                conn.span.mark("syn_drop")
             return False
         conn._kernel_bytes = self.kernel_bytes_per_conn
         conn._backlog_since = self.sim.now
@@ -630,9 +632,3 @@ class ListenSocket:
             if self._hand_over(conn):
                 return conn
 
-    def try_accept(self) -> Optional[Connection]:
-        """Non-blocking accept; returns ``None`` when the backlog is empty."""
-        while True:
-            conn = self._backlog.try_get()
-            if conn is None or self._hand_over(conn):
-                return conn

@@ -20,12 +20,13 @@ manager grows/shrinks the pool around the observed idle-thread count, so
 pool ramp-up effects can be studied (see the dynamic-pool ablation bench).
 
 Timer routing: this architecture is the kernel timing wheel's heaviest
-client — every request a worker serves arms a 15 s idle-reap pause in
-``server_recv`` that is almost always cancelled (O(1) wheel unlink) when
-the next request beats it, and dynamic-pool workers arm the same kind of
-pause in ``accept(timeout=...)``.  At 4096 threads that is thousands of
-live reap timers that never touch the event heap; the idle_timeout_storm
-kernel benchmark measures exactly this pattern.
+client — after every request a worker parks in ``server_recv``'s 15 s
+idle-reap timed wait (``sim.within``), whose timeout is almost always
+cancelled (O(1) wheel unlink) when the next request beats it, and
+dynamic-pool workers wait the same way in ``accept(timeout=...)``.  At
+4096 threads that is thousands of live reap timeouts that never touch
+the event heap; the timed_wait_storm kernel benchmark measures exactly
+this pattern.
 """
 
 from __future__ import annotations

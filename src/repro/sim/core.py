@@ -23,13 +23,13 @@ Design notes
 * Fast paths (see DESIGN.md "Kernel fast-path invariants"):
 
   - Same-instant lane: a push for the current instant — ``Event.succeed``
-    and ``fail`` (so also process completion, interrupts and relays) and
+    and ``fail`` (so also process completion and relays) and
     ``call_later(0, ...)`` — appends ``(seq, entry)`` to a deque instead
     of the heap.  Dispatch takes the heap top before the lane's head only
     when the top is due now and has the older sequence number, so the
-    dispatch order is exactly the heap's ``(time, seq)`` order.  Entries
-    with a cancel handle (:class:`Timeout`, :class:`Timer`) keep their
-    heap or wheel route, even at zero delay.
+    dispatch order is exactly the heap's ``(time, seq)`` order.  A
+    :class:`Timeout` has a cancel handle, so it keeps its heap or wheel
+    route even at zero delay.
   - :meth:`Simulator.call_later` schedules a pooled bare-callback entry
     instead of a :class:`Timeout` + lambda + callbacks list; the entry is
     recycled through a free list after it fires.
@@ -46,15 +46,16 @@ Design notes
     timeout after ``d``"): one :class:`TimedWait` and one pooled timeout,
     no child lists or value dict, and it cancels its losing timeout
     itself.
-  - Timeouts and :class:`Timer` callbacks at least one wheel tick out
-    (:data:`WHEEL_TICK`, 0.5 s) are staged on a hierarchical timing wheel
-    (:mod:`repro.sim.wheel`) instead of the heap: O(1) schedule and — via
-    :meth:`Timeout.cancel`, :meth:`Timer.cancel`, the interrupt path and
-    a timed wait's losing timeout — O(1) true cancel with no tombstone.
-    Due wheel slots are flushed *into* the heap, keys intact, before
-    dispatch can pass them, so the wheel never reorders anything.
-  - Cancelled entries that must stay heap-resident (sub-tick or
-    already-flushed timers) become tombstones (``_node is _DEAD``).
+  - Timeouts at least one wheel tick out (:data:`WHEEL_TICK`, 0.5 s) are
+    staged on a hierarchical timing wheel (:mod:`repro.sim.wheel`)
+    instead of the heap: O(1) schedule and — via :meth:`Timeout.cancel`,
+    which a timed wait calls on its losing timeout — O(1) true cancel
+    with no tombstone.  Due wheel slots are flushed *into* the heap, keys
+    intact, before dispatch can pass them, so the wheel never reorders
+    anything.  Bare callbacks are never cancelled, so they never ride
+    the wheel.
+  - Cancelled timeouts that must stay heap-resident (sub-tick or
+    already flushed) become tombstones (``_node is _DEAD``).
     Dispatch and :meth:`Simulator.peek` skip them, so a tombstone never
     moves the clock; the heap is compacted in place once tombstones
     exceed half the live entries (see ``tombstones_compacted``), so
@@ -78,10 +79,6 @@ Design notes
   bugs surface in tests instead of being silently dropped.
 * Determinism: ties in time are broken by a monotonically increasing
   sequence number, so runs are exactly reproducible for a fixed seed.
-* Interruption is *lazy*: :meth:`Process.interrupt` does not scan the old
-  target's callback list (which could hold thousands of waiters); it just
-  retargets the process and the stale callback is ignored when the old
-  event eventually fires.  This makes interrupt O(1) instead of O(n).
 """
 
 from __future__ import annotations
@@ -100,10 +97,8 @@ WHEEL_TICK = 0.5
 __all__ = [
     "Event",
     "Timeout",
-    "Timer",
     "Process",
     "TimedWait",
-    "Interrupted",
     "Simulator",
     "SimulationError",
 ]
@@ -120,9 +115,8 @@ _PENDING = object()
 #: tiny; the cap only bounds pathological churn).
 _POOL_MAX = 1024
 
-#: Marks a cancelled timer (``Timeout._node``) and a cancelled
-#: heap-resident callback entry (``_Callback._node``).  Distinct from
-#: None, which means "heap-resident and live".
+#: Marks a cancelled timeout (``Timeout._node``).  Distinct from None,
+#: which means "heap-resident and live".
 _DEAD = object()
 
 _INF = float("inf")
@@ -149,66 +143,29 @@ class _Callback:
     recycled through ``Simulator._cbpool`` after it fires.  The dispatch
     loop recognises it by ``callbacks is None``, which can never be true
     of a heap-resident :class:`Event` (events enter the heap only when
-    triggered and leave it processed).  ``_node`` is ``_DEAD`` once a
-    :class:`Timer` cancelled the entry in place: a tombstone, which
-    dispatch skips and never recycles.
+    triggered and leave it processed).
     """
 
-    __slots__ = ("fn", "args", "_node")
+    __slots__ = ("fn", "args")
 
     #: Read by the dispatch loop; distinguishes us from Event entries.
     callbacks = None
-
-    def __init__(self) -> None:
-        self._node = None
-
-
-# Wheel-vs-heap routing, one copy per entry flavour.  Both take the
-# ``(when, seq)`` key already assigned, so routing never perturbs
-# tie-breaking.  The sub-tick fast path (one inline ``heappush``) stays
-# at the call sites: it has no routing logic in it.
+    #: Read by the dispatch loop's tombstone check: a callback entry is
+    #: never cancelled.
+    _node = None
 
 
 def _route_timeout(sim: "Simulator", ev: "Timeout", when: float, seq: int) -> None:
     """Stage a wheel-eligible Timeout, falling back to the heap.
 
-    ``ev._node`` is the wheel node while staged, ``None`` when the wheel
-    declined (due within the current slot or beyond the horizon).
+    Takes the ``(when, seq)`` key already assigned, so routing never
+    perturbs tie-breaking.  ``ev._node`` is the wheel node while staged,
+    ``None`` when the wheel declined (due within the current slot or
+    beyond the horizon).
     """
-    ev._node = node = sim._wheel.schedule(when, seq, None, None, ev)
+    ev._node = node = sim._wheel.schedule(when, seq, ev)
     if node is None:
         heappush(sim._heap, (when, seq, ev))
-
-
-def _route_callback(
-    sim: "Simulator", timer: "Timer", delay: float, when: float, seq: int
-) -> None:
-    """Place a Timer-owned bare callback: wheel first, pooled heap entry
-    otherwise.
-
-    Wheel residency gives the O(1) true-cancel/rearm path; the heap
-    fallback (sub-tick delay, or the wheel declined) recycles a
-    ``_Callback`` entry and hands the handle over to tombstone
-    cancellation via ``timer._entry``.
-    """
-    if delay >= WHEEL_TICK:
-        node = sim._wheel.schedule(when, seq, timer._run, (), timer)
-        if node is not None:
-            timer._node = node
-            return
-    pool = sim._cbpool
-    cb = pool.pop() if pool else _Callback()
-    cb.fn = timer._run
-    cb.args = ()
-    timer._entry = cb
-    heappush(sim._heap, (when, seq, cb))
-
-
-def _bury(sim: "Simulator", entry: _Callback) -> None:
-    """Make a Timer's heap-resident callback entry a tombstone."""
-    entry._node = _DEAD
-    entry.fn = entry.args = None
-    sim._note_tombstone()
 
 
 class Event:
@@ -359,110 +316,6 @@ class Timeout(Event):
         return True
 
 
-class Timer:
-    """Cancellable handle for a bare scheduled callback.
-
-    Returned by :meth:`Simulator.schedule_timer` — the cancellable
-    sibling of :meth:`Simulator.call_later`.  The callback itself is the
-    same zero-Event fast path; the handle adds O(1) :meth:`cancel` by
-    tracking where the entry currently lives (wheel node, heap entry, or
-    already dead).  ``_run`` is the scheduled target: it marks the timer
-    dead *before* invoking the user callback so a ``cancel()`` after
-    firing can never corrupt a recycled heap entry.
-    """
-
-    __slots__ = ("sim", "fn", "args", "_node", "_entry", "_dead")
-
-    def __init__(self, sim: "Simulator", fn: Callable[..., Any], args: Any) -> None:
-        self.sim = sim
-        self.fn = fn
-        self.args = args
-        self._node = None
-        self._entry: Optional[_Callback] = None
-        self._dead = False
-
-    @property
-    def active(self) -> bool:
-        """True while the callback has neither fired nor been cancelled."""
-        return not self._dead
-
-    def cancel(self) -> bool:
-        """Cancel the pending callback; True if it had not fired yet."""
-        if self._dead:
-            return False
-        self._dead = True
-        node = self._node
-        if node is not None:
-            self._node = None
-            self.sim._wheel.unlink(node)
-            return True
-        entry = self._entry
-        if entry is not None:
-            # Heap-resident: mark the entry a tombstone in place.
-            # Dispatch skips it; compaction reclaims it early if
-            # tombstones accumulate.
-            self._entry = None
-            _bury(self.sim, entry)
-        return True
-
-    def rearm(self, delay: float, *args: Any) -> "Timer":
-        """Re-schedule this timer ``delay`` from now, superseding any
-        pending firing.
-
-        This is the one-call form of the paper's dominant timer pattern:
-        every request on a kept-alive connection pushes the idle-reap
-        deadline back out, so the timer is *moved* thousands of times for
-        every time it fires.  A wheel-resident timer relocates its node
-        in place — one unlink plus one link, no Timer, node, or heap
-        entry allocated.  Fired, cancelled, or heap-resident timers fall
-        back to cancel + fresh placement.  A new sequence number is
-        consumed either way, exactly as cancel + ``schedule_timer``
-        would, so the dispatch order is the reference kernel's.
-
-        ``args`` (if given) replace the callback arguments.  Returns
-        ``self`` so call sites can write ``timer = timer.rearm(d)``
-        uniformly with first-time arming.
-        """
-        sim = self.sim
-        if not 0.0 <= delay < _INF:
-            raise _bad_delay(delay)
-        if args:
-            self.args = args
-        sim._seq = seq = sim._seq + 1
-        when = sim.now + delay
-        node = self._node
-        if node is not None:
-            # Live and wheel-resident — the hot path.
-            if delay >= WHEEL_TICK and sim._wheel.move(node, when, seq):
-                return self
-            # move() already unlinked on failure; a sub-tick target
-            # bypasses it and unlinks here.
-            if delay < WHEEL_TICK:
-                sim._wheel.unlink(node)
-            self._node = None
-        else:
-            entry = self._entry
-            if entry is not None:
-                self._entry = None
-                _bury(sim, entry)
-            self._dead = False
-        _route_callback(sim, self, delay, when, seq)
-        return self
-
-    def _run(self) -> None:
-        self._dead = True
-        self._entry = None
-        self.fn(*self.args)
-
-
-class Interrupted(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class _Boot:
     """Pseudo-event that bootstraps a process generator.
 
@@ -489,7 +342,7 @@ class Process(Event):
     process event's value.
     """
 
-    __slots__ = ("_gen", "_target", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(
         self,
@@ -502,10 +355,7 @@ class Process(Event):
         super().__init__(sim)
         self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        # Bootstrap: resume the generator at the current time.  _target
-        # must point at the boot entry so the stale-wakeup check in
-        # _resume lets it through.
-        self._target: Any = _BOOT
+        # Bootstrap: resume the generator at the current time.
         sim.call_later(0.0, self._resume, _BOOT)
 
     @property
@@ -513,57 +363,8 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupted` into the process at the current time.
-
-        The event the process currently waits on is abandoned *lazily*:
-        its callback list is left untouched (removing from it would be
-        O(waiters)) and :meth:`_resume` discards the stale wakeup when the
-        old event eventually fires.  The process itself decides how to
-        recover inside an ``except Interrupted`` block.
-        """
-        if self._value is not _PENDING:
-            raise SimulationError("cannot interrupt a terminated process")
-        sim = self.sim
-        target = self._target
-        poke = Event(sim)
-        poke._value = Interrupted(cause)
-        poke._ok = False
-        poke._defused = True
-        poke.callbacks.append(self._resume)
-        sim._push(poke)
-        self._target = poke
-        # True-cancel the abandoned wait when it is provably private: a
-        # plain yielded timeout whose sole callback is our now-stale
-        # _resume.  (The recycling contract already forbids model code
-        # from re-inspecting a yielded timeout, so nothing can observe
-        # the difference between "fired stale" and "never fired".)
-        # Anything shared — gates, timed waits, user callbacks — keeps the
-        # lazy tombstone semantics: no O(waiters) scan.
-        if (
-            type(target) is Timeout
-            and target._pooled
-            and target.callbacks is not None
-            and len(target.callbacks) == 1
-        ):
-            node = target._node
-            if node is not None and node is not _DEAD:
-                sim._wheel.unlink(node)
-                target._node = _DEAD
-                if len(sim._tpool) < _POOL_MAX:
-                    sim._tpool.append(target)
-            elif node is None:
-                target.callbacks.clear()
-                target._node = _DEAD
-                sim._note_tombstone()
-
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if event is not self._target:
-            # Stale wakeup: interrupt() switched targets while this event
-            # was still pending (lazy cancellation tombstone).
-            return
-        self._target = None
         try:
             if event._ok:
                 nxt = self._gen.send(event._value)
@@ -594,7 +395,6 @@ class Process(Event):
                 # fires (the dispatch loop re-checks the waiter count).
                 nxt._pooled = True
             callbacks.append(self._resume)
-            self._target = nxt
         else:
             # Already processed: relay its outcome one push later.
             relay = Event(self.sim)
@@ -604,7 +404,6 @@ class Process(Event):
                 relay._defused = True
             relay.callbacks.append(self._resume)
             self.sim._push(relay)
-            self._target = relay
 
 
 class TimedWait(Event):
@@ -698,8 +497,8 @@ class Simulator:
         #: Free lists: recycled Timeouts / bare-callback entries.
         self._tpool: list = []
         self._cbpool: list = []
-        #: Timing wheel for cancellable long-horizon timers.
-        self._wheel = TimingWheel(WHEEL_TICK, _Callback)
+        #: Timing wheel for timeouts at least one tick out.
+        self._wheel = TimingWheel(WHEEL_TICK)
         #: Tombstones made since the last compaction (cancelled entries
         #: left on the heap), and how many times compaction reclaimed
         #: them early.
@@ -846,25 +645,6 @@ class Simulator:
         else:
             self._lane.append((seq, cb))
 
-    def schedule_timer(
-        self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> Timer:
-        """Like :meth:`call_later`, but returns a cancellable :class:`Timer`.
-
-        This is the API for the paper's dominant timer pattern — idle
-        reaps, retransmits, adaptive deadlines — where the timer is
-        re-armed or abandoned far more often than it fires.  Long delays
-        sit on the timing wheel (cancel = O(1) unlink); shorter delays,
-        zero included, keep the plain heap path and cancel by
-        neutralising the entry.
-        """
-        if not 0.0 <= delay < _INF:
-            raise _bad_delay(delay)
-        timer = Timer(self, fn, args)
-        self._seq = seq = self._seq + 1
-        _route_callback(self, timer, delay, self.now + delay, seq)
-        return timer
-
     # -- scheduling --------------------------------------------------------
     def _push(self, event: Event) -> None:
         """Schedule an already-triggered event for the current instant."""
@@ -939,7 +719,7 @@ class Simulator:
                         # first so staged entries keep their place in
                         # the total (time, seq) order.  _next is never
                         # stale-high, so no flush can be missed.
-                        wheel.advance(when, self)
+                        wheel.advance(when, heap)
                         continue
                     if when > bound:
                         break
@@ -953,7 +733,7 @@ class Simulator:
                 elif wheel._count:
                     if wheel._next > bound:
                         break
-                    wheel.advance(wheel._next, self)
+                    wheel.advance(wheel._next, heap)
                     continue
                 else:
                     break

@@ -1,15 +1,10 @@
-"""Shared-resource primitives built on the simulation kernel.
+"""The queue primitive built on the simulation kernel.
 
-Two primitives cover everything the server models need:
-
-* :class:`Resource` — a counted semaphore with a FIFO wait queue (worker
-  thread pools, accept mutexes, bounded buffers).
-* :class:`Store` — a FIFO queue of items with blocking ``get`` (ready-event
-  queues, accept backlogs, per-connection inboxes).
-
-Both support *cancellation* of pending requests so callers can race a
-request against a timeout (e.g. a client giving up on connect after 10 s)
-without leaking queue slots.
+:class:`Store` — a FIFO queue of items with blocking ``get`` — covers
+everything the server models need: ready-event queues, accept backlogs,
+per-connection inboxes.  A pending ``get`` can be *cancelled*, so a
+caller can race it against a timeout (``sim.within``, e.g. httpd's 15 s
+idle reap) without leaking a waiter.
 """
 
 from __future__ import annotations
@@ -19,83 +14,11 @@ from typing import Any, Deque, Optional
 
 from .core import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "StoreFull"]
+__all__ = ["Store", "StoreFull"]
 
 
 class StoreFull(Exception):
     """Raised by :meth:`Store.put` when a bounded store is at capacity."""
-
-
-class Resource:
-    """Counted semaphore with FIFO granting.
-
-    ``request()`` returns an event that succeeds once one of ``capacity``
-    slots is held by the caller.  Slots are returned with ``release()``.
-    """
-
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
-
-    def __init__(self, sim: Simulator, capacity: int) -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of pending (ungranted, uncancelled) requests."""
-        return sum(1 for ev in self._waiters if not ev.triggered)
-
-    def request(self) -> Event:
-        """Acquire a slot; the returned event succeeds when granted."""
-        ev = self.sim.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def cancel(self, request: Event) -> bool:
-        """Withdraw a pending request.
-
-        Returns True if the request was still pending and is now cancelled;
-        False if it had already been granted (the caller then owns a slot
-        and must ``release`` it).
-        """
-        if request.triggered:
-            return False
-        try:
-            self._waiters.remove(request)
-        except ValueError:
-            return False
-        # Mark as consumed so a late cancel()/grant cannot race.
-        request.succeed(None)
-        request.defuse()
-        return True
-
-    def release(self) -> None:
-        """Return a slot, granting the oldest pending request if any."""
-        if self._in_use <= 0:
-            raise SimulationError("release() without matching request()")
-        while self._waiters:
-            nxt = self._waiters.popleft()
-            if not nxt.triggered:
-                nxt.succeed()
-                return
-        self._in_use -= 1
 
 
 class Store:
@@ -199,7 +122,12 @@ class Store:
         return None
 
     def cancel(self, get_request: Event) -> bool:
-        """Withdraw a pending ``get``; mirrors :meth:`Resource.cancel`."""
+        """Withdraw a pending ``get``.
+
+        Returns True if the request was still pending and is now
+        cancelled; False if it had already been satisfied (the caller then
+        owns the item).
+        """
         if get_request.triggered or self._getters is None:
             return False
         try:

@@ -1,13 +1,15 @@
 """Hierarchical timing wheel: O(1) schedule, O(1) true cancel.
 
 The heap in :mod:`repro.sim.core` is the wrong data structure for the
-paper's timer-dominated workloads: httpd's 15 s idle reap, TCP SYN
-retransmits, adaptive overload timeouts, and heavy-tailed think times
-schedule vast numbers of timers that are *cancelled* before firing, yet
+paper's timer-dominated workloads: httpd's 15 s idle reap and the
+client's connect and reply deadlines are timed waits (``sim.within``)
+whose timeouts are nearly all *cancelled* before firing, yet on a heap
 each one pays an O(log n) ``heappush`` going in and a lazy tombstone
 coming out.  A hashed hierarchical timing wheel (Varghese & Lauck) makes
 both operations O(1): schedule links a node into a doubly-linked slot
-ring, cancel unlinks it — no tombstone, no heap growth.
+ring, cancel unlinks it — no tombstone, no heap growth.  Only
+:class:`repro.sim.core.Timeout` entries ride the wheel; bare callbacks
+are never cancelled and stay on the heap.
 
 Layout
 ------
@@ -19,12 +21,11 @@ a doubly-linked list headed by a pre-allocated sentinel node, so unlink
 is four pointer writes with no branches.  Nodes carry ``__slots__`` and
 recycle through a free list.
 
-The schedule/cancel pair is the benchmark-critical path (it runs once
-per simulated request under idle-reap load), so the wheel keeps *no*
-per-slot occupancy counts: rings answer "empty?" with a single
-``head.nxt is head`` pointer compare, and only :meth:`TimingWheel.advance`
-— which runs once per crossed tick boundary, thousands of times less
-often than schedule — pays for ring scans.
+The schedule/cancel pair is the hot path (it runs once per timed wait),
+so the wheel keeps *no* per-slot occupancy counts: rings answer "empty?"
+with a single ``head.nxt is head`` pointer compare, and only
+:meth:`TimingWheel.advance` — which runs once per crossed tick boundary,
+thousands of times less often than schedule — pays for ring scans.
 
 Order preservation (the load-bearing invariant)
 -----------------------------------------------
@@ -54,7 +55,7 @@ stale-high, which would delay a flush and break ordering.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 __all__ = ["TimingWheel"]
 
@@ -74,31 +75,21 @@ _INF = float("inf")
 class _WheelNode:
     """One scheduled entry in a slot ring (also used as ring sentinel).
 
-    ``fn is None`` marks an Event entry (``owner`` is the Timeout, pushed
-    into the heap as-is on flush); otherwise it is a bare callback entry
-    (``owner`` is the owning Timer handle, or ``None`` for an anonymous
-    callback) that flushes into a pooled ``_Callback`` heap entry.
+    ``ev`` is the staged Timeout, pushed into the heap as-is on flush.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "owner", "prev", "nxt")
+    __slots__ = ("time", "seq", "ev", "prev", "nxt")
 
     def __init__(self) -> None:
         self.time = 0.0
         self.seq = 0
-        self.fn: Optional[Callable[..., Any]] = None
-        self.args: Any = None
-        self.owner: Any = None
+        self.ev: Any = None
         self.prev: Optional["_WheelNode"] = None
         self.nxt: Optional["_WheelNode"] = None
 
 
 class TimingWheel:
-    """The wheel proper.  Owned by a :class:`repro.sim.core.Simulator`.
-
-    ``cb_class`` is the simulator's bare-callback heap-entry class,
-    passed in to avoid a circular import; flushed callback nodes are
-    wrapped in (pooled) instances of it.
-    """
+    """The wheel proper.  Owned by a :class:`repro.sim.core.Simulator`."""
 
     __slots__ = (
         "_ticks",
@@ -108,14 +99,13 @@ class TimingWheel:
         "_count",
         "_next",
         "_pool",
-        "_cb_class",
         "scheduled",
         "cancelled",
         "flushed",
         "cascaded",
     )
 
-    def __init__(self, tick: float, cb_class: type) -> None:
+    def __init__(self, tick: float) -> None:
         if tick <= 0:
             raise ValueError(f"wheel tick must be positive, got {tick!r}")
         self._ticks = [tick * _SLOTS**j for j in range(_LEVELS)]
@@ -137,7 +127,6 @@ class TimingWheel:
         #: Start time of the earliest (possibly stale-low) nonempty slot.
         self._next = _INF
         self._pool: List[_WheelNode] = []
-        self._cb_class = cb_class
         # Lifetime counters (exposed via Simulator.timer_stats()).
         self.scheduled = 0
         self.cancelled = 0
@@ -148,15 +137,8 @@ class TimingWheel:
         return self._count
 
     # -- scheduling ------------------------------------------------------
-    def schedule(
-        self,
-        time: float,
-        seq: int,
-        fn: Optional[Callable[..., Any]],
-        args: Any,
-        owner: Any,
-    ) -> Optional[_WheelNode]:
-        """Link an entry for ``(time, seq)``; return its node.
+    def schedule(self, time: float, seq: int, ev: Any) -> Optional[_WheelNode]:
+        """Link ``ev`` for ``(time, seq)``; return its node.
 
         Returns ``None`` when the entry does not fit — due within the
         current slot or beyond the coarsest level's revolution — in which
@@ -176,9 +158,7 @@ class TimingWheel:
                 node = pool.pop() if pool else _WheelNode()
                 node.time = time
                 node.seq = seq
-                node.fn = fn
-                node.args = args
-                node.owner = owner
+                node.ev = ev
                 head = self._rings[j][s & _MASK]
                 tail = head.prev
                 tail.nxt = node
@@ -199,54 +179,17 @@ class TimingWheel:
         node.nxt.prev = node.prev
         self._count -= 1
         self.cancelled += 1
-        node.prev = node.nxt = None
-        node.fn = node.args = node.owner = None
+        node.prev = node.nxt = node.ev = None
         pool = self._pool
         if len(pool) < _NODE_POOL_MAX:
             pool.append(node)
         # _next may now point at an emptied slot; advance() self-corrects.
 
-    def move(self, node: _WheelNode, time: float, seq: int) -> bool:
-        """Relocate a live node to a new ``(time, seq)`` in place.
-
-        The O(1) re-arm path (:meth:`repro.sim.core.Timer.rearm`): one
-        unlink plus one link, no pool round-trip, no handle churn.
-        Returns False when the new deadline does not fit on the wheel —
-        the node is then unlinked and the caller must fall back to the
-        heap.
-        """
-        cursor = self._cursor
-        inv = self._inv
-        for j in range(_LEVELS):
-            s = int(time * inv[j])
-            c = cursor[j]
-            if s < c:
-                break
-            if s - c < _SLOTS:
-                node.prev.nxt = node.nxt
-                node.nxt.prev = node.prev
-                node.time = time
-                node.seq = seq
-                head = self._rings[j][s & _MASK]
-                tail = head.prev
-                tail.nxt = node
-                node.prev = tail
-                node.nxt = head
-                head.prev = node
-                self.scheduled += 1
-                self.cancelled += 1
-                start = s * self._ticks[j]
-                if start < self._next:
-                    self._next = start
-                return True
-        self.unlink(node)
-        return False
-
     # -- flushing --------------------------------------------------------
-    def advance(self, t: float, sim: Any) -> None:
+    def advance(self, t: float, heap: list) -> None:
         """Flush every slot whose span starts at or before ``t``.
 
-        Due entries (level-0 slot reached) move onto ``sim``'s heap with
+        Due entries (level-0 slot reached) move onto ``heap`` with
         their original keys; the rest cascade into finer levels.  Called
         by the dispatch loop *before* it pops any heap entry with
         ``when >= _next``, which is what guarantees a wheel entry can
@@ -254,7 +197,6 @@ class TimingWheel:
         thousands of times less often than schedule/cancel, which is why
         the ring scans live here and not as counters on the hot path.
         """
-        heap = sim._heap
         cursor = self._cursor
         inv0 = self._inv[0]
         tgt0 = int(t * inv0)
@@ -277,13 +219,13 @@ class TimingWheel:
                 while node is not head:
                     nxt = node.nxt
                     if int(node.time * inv0) <= tgt0:
-                        self._emit(node, heap, sim._cbpool)
+                        self._emit(node, heap)
                     else:
                         # Not yet due: re-place at a finer level (its new
                         # slot starts after t, so it is never re-flushed
                         # within this advance).
                         self.cascaded += 1
-                        self._place(node, heap, sim._cbpool)
+                        self._place(node, heap)
                     node = nxt
         # Recompute the earliest nonempty slot.
         nxt_start = _INF
@@ -301,33 +243,20 @@ class TimingWheel:
                         break
         self._next = nxt_start
 
-    def _emit(self, node: _WheelNode, heap: list, cbpool: list) -> None:
-        """Move a due node onto the heap with its original (time, seq)."""
-        fn = node.fn
-        if fn is None:
-            ev = node.owner
-            ev._node = None
-            heappush(heap, (node.time, node.seq, ev))
-        else:
-            cb = cbpool.pop() if cbpool else self._cb_class()
-            cb.fn = fn
-            cb.args = node.args
-            owner = node.owner
-            if owner is not None:
-                # Hand the Timer handle over to heap-tombstone
-                # cancellation for the remainder of the entry's life.
-                owner._node = None
-                owner._entry = cb
-            heappush(heap, (node.time, node.seq, cb))
+    def _emit(self, node: _WheelNode, heap: list) -> None:
+        """Move a due node's Timeout onto the heap with its original
+        (time, seq); from then on it is heap-resident (``_node`` None)."""
+        ev = node.ev
+        ev._node = None
+        heappush(heap, (node.time, node.seq, ev))
         self.flushed += 1
         self._count -= 1
-        node.prev = node.nxt = None
-        node.fn = node.args = node.owner = None
+        node.prev = node.nxt = node.ev = None
         pool = self._pool
         if len(pool) < _NODE_POOL_MAX:
             pool.append(node)
 
-    def _place(self, node: _WheelNode, heap: list, cbpool: list) -> None:
+    def _place(self, node: _WheelNode, heap: list) -> None:
         """Re-link a cascading node at the finest level that fits it."""
         time = node.time
         cursor = self._cursor
@@ -348,7 +277,7 @@ class TimingWheel:
                     self._next = start
                 return
         # Precision edge (no level fits): the heap handles any time.
-        self._emit(node, heap, cbpool)
+        self._emit(node, heap)
 
     # -- inspection ------------------------------------------------------
     def earliest(self) -> float:

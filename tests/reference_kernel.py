@@ -4,8 +4,8 @@ It keeps one heap of ``[time, id, action]`` entries ordered by
 ``(time, id)`` and removes cancelled entries lazily: a cancel blanks the
 entry's action, and dispatch skips blank entries.  It has no free lists,
 no same-instant lane, no timing wheel and no compaction, and it shares no
-code with the production kernel apart from the two exception classes, so
-a bug in a production fast path cannot hide in both.
+code with the production kernel apart from its exception class, so a bug
+in a production fast path cannot hide in both.
 
 Every push takes the next id at the point where the production kernel
 takes its next sequence number, so the two must dispatch the same entries
@@ -16,9 +16,8 @@ sequences and compares what fires, when, and with which values; the
 experiments on both and compares their metrics.
 
 The API is the public part of ``repro.sim.Simulator``: ``now``,
-``event``, ``timeout`` (with ``cancel``), ``process`` (with
-``interrupt``), ``call_later``, ``schedule_timer`` (with ``cancel`` and
-``rearm``), ``within``, ``run``, ``peek``, ``run_process`` and
+``event``, ``timeout`` (with ``cancel``), ``process``, ``call_later``,
+``within``, ``run``, ``peek``, ``run_process`` and
 ``tombstones_compacted``, which servers report (always 0 here).
 """
 
@@ -27,9 +26,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional
 
-from repro.sim.core import Interrupted, SimulationError
+from repro.sim.core import SimulationError
 
-__all__ = ["Simulator", "Event", "Timeout", "Timer", "Process", "TimedWait"]
+__all__ = ["Simulator", "Event", "Timeout", "Process", "TimedWait"]
 
 _PENDING = object()
 _INF = float("inf")
@@ -107,40 +106,6 @@ class Timeout(Event):
         return True
 
 
-class Timer:
-    """A cancellable, re-armable bare callback."""
-
-    def __init__(self, sim: "Simulator", delay: float, fn: Callable, args: tuple) -> None:
-        self.sim = sim
-        self.fn = fn
-        self.args = args
-        self._entry = sim._schedule(delay, self._run)
-
-    @property
-    def active(self) -> bool:
-        return self._entry is not None
-
-    def cancel(self) -> bool:
-        if self._entry is None:
-            return False
-        self.sim._cancel(self._entry)
-        self._entry = None
-        return True
-
-    def rearm(self, delay: float, *args: Any) -> "Timer":
-        self.sim._check(delay)
-        if args:
-            self.args = args
-        if self._entry is not None:
-            self.sim._cancel(self._entry)
-        self._entry = self.sim._schedule(delay, self._run)
-        return self
-
-    def _run(self) -> None:
-        self._entry = None
-        self.fn(*self.args)
-
-
 class _Boot:
     """What a new process is first resumed with."""
 
@@ -157,32 +122,13 @@ class Process(Event):
         super().__init__(sim)
         self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Any = _Boot()
-        sim.call_later(0.0, self._resume, self._target)
+        sim.call_later(0.0, self._resume, _Boot())
 
     @property
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        if self._value is not _PENDING:
-            raise SimulationError("cannot interrupt a terminated process")
-        target = self._target
-        poke = Event(self.sim)
-        poke.callbacks.append(self._resume)
-        poke._defused = True
-        poke.fail(Interrupted(cause))
-        self._target = poke
-        # The old target keeps its stale callback, which _resume ignores.
-        # A timeout only this process waits on is cancelled, as in the
-        # production kernel; only peek() can tell the difference.
-        if type(target) is Timeout and target.callbacks and len(target.callbacks) == 1:
-            target.cancel()
-
     def _resume(self, event: Any) -> None:
-        if event is not self._target:
-            return
-        self._target = None
         try:
             if event._ok:
                 nxt = self._gen.send(event._value)
@@ -205,10 +151,8 @@ class Process(Event):
             relay.callbacks.append(self._resume)
             relay._defused = not nxt._ok
             relay._trigger(nxt._ok, nxt._value)
-            nxt = relay
         else:
             nxt.callbacks.append(self._resume)
-        self._target = nxt
 
 
 class TimedWait(Event):
@@ -294,10 +238,6 @@ class Simulator:
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
         self._check(delay)
         self._schedule(delay, lambda: fn(*args))
-
-    def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> Timer:
-        self._check(delay)
-        return Timer(self, delay, fn, args)
 
     def peek(self) -> float:
         entry = self._next_live()

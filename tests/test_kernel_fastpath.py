@@ -1,16 +1,16 @@
-"""Kernel fast paths: free lists, bare callbacks, lazy interrupt.
+"""Kernel fast paths: free lists and bare callbacks.
 
 The fast paths (see the :mod:`repro.sim.core` docstring and DESIGN.md)
 must be invisible to model code: same scheduling order, same values, same
 failure propagation — just fewer allocations.  These tests pin the
-recycling rules and the tombstone-interrupt semantics directly.
+recycling rules directly.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Interrupted, Simulator
+from repro.sim import Simulator
 from repro.sim.core import SimulationError, Timeout
 
 
@@ -177,114 +177,6 @@ def test_pooled_timeout_resets_value_and_state():
     sim.process(proc())
     sim.run()
     assert values == ["first", None, "third"]
-
-
-# -- lazy (tombstone) interrupt ---------------------------------------------
-
-def test_interrupt_delivers_cause_and_allows_recovery():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("overslept")
-        except Interrupted as exc:
-            log.append(("interrupted", exc.cause, sim.now))
-            yield sim.timeout(1.0)
-            log.append(("recovered", sim.now))
-
-    proc = sim.process(sleeper())
-    sim.call_later(2.0, proc.interrupt, "wake up")
-    sim.run()
-    assert log == [("interrupted", "wake up", 2.0), ("recovered", 3.0)]
-
-
-def test_interrupt_does_not_scan_or_disturb_other_waiters():
-    """Satellite requirement: interrupting one process among thousands of
-    waiters on a shared event is O(1) and leaves every other waiter
-    intact."""
-    sim = Simulator()
-    n = 3000
-    gate = sim.event()
-    woken = []
-    interrupted = []
-
-    def waiter(i):
-        try:
-            value = yield gate
-            woken.append((i, value))
-        except Interrupted:
-            interrupted.append(i)
-
-    procs = [sim.process(waiter(i)) for i in range(n)]
-    sim.run()  # boot everyone onto the gate
-
-    victim = procs[1234]
-    victim.interrupt()
-    # Lazy cancellation: the gate's callback list was not scanned.
-    assert len(gate.callbacks) == n
-    sim.call_later(1.0, gate.succeed, "open")
-    sim.run()
-
-    assert interrupted == [1234]
-    assert len(woken) == n - 1
-    assert all(value == "open" for _i, value in woken)
-    assert {i for i, _v in woken} == set(range(n)) - {1234}
-
-
-def test_stale_timeout_wakeup_is_ignored_after_interrupt():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(5.0)
-            log.append("timeout fired into process")
-        except Interrupted:
-            log.append("interrupted")
-            # Wait past the abandoned timeout's expiry: its wakeup at
-            # t=5 must be discarded as stale, not resume us early.
-            yield sim.timeout(10.0)
-            log.append(("slept", sim.now))
-
-    proc = sim.process(sleeper())
-    sim.call_later(1.0, proc.interrupt)
-    sim.run()
-    assert log == ["interrupted", ("slept", 11.0)]
-
-
-def test_interrupted_process_timeout_not_recycled_while_pending():
-    # The abandoned (tombstoned) timeout still sits in the heap; when it
-    # fires its sole callback is the stale _resume, which returns early.
-    # It must still be recycled safely *after* firing without corrupting
-    # the process's new wait.
-    sim = Simulator()
-    done = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(5.0)
-        except Interrupted:
-            yield sim.timeout(100.0)
-            done.append(sim.now)
-
-    proc = sim.process(sleeper())
-    sim.call_later(1.0, proc.interrupt)
-    sim.run()
-    assert done == [101.0]
-
-
-def test_interrupt_terminated_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(0.1)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 # -- workload caching (rides along with the perf work) -----------------------

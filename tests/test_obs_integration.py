@@ -124,14 +124,16 @@ def _codel_stale_cap():
     )
 
 
-def _run(server, workload):
-    experiment = Experiment(server=server, workload=workload, seed=7)
+def _run(server, workload, machine=MachineSpec(cpus=1)):
+    experiment = Experiment(
+        server=server, workload=workload, machine=machine, seed=7
+    )
     return experiment, experiment.run()
 
 
-def _marked_spans(server, workload):
+def _marked_spans(server, workload, machine=MachineSpec(cpus=1)):
     experiment, metrics = _run(
-        dataclasses.replace(server, observe=True), workload
+        dataclasses.replace(server, observe=True), workload, machine
     )
     recorder = experiment.recorder
     assert recorder.dropped == 0  # every span of the run is in the ring
@@ -162,18 +164,28 @@ def test_idle_reaps_are_span_marks(server):
 
 
 @pytest.mark.parametrize(
-    "server,expected",
+    "server,workload,machine,expected",
     [
-        (_small_backlog, {"syn_drop": "syns_dropped"}),
+        (_small_backlog, SHORT, MachineSpec(cpus=1), {"syn_drop": "syns_dropped"}),
         (
             _codel_stale_cap,
+            SHORT,
+            MachineSpec(cpus=1),
             {"syn_shed": "requests_shed", "early_close": "early_closed"},
         ),
+        # Kernel socket memory runs out before the backlog fills: every
+        # drop is a MemoryExhausted one.
+        (
+            lambda: ServerSpec("nio", 1),
+            WorkloadSpec(clients=400, duration=5.0, warmup=4.0),
+            MachineSpec(cpus=1, memory_bytes=4 << 20),
+            {"syn_drop": "syns_dropped"},
+        ),
     ],
-    ids=["backlog-2", "codel-stale-cap"],
+    ids=["backlog-2", "codel-stale-cap", "nio-1-socket-memory-4mib"],
 )
-def test_listener_drops_are_span_marks(server, expected):
-    spans, stats = _marked_spans(server(), SHORT)
+def test_listener_drops_are_span_marks(server, workload, machine, expected):
+    spans, stats = _marked_spans(server(), workload, machine)
     counts = _mark_counts(spans)
     for mark, key in expected.items():
         assert counts[mark] == stats[key] > 0

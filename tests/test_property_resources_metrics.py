@@ -1,39 +1,11 @@
-"""Property-based tests for resources, stores, metrics and charts."""
+"""Property-based tests for stores, metrics and charts."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import StatAccumulator
 from repro.metrics.plot import ascii_chart
-from repro.sim import Resource, Simulator, Store
-
-
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=1, max_size=40),
-)
-@settings(max_examples=50, deadline=None)
-def test_resource_never_exceeds_capacity_and_serves_all(capacity, holds):
-    """Concurrent holders never exceed capacity; every requester runs."""
-    sim = Simulator()
-    res = Resource(sim, capacity)
-    in_use_samples = []
-    completed = []
-
-    def user(i, hold):
-        req = res.request()
-        yield req
-        in_use_samples.append(res.in_use)
-        yield sim.timeout(hold)
-        res.release()
-        completed.append(i)
-
-    for i, hold in enumerate(holds):
-        sim.process(user(i, hold))
-    sim.run()
-    assert len(completed) == len(holds)
-    assert max(in_use_samples) <= capacity
-    assert res.in_use == 0
+from repro.sim import Simulator, Store
 
 
 @given(st.lists(st.integers(min_value=0, max_value=999), min_size=1, max_size=60))

@@ -9,13 +9,12 @@ and resumed the same processes at the same times with the same values,
 read the same clock and the same ``peek()``, and taken the same number
 of sequence numbers.
 
-The operations cover what the model does to the kernel: bare and
-cancellable callbacks, re-arms and cancels, timeouts with user callbacks,
-events triggered (successfully or not) from callbacks, later or never,
-timed-wait races won each way, interrupts of processes parked on a race
-or a timeout, timeouts shared by two waiters and re-read after they fire,
-cancelled timeouts at the head of the schedule, zero delays and delays
-``d > 0`` with ``now + d == now``, and the ways to dispatch:
+The operations cover what the model does to the kernel: bare callbacks,
+timeouts with user callbacks and their cancels, events triggered
+(successfully or not) from callbacks, later or never, timed-wait races
+won each way, timeouts shared by two waiters and re-read after they
+fire, cancelled timeouts at the head of the schedule, zero delays and
+delays ``d > 0`` with ``now + d == now``, and the ways to dispatch:
 ``run(until)``, ``run()`` to exhaustion, ``run(until=peek())`` one
 instant at a time and ``run_process()``.
 
@@ -35,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.sim import Interrupted, Simulator
+from repro.sim import Simulator
 from tests import reference_kernel
 
 #: Delay palette.  Exact repeats make same-instant ties common; 1e-17 is
@@ -43,12 +42,11 @@ from tests import reference_kernel
 #: gives heap entries due now that are older than the lane's head.
 DELAYS = (0.0, 1e-17, 0.1, 0.25, 0.5, 0.75, 1.0, 2.5, 4.0, 40.0)
 #: Operation kinds; see drive().
-KINDS = 18
+KINDS = 13
 #: Bound for the final drain: past every deadline any operation can set.
 DRAIN = 1e4
-#: Failures that escape dispatch: an event failed with no waiter, or a
-#: process interrupted before it started (the generator cannot catch it).
-RAISED = (KeyError, Interrupted)
+#: Failures that would escape dispatch: an event failed with no waiter.
+RAISED = (KeyError,)
 
 
 def drive(sim, ops):
@@ -61,7 +59,7 @@ def drive(sim, ops):
         return sim._seq if isinstance(sim, Simulator) else sim.pushes
 
     trace = []
-    timers, timeouts, events, racers = [], [], [], []
+    timeouts, events = [], []
 
     def fire(tag, *extra):
         trace.append((sim.now, tag) + extra)
@@ -75,22 +73,13 @@ def drive(sim, ops):
             ev.fail(KeyError(tag))
             ev.defuse()
 
-    def interrupt(proc, cause):
-        if proc.is_alive:
-            proc.interrupt(cause)
-
     def racer(i, ev, delay):
-        while True:
-            try:
-                won = yield sim.within(ev, delay)
-            except KeyError as exc:
-                fire(("race-failed", i), exc.args)
-                return
-            except Interrupted as intr:
-                fire(("race-interrupted", i), intr.cause)
-                continue  # re-park on the same event
-            fire(("race", i), won, ev.triggered)
+        try:
+            won = yield sim.within(ev, delay)
+        except KeyError as exc:
+            fire(("race-failed", i), exc.args)
             return
+        fire(("race", i), won, ev.triggered)
 
     def waiter(i, ev):
         try:
@@ -99,15 +88,6 @@ def drive(sim, ops):
             fire(("wait-failed", i), exc.args)
         else:
             fire(("waited", i), got)
-
-    def sleeper(i, delay):
-        try:
-            yield sim.timeout(delay)
-            fire(("slept", i))
-        except Interrupted as intr:
-            fire(("interrupted", i), intr.cause)
-            yield sim.timeout(delay)
-            fire(("resumed", i))
 
     def sharer(i, shared, pause):
         got = yield shared
@@ -148,60 +128,43 @@ def drive(sim, ops):
         if kind == 0:
             sim.call_later(delay, fire, ("cb", i))
         elif kind == 1:
-            timers.append(sim.schedule_timer(delay, fire, ("timer", i)))
-        elif kind == 2 and timers:
-            timers[pick % len(timers)].rearm(delay, ("rearm", i))
-        elif kind == 3 and timers:
-            fire(("timer-cancel", i), timers[pick % len(timers)].cancel())
-        elif kind == 4:
             timeout = sim.timeout(delay, value=i)
             timeout.callbacks.append(lambda ev, i=i: fire(("timeout", i), ev.value))
             timeouts.append(timeout)
-        elif kind == 5 and timeouts:
+        elif kind == 2 and timeouts:
             fire(("timeout-cancel", i), timeouts[pick % len(timeouts)].cancel())
-        elif kind == 6:
+        elif kind == 3:
             ev = sim.event()
             ev.callbacks.append(lambda ev, i=i: fire(("event", i), ev.triggered))
             events.append(ev)
             if pick < 6:  # else: never triggered
                 sim.call_later(delay, trigger, ev, i, pick < 4)
-        elif kind == 7:
+        elif kind == 4:
             if not events or pick == 0:
                 events.append(sim.event())
-            racers.append(
-                sim.process(racer(i, events[pick % len(events)], delay))
-            )
-        elif kind == 8 and racers:
-            proc = racers[pick % len(racers)]
-            if pick % 2:
-                interrupt(proc, i)
-            else:
-                sim.call_later(delay, interrupt, proc, i)
-        elif kind == 9:
-            proc = sim.process(sleeper(i, WHEEL_DELAYS[pick % len(WHEEL_DELAYS)]))
-            sim.call_later(delay, interrupt, proc, i)
-        elif kind == 10:
+            sim.process(racer(i, events[pick % len(events)], delay))
+        elif kind == 5:
             shared = sim.timeout(delay, value=("shared", i))
             sim.process(sharer(i, shared, None))
             sim.process(sharer(-i, shared, DELAYS[pick % len(DELAYS)]))
-        elif kind == 11 and events:
+        elif kind == 6 and events:
             trigger(events[pick % len(events)], i, pick % 3 != 0)
-        elif kind == 12:
+        elif kind == 7:
             if not events or pick == 0:
                 events.append(sim.event())
             sim.process(waiter(i, events[pick % len(events)]))
-        elif kind == 13:
+        elif kind == 8:
             dispatch("run", sim.now + delay)
-        elif kind == 14:
+        elif kind == 9:
             dispatch("peek", sim.now + delay)
-        elif kind == 15:
+        elif kind == 10:
             try:
                 fire(("returned", i), sim.run_process(sim.process(finisher(i, delay))))
             except RAISED as exc:
                 fire(("raised", type(exc).__name__), exc.args)
-        elif kind == 16:
+        elif kind == 11:
             dispatch("drain", None)
-        elif kind == 17:
+        elif kind == 12:
             # A cancelled timeout ahead of a live callback: neither the
             # clock nor peek() may stop at the cancelled one.
             doomed = sim.timeout(delay)
@@ -216,10 +179,6 @@ def drive(sim, ops):
             fire(("raised", type(exc).__name__), exc.args)
     yield trace
 
-
-#: Sleeper delays at least one wheel tick out, so the wheel's
-#: interrupt path (unlink and recycle) is taken when the wheel is on.
-WHEEL_DELAYS = (0.5, 1.0, 2.5, 4.0)
 
 ops_strategy = st.lists(
     st.tuples(
@@ -252,12 +211,12 @@ def test_reference_agrees_on_a_same_instant_tie():
     """A fixed case the property must always cover: a heap entry due now
     with an older sequence number than the lane's head goes first."""
     ops = [
-        (13, 6, 0),  # run to t=1: 1e-17 is now absorbed
+        (8, 6, 0),  # run to t=1: 1e-17 is now absorbed
         (0, 1, 0),  # call_later(1e-17): heap-resident, due now
-        (6, 0, 7),  # an event (never triggered by a callback) ...
-        (11, 0, 1),  # ... triggered now: a lane entry, younger
+        (3, 0, 7),  # an event (never triggered by a callback) ...
+        (6, 0, 1),  # ... triggered now: a lane entry, younger
         (0, 0, 0),  # call_later(0): lane
-        (14, 0, 0),  # run(until=peek()) through the instant
+        (9, 0, 0),  # run(until=peek()) through the instant
     ]
     assert_same_dispatch(ops)
 
@@ -267,9 +226,9 @@ def test_reference_agrees_when_run_ends_after_a_cancelled_timeout():
     not move the clock: ``run()`` ends at 0.1, not at 0.25."""
     ops = [
         (0, 2, 0),  # call_later(0.1)
-        (4, 3, 0),  # timeout(0.25), heap-resident ...
-        (5, 0, 0),  # ... cancelled
-        (16, 0, 0),  # run() to exhaustion
+        (1, 3, 0),  # timeout(0.25), heap-resident ...
+        (2, 0, 0),  # ... cancelled
+        (11, 0, 0),  # run() to exhaustion
     ]
     assert_same_dispatch(ops)
 
@@ -277,15 +236,15 @@ def test_reference_agrees_when_run_ends_after_a_cancelled_timeout():
 def test_reference_agrees_on_peek_over_a_cancelled_head():
     """A cancelled timeout at the head of the heap is not the next event:
     ``peek()`` reports the live callback behind it."""
-    assert_same_dispatch([(17, 3, 2)])  # 0.25 cancelled; live at 0.35
-    assert_same_dispatch([(4, 2, 0), (5, 0, 0), (0, 4, 0)])  # 0.1 dead; 0.5
+    assert_same_dispatch([(12, 3, 2)])  # 0.25 cancelled; live at 0.35
+    assert_same_dispatch([(1, 2, 0), (2, 0, 0), (0, 4, 0)])  # 0.1 dead; 0.5
 
 
 # -- model code keeps to the public kernel API --------------------------------
 
 #: Kernel classes model code must not build itself: it asks the simulator
 #: (``sim.event()``, ``sim.timeout()``, ...), so any kernel can serve.
-KERNEL_CLASSES = {"Event", "Timeout", "Timer", "Process", "TimedWait"}
+KERNEL_CLASSES = {"Event", "Timeout", "Process", "TimedWait"}
 
 
 def kernel_api_violations(source, filename="<model>"):

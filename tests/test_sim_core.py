@@ -6,7 +6,6 @@ import weakref
 import pytest
 
 from repro.sim import (
-    Interrupted,
     SimulationError,
     Simulator,
     Store,
@@ -234,53 +233,6 @@ def test_process_can_wait_on_another_process():
     p = sim.process(outer())
     assert sim.run_process(p) == "inner-done"
     assert sim.now == 2.0
-
-
-def test_interrupt_wakes_process_early():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept full")
-        except Interrupted as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-
-    p = sim.process(sleeper())
-    sim.call_later(3.0, p.interrupt, "wake-up")
-    sim.run()
-    assert log == [("interrupted", 3.0, "wake-up")]
-
-
-def test_interrupt_terminated_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    trace = []
-
-    def resilient():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupted:
-            pass
-        yield sim.timeout(1.0)
-        trace.append(sim.now)
-
-    p = sim.process(resilient())
-    sim.call_later(2.0, p.interrupt)
-    sim.run()
-    assert trace == [3.0]
 
 
 # -- timed waits: sim.within(event, delay) ----------------------------------
@@ -707,11 +659,9 @@ def test_only_the_kernel_assigns_now():
 # -- delays must be finite numbers >= 0 ---------------------------------------
 
 DELAY_ENTRY_POINTS = {
-    "timeout": lambda sim, timer, d: sim.timeout(d),
-    "call_later": lambda sim, timer, d: sim.call_later(d, lambda: None),
-    "schedule_timer": lambda sim, timer, d: sim.schedule_timer(d, lambda: None),
-    "rearm": lambda sim, timer, d: timer.rearm(d),
-    "within": lambda sim, timer, d: sim.within(sim.event(), d),
+    "timeout": lambda sim, d: sim.timeout(d),
+    "call_later": lambda sim, d: sim.call_later(d, lambda: None),
+    "within": lambda sim, d: sim.within(sim.event(), d),
 }
 
 
@@ -724,12 +674,12 @@ DELAY_ENTRY_POINTS = {
 def test_bad_delays_are_rejected(entry, delay):
     sim = Simulator()
     fired = []
-    # A wheel-resident timer: rearm's target, a bystander for the rest.
-    timer = sim.schedule_timer(1.0, fired.append, "armed")
+    # A wheel-resident bystander.
+    sim.timeout(1.0).callbacks.append(lambda _ev: fired.append("armed"))
     seq = sim._seq
     with pytest.raises(SimulationError, match="finite number >= 0"):
-        entry(sim, timer, delay)
-    # Nothing was scheduled, and the armed timer still fires once.
+        entry(sim, delay)
+    # Nothing was scheduled, and the armed timeout still fires once.
     assert sim._seq == seq
     sim.run()
     assert fired == ["armed"]

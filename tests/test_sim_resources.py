@@ -1,106 +1,8 @@
-"""Unit tests for Resource and Store primitives."""
+"""Unit tests for the Store primitive."""
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Simulator, Store, StoreFull
-
-
-# ---------------------------------------------------------------------------
-# Resource
-# ---------------------------------------------------------------------------
-
-def test_resource_grants_up_to_capacity_immediately():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    assert r1.triggered and r2.triggered
-    assert not r3.triggered
-    assert res.in_use == 2
-    assert res.available == 0
-    assert res.queue_length == 1
-
-
-def test_resource_release_grants_fifo():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.request()
-    second = res.request()
-    third = res.request()
-    res.release()
-    assert second.triggered
-    assert not third.triggered
-    res.release()
-    assert third.triggered
-
-
-def test_resource_release_without_request_raises():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_cancel_pending_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.request()
-    pending = res.request()
-    assert res.cancel(pending) is True
-    assert res.queue_length == 0
-    # Releasing must not grant the cancelled request; slot becomes free.
-    res.release()
-    assert res.in_use == 0
-    sim.run()  # cancelled event is defused; nothing raises
-
-
-def test_resource_cancel_granted_request_returns_false():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    granted = res.request()
-    assert res.cancel(granted) is False
-    assert res.in_use == 1
-
-
-def test_resource_release_skips_cancelled_waiters():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.request()
-    a = res.request()
-    b = res.request()
-    res.cancel(a)
-    res.release()
-    assert b.triggered
-    sim.run()
-
-
-def test_resource_process_integration():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    trace = []
-
-    def worker(tag, hold):
-        req = res.request()
-        yield req
-        trace.append((tag, "start", sim.now))
-        yield sim.timeout(hold)
-        res.release()
-        trace.append((tag, "end", sim.now))
-
-    sim.process(worker("a", 2.0))
-    sim.process(worker("b", 1.0))
-    sim.run()
-    assert trace == [
-        ("a", "start", 0.0),
-        ("a", "end", 2.0),
-        ("b", "start", 2.0),
-        ("b", "end", 3.0),
-    ]
+from repro.sim import SimulationError, Simulator, Store, StoreFull
 
 
 # ---------------------------------------------------------------------------

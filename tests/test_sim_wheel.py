@@ -1,12 +1,13 @@
 """Unit and property tests for the hierarchical timing wheel.
 
-The wheel (repro.sim.wheel) stages cancellable timers in front of the
-dispatch heap; its contract is that it changes *nothing* about what fires
-when — only what schedule/cancel cost.  The property tests at the bottom
-hammer exactly that: a random interleaving of schedules, cancels,
-re-arms, interrupts, processes and time advances must produce an
-identical firing history on the production kernel and on the naive
-reference kernel (tests/reference_kernel.py), which has no wheel.
+The wheel (repro.sim.wheel) stages timeouts at least one tick out in
+front of the dispatch heap; its contract is that it changes *nothing*
+about what fires when — only what schedule/cancel cost.  The property
+tests at the bottom hammer exactly that: a random interleaving of
+timeouts, cancels, callbacks, processes, timed waits and time advances
+must produce an identical firing history on the production kernel and
+on the naive reference kernel (tests/reference_kernel.py), which has no
+wheel.
 """
 
 import random
@@ -15,16 +16,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupted, Simulator
+from repro.sim import Simulator
 from repro.sim.wheel import TimingWheel
 from tests import reference_kernel
 
 
+def arm(sim, delay, fired, tag):
+    """A timeout ``delay`` out whose callback records ``tag``: how these
+    tests put one entry on the wheel (or, sub-tick, on the heap)."""
+    ev = sim.timeout(delay)
+    ev.callbacks.append(lambda _ev: fired.append(tag))
+    return ev
+
+
 def test_wheel_rejects_bad_tick():
     with pytest.raises(ValueError):
-        TimingWheel(0.0, object)
+        TimingWheel(0.0)
     with pytest.raises(ValueError):
-        TimingWheel(-1.0, object)
+        TimingWheel(-1.0)
 
 
 def test_simulator_wheel_flag():
@@ -55,92 +64,6 @@ def test_benchmark_harness_contract():
         assert key in stats, key
 
 
-def test_timer_fires_with_args():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(3.0, lambda a, b: fired.append((sim.now, a, b)),
-                               "x", 7)
-    assert timer.active
-    sim.run()
-    assert fired == [(3.0, "x", 7)]
-    assert not timer.active
-
-
-def test_timer_cancel_wheel_resident():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(5.0, fired.append, 1)
-    assert len(sim._wheel) == 1
-    assert timer.cancel() is True
-    assert timer.cancel() is False  # idempotent
-    assert len(sim._wheel) == 0
-    sim.run()
-    assert fired == []
-    stats = sim.timer_stats()
-    assert stats["wheel_cancelled"] == 1
-    assert stats["tombstones"] == 0  # true cancel leaves no heap trace
-
-
-def test_timer_cancel_heap_resident():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(0.1, fired.append, 1)  # sub-tick -> heap
-    assert len(sim._wheel) == 0
-    assert timer.cancel() is True
-    sim.run()
-    assert fired == []
-    assert sim.timer_stats()["wheel_cancelled"] == 0
-
-
-def test_timer_cancel_after_fire_is_false():
-    sim = Simulator()
-    timer = sim.schedule_timer(1.0, lambda: None)
-    sim.run()
-    assert timer.cancel() is False
-
-
-def test_timer_rearm_supersedes_pending_firing():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(5.0, fired.append, "a")
-    assert timer.rearm(9.0, "b") is timer
-    sim.run()
-    assert fired == [("b")] and sim.now == 9.0
-
-
-def test_timer_rearm_revives_after_fire_and_cancel():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(1.0, fired.append, "a")
-    sim.run()
-    timer.rearm(2.0, "b")  # fired -> fresh placement
-    sim.run()
-    timer.rearm(3.0, "c")
-    timer.cancel()
-    timer.rearm(4.0, "d")  # cancelled -> fresh placement
-    sim.run()
-    assert fired == ["a", "b", "d"]
-
-
-def test_timer_rearm_crosses_wheel_heap_boundary():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(15.0, fired.append, "long")
-    timer.rearm(0.01, "short")  # wheel node -> sub-tick heap entry
-    sim.run()
-    timer.rearm(15.0, "long2")  # heap history -> wheel node again
-    sim.run()
-    assert fired == ["short", "long2"]
-    assert sim.now == pytest.approx(0.01 + 15.0)
-
-
-def test_timer_rearm_rejects_negative_delay():
-    sim = Simulator()
-    timer = sim.schedule_timer(1.0, lambda: None)
-    with pytest.raises(Exception):
-        timer.rearm(-0.5)
-
-
 def test_wheel_multi_level_cascade():
     sim = Simulator()
     fired = []
@@ -149,7 +72,7 @@ def test_wheel_multi_level_cascade():
     # early or late.
     delays = [2.0, 45.0, 4000.0]
     for d in delays:
-        sim.schedule_timer(d, fired.append, d)
+        arm(sim, d, fired, d)
     sim.run()
     assert fired == sorted(delays)
     assert sim.now == max(delays)
@@ -161,8 +84,8 @@ def test_wheel_beyond_horizon_falls_back_to_heap():
     fired = []
     delays = [2.0, 45.0, 4000.0, 500_000.0]  # last is past the horizon
     for d in delays:
-        sim.schedule_timer(d, fired.append, d)
-    assert len(sim._wheel) == 3  # the far-future timer went to the heap
+        arm(sim, d, fired, d)
+    assert len(sim._wheel) == 3  # the far-future timeout went to the heap
     sim.run()
     # The heap entry at 500000 makes the dispatch loop flush the whole
     # wheel up front (early flush into the heap is always safe — the
@@ -176,9 +99,9 @@ def test_wheel_equal_time_preserves_schedule_order():
     fired = []
     # Same deadline via the wheel (long) and the heap (short, scheduled
     # from a later start): sequence numbers must break the tie.
-    sim.schedule_timer(4.0, fired.append, "wheel-first")
+    arm(sim, 4.0, fired, "wheel-first")
     sim.call_later(4.0, fired.append, "heap-second")
-    sim.schedule_timer(4.0, fired.append, "wheel-third")
+    arm(sim, 4.0, fired, "wheel-third")
     sim.run()
     assert fired == ["wheel-first", "heap-second", "wheel-third"]
 
@@ -220,14 +143,15 @@ def test_tombstone_compaction_bounds_heap_growth():
 
 def test_peek_sees_wheel_residents():
     sim = Simulator()
-    sim.schedule_timer(7.25, lambda: None)
+    arm(sim, 7.25, [], "peeked")
     assert sim.peek() == pytest.approx(7.25)
 
 
 def test_timer_stats_accounting():
     sim = Simulator()
-    t1 = sim.schedule_timer(5.0, lambda: None)
-    sim.schedule_timer(6.0, lambda: None)
+    fired = []
+    t1 = arm(sim, 5.0, fired, "cancelled")
+    arm(sim, 6.0, fired, "fired")
     t1.cancel()
     sim.run()
     stats = sim.timer_stats()
@@ -236,6 +160,8 @@ def test_timer_stats_accounting():
     assert stats["wheel_cancelled"] == 1
     assert stats["wheel_flushed"] == 1
     assert stats["wheel_pending"] == 0
+    assert stats["tombstones"] == 0  # a wheel cancel leaves no heap trace
+    assert fired == ["fired"]
 
 
 # ---------------------------------------------------------------------------
@@ -248,35 +174,28 @@ def _random_history(seed: int, sim, ops: int = 400):
     history."""
     rng = random.Random(seed)
     fired = []
-    live = []  # Timer handles that may still be pending
-    timeouts = []  # cancellable Timeout events
+    live = []  # timeouts that may still be pending
 
     for step in range(ops):
         roll = rng.random()
-        if roll < 0.40:
+        if roll < 0.45:
             delay = rng.choice(
-                [0.05, 0.3, 0.9, 2.7, 15.0, 40.0, 90.0, 3000.0, 200_000.0]
+                [0.05, 0.2, 0.3, 0.9, 2.7, 5.0, 15.0, 33.0, 40.0, 90.0,
+                 3000.0, 200_000.0]
             )
-            idx = step  # unique label
-            live.append(sim.schedule_timer(delay, fired.append, idx))
-        elif roll < 0.55 and live:
+            live.append(arm(sim, delay, fired, step))
+        elif roll < 0.65 and live:
             live.pop(rng.randrange(len(live))).cancel()
-        elif roll < 0.70 and live:
-            timer = live[rng.randrange(len(live))]
-            timer.rearm(rng.choice([0.1, 1.5, 16.0, 64.0]), (step, "rearm"))
         elif roll < 0.80:
-            ev = sim.timeout(rng.choice([0.2, 5.0, 33.0]))
-            ev.callbacks.append(
-                lambda e, i=step: fired.append((i, "timeout"))
-            )
-            timeouts.append(ev)
-        elif roll < 0.90 and timeouts:
-            timeouts.pop(rng.randrange(len(timeouts))).cancel()
+            # Bare callbacks stay on the heap at any delay, so they
+            # interleave with wheel-staged timeouts due in the same slots.
+            delay = rng.choice([0.1, 1.5, 16.0, 64.0])
+            sim.call_later(delay, fired.append, (step, "cb"))
         else:
             sim.run(until=sim.now + rng.choice([0.1, 0.7, 3.0, 21.0]))
         fired.append(("now", round(sim.now, 9)))
     # Drain to exhaustion: the clock stops at the last live entry, never
-    # at a cancelled timer's tombstone (DESIGN.md §9).
+    # at a cancelled timeout's tombstone (DESIGN.md §9).
     sim.run()
     fired.append(("end", round(sim.now, 9)))
     return fired
@@ -290,21 +209,22 @@ def test_property_wheel_matches_heap_firing_order(seed):
 
 
 # ---------------------------------------------------------------------------
-# Property: production == reference, with processes and interrupts too.
+# Property: production == reference, with processes and timed waits too.
 # ---------------------------------------------------------------------------
 
 
 def _interleaving_trace(sim, ops):
     """Drive ``sim`` through an op schedule; return the firing trace.
 
-    Op kinds: 0 ``call_later``, 1 ``schedule_timer``, 2 ``rearm``,
-    3 ``cancel``, 4 a two-timeout process, 5 a process parked on a
-    timeout at least one wheel tick out that is interrupted while
-    parked.  On the production kernel that interrupt unlinks the timeout
-    and recycles it (or tombstones it once flushed).
+    Op kinds: 0 ``call_later``, 1 a timeout with a callback, 2 ``cancel``
+    of one, 3 a two-timeout process, 4 a process parked in
+    ``sim.within(event, delay)`` at least one wheel tick out, whose event
+    is triggered at ``b * delay``.  On the production kernel a wait that
+    the event wins unlinks its timeout from the wheel and recycles it (or
+    tombstones it once flushed).
     """
     trace = []
-    timers = []
+    timeouts = []
 
     def fire(tag):
         trace.append((round(sim.now, 9), tag))
@@ -314,31 +234,27 @@ def _interleaving_trace(sim, ops):
             yield sim.timeout(d)
             fire(("proc", pid, i))
 
-    def sleeper(pid, delay):
-        try:
-            yield sim.timeout(delay)
-            fire(("slept", pid))
-        except Interrupted as intr:
-            fire(("interrupted", pid, intr.cause))
-            # Re-park: on the wheel path this reuses the recycled Timeout.
-            yield sim.timeout(delay)
-            fire(("resumed", pid))
+    def parked(pid, ev, delay):
+        won = yield sim.within(ev, delay)
+        fire(("woke", pid, won, ev.triggered))
+        # Re-park: on the wheel path this reuses the recycled Timeout.
+        yield sim.timeout(delay)
+        fire(("resumed", pid))
 
     for i, (kind, a, b) in enumerate(ops):
         if kind == 0:
             sim.call_later(a, fire, ("cb", i))
         elif kind == 1:
-            timers.append(sim.schedule_timer(a, fire, ("timer", i)))
-        elif kind == 2 and timers:
-            timers[int(b * len(timers)) % len(timers)].rearm(a)
-        elif kind == 3 and timers:
-            timers[int(b * len(timers)) % len(timers)].cancel()
-        elif kind == 5:
+            timeout = sim.timeout(a)
+            timeout.callbacks.append(lambda _ev, i=i: fire(("timeout", i)))
+            timeouts.append(timeout)
+        elif kind == 2 and timeouts:
+            timeouts[int(b * len(timeouts)) % len(timeouts)].cancel()
+        elif kind == 4:
             delay = 0.5 + a  # >= one default wheel tick
-            proc = sim.process(sleeper(i, delay))
-            # At b == 1 the interrupt ties with the deadline and wins
-            # on sequence number, so the process is always still parked.
-            sim.call_later(b * delay, proc.interrupt, i)
+            ev = sim.event()
+            sim.process(parked(i, ev, delay))
+            sim.call_later(b * delay, ev.succeed, i)
         else:
             sim.process(two_waits(i, [a, b]))
     sim.run()
@@ -347,7 +263,7 @@ def _interleaving_trace(sim, ops):
 
 op_strategy = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=4),
         st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     ),
@@ -359,40 +275,8 @@ op_strategy = st.lists(
 @given(ops=op_strategy)
 @settings(max_examples=60, deadline=None)
 def test_random_interleavings_dispatch_identically(ops):
-    """Any mix of timeouts, timers, re-arms, cancels, processes and
-    interrupts fires in the same order on both kernels."""
+    """Any mix of timeouts, cancels, callbacks, processes and timed waits
+    fires in the same order on both kernels."""
     assert _interleaving_trace(Simulator(), ops) == _interleaving_trace(
         reference_kernel.Simulator(), ops
     )
-
-
-def test_interrupt_of_wheel_parked_process_unlinks_and_recycles():
-    """Op kind 5 really takes the wheel branch (unlink + recycle) for a
-    timeout at least one tick out, and the tombstone branch for a
-    sub-tick one."""
-    for delay, on_wheel in ((3.5, True), (0.375, False)):
-        sim = Simulator()
-        seen = []
-
-        def sleeper():
-            try:
-                seen.append((yield sim.timeout(delay)))
-            except Interrupted:
-                seen.append(sim.now)
-                ev = sim.timeout(delay)
-                seen.append(ev)
-                yield ev
-
-        proc = sim.process(sleeper())
-        parked = []
-        sim.call_later(delay / 7, lambda: parked.append(proc._target))
-        sim.call_later(delay / 4, proc.interrupt)
-        sim.run()
-        stats = sim.timer_stats()
-        if on_wheel:
-            assert stats["wheel_cancelled"] == 1 and stats["tombstones"] == 0
-            assert seen[1] is parked[0]  # the unlinked Timeout was reused
-        else:
-            assert stats["wheel_scheduled"] == 0 and stats["tombstones"] == 1
-            assert seen[1] is not parked[0]
-        assert seen[0] == delay / 4 and sim.now == delay / 4 + delay

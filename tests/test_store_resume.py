@@ -45,7 +45,7 @@ def _specs(seed=42):
     ]
 
 
-class Interrupted(RuntimeError):
+class SweepCrash(RuntimeError):
     pass
 
 
@@ -56,16 +56,16 @@ def test_crash_resume_rows_byte_identical(tmp_path):
     reference = run_points(_specs(), store=cold_store)
     assert cold_store.stats()["puts"] == len(CLIENTS)
 
-    # Interrupted run: die after the first point has been delivered.
+    # Crashed run: die after the first point has been delivered.
     crash_store = RunStore(str(tmp_path / "crash"), fingerprint="fp")
     delivered = []
 
     def bomb(metrics):
         delivered.append(metrics)
         if len(delivered) == 1:
-            raise Interrupted("simulated crash mid-sweep")
+            raise SweepCrash("simulated crash mid-sweep")
 
-    with pytest.raises(Interrupted):
+    with pytest.raises(SweepCrash):
         run_points(_specs(), store=crash_store, point_hook=bomb)
     # The finished point survived the crash, the rest did not run.
     assert crash_store.stats()["puts"] == 1
