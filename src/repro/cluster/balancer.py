@@ -163,18 +163,21 @@ class LoadBalancer:
         return out
 
     # -- routing ------------------------------------------------------------
-    def make_key(self, rng) -> Optional[int]:
+    def make_key(self, stream) -> Optional[int]:
         """Routing key for one connection (None for key-less policies).
 
-        Key-less policies must not touch ``rng``: adding a policy that
+        ``stream`` is the client's route
+        :class:`~repro.sim.rng.StreamHandle`.  Key-less policies never
+        enter it, so its state is never derived: adding a policy that
         draws keys must never perturb the streams of one that does not.
         """
         if not self.needs_key:
             return None
         spec = self.spec
-        if spec.hot_fraction > 0.0 and rng.random() < spec.hot_fraction:
-            return int(rng.integers(spec.hot_keys))
-        return int(rng.integers(1 << 32))
+        with stream as rng:
+            if spec.hot_fraction > 0.0 and rng.random() < spec.hot_fraction:
+                return int(rng.integers(spec.hot_keys))
+            return int(rng.integers(1 << 32))
 
     def pick(self, key: Optional[int] = None):
         """Route one new connection; returns a replica or ``None``."""

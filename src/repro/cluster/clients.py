@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-import numpy as np
-
 from ..metrics.collectors import CLIENT_TIMEOUT, CONNECTION_RESET, MetricsHub
 from ..net.link import DuplexLink
 from ..net.tcp import ConnectTimeout, Connection, ResetByServer
 from ..obs.hist import Registry
 from ..sim.core import Simulator
-from ..sim.rng import RandomStreams
+from ..sim.rng import RandomStreams, StreamHandle
 from ..workload.httperf import EmulatedClient, HttperfConfig
 from ..workload.surge import SessionPlan, SurgeWorkload
 from .balancer import LoadBalancer
@@ -157,9 +155,9 @@ class ClusterClient(EmulatedClient):
         duplex: DuplexLink,
         workload: SurgeWorkload,
         metrics: FanoutMetrics,
-        rng: np.random.Generator,
+        rng: StreamHandle,
         balancer: LoadBalancer,
-        route_rng: np.random.Generator,
+        route_rng: StreamHandle,
         config: Optional[HttperfConfig] = None,
         cache: Optional[LruCache] = None,
         cache_tier: Optional[TierMetrics] = None,
@@ -190,7 +188,8 @@ class ClusterClient(EmulatedClient):
             self.sessions_limit is None
             or self.sessions_attempted < self.sessions_limit
         ):
-            plan = self.workload.sample_session(self.rng)
+            with self.rng as rng:
+                plan = self.workload.sample_session(rng)
             self.sessions_attempted += 1
             completed = yield from self._run_session(plan)
             if completed:
@@ -356,7 +355,7 @@ class SlowlorisClient:
         index: int,
         balancer: LoadBalancer,
         duplex: DuplexLink,
-        route_rng: np.random.Generator,
+        route_rng: StreamHandle,
         config: Optional[HttperfConfig] = None,
         hold_s: float = 120.0,
         poll_s: float = 1.0,

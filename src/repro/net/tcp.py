@@ -563,6 +563,7 @@ class ListenSocket:
             self.syns_dropped += 1
             if self.probe is not None:
                 self.probe.on_drop(self.sim.now)
+            self._charge_reject()
             if conn.span is not None:
                 conn.span.mark("syn_drop")
             return False

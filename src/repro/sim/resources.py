@@ -9,8 +9,7 @@ idle reap) without leaking a waiter.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, List, Optional
 
 from .core import Event, SimulationError, Simulator
 
@@ -28,10 +27,17 @@ class Store:
     is full (models a kernel SYN backlog dropping packets) rather than
     blocking the producer.
 
-    The item and getter deques are allocated on first use: a simulation
-    holds one store per connection (its inbox), most of which never see
-    a blocked ``get`` and many of which never see an item, so an unused
-    store costs only its own slots.
+    Items and blocked getters are kept in plain lists, each allocated
+    on first use.  A simulation holds one store per connection (its
+    inbox); most never see a blocked ``get`` and many never see an item,
+    so an unused store costs only its own slots, and one that has held
+    and released an item keeps an empty 56-byte list where a drained
+    deque keeps 760 bytes.  Dequeuing is ``pop(0)``, which shifts the
+    rest of the list.  The longest queues the models build are a
+    selector's ready queue (4,415 entries with amped at 6,000 clients)
+    and the listen backlog's blocked acceptors (one per idle httpd
+    thread, 4,096 at the paper's largest pool); at that length a shift
+    costs about 0.4 µs more than a deque's ``popleft``.
     """
 
     __slots__ = ("sim", "capacity", "_items", "_getters")
@@ -41,8 +47,8 @@ class Store:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self._items: Optional[Deque[Any]] = None
-        self._getters: Optional[Deque[Event]] = None
+        self._items: Optional[List[Any]] = None
+        self._getters: Optional[List[Event]] = None
 
     def __len__(self) -> int:
         items = self._items
@@ -71,7 +77,7 @@ class Store:
         # queue is then logically empty, so capacity never blocks this path.
         getters = self._getters
         while getters:
-            getter = getters.popleft()
+            getter = getters.pop(0)
             if not getter.triggered:
                 getter.succeed(item)
                 return True
@@ -79,9 +85,9 @@ class Store:
             return False
         items = self._items
         if items is None:
-            items = self._items = deque()
+            items = self._items = []
         if front:
-            items.appendleft(item)
+            items.insert(0, item)
         else:
             items.append(item)
         return True
@@ -107,18 +113,18 @@ class Store:
         """Dequeue an item; the event succeeds with the item."""
         ev = self.sim.event()
         if self._items:
-            ev.succeed(self._items.popleft())
+            ev.succeed(self._items.pop(0))
         else:
             getters = self._getters
             if getters is None:
-                getters = self._getters = deque()
+                getters = self._getters = []
             getters.append(ev)
         return ev
 
     def try_get(self) -> Any:
         """Immediately dequeue an item or return ``None`` if empty."""
         if self._items:
-            return self._items.popleft()
+            return self._items.pop(0)
         return None
 
     def cancel(self, get_request: Event) -> bool:

@@ -2,7 +2,7 @@
 
 The discrete load generator (:mod:`repro.workload.httperf`) pays O(n)
 simulation state for ``n`` emulated clients: one generator process, one
-numpy ``Generator`` and one pending timer per client.  That is faithful
+random-stream handle and one pending timer per client.  That is faithful
 and fast up to the paper's 6000 clients, but it is the harness — not the
 SUT — that dominates at 100k-1M concurrent sessions (per-connection
 objects, per-client timers, per-session RNG draws).
@@ -64,6 +64,8 @@ __all__ = ["FluidClass", "FluidConfig", "FluidLoadGenerator"]
 #: Cohort stage marker: the batch has exhausted its SYN retries and
 #: abandons (one CLIENT_TIMEOUT per session) when its bin fires.
 _ABANDON = -1
+#: Clients binned per numpy pass when seeding a class's ramp.
+_RAMP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,31 @@ def _attempt_offsets(timeout: float) -> List[float]:
         i += 1
         t += SYN_RETRANSMIT_GAPS[min(i, len(SYN_RETRANSMIT_GAPS) - 1)]
     return offsets
+
+
+def _ramp_bins(n: int, ramp: float, bin_s: float) -> List[Tuple[int, int]]:
+    """``(bin index, count)`` pairs, in bin order, for ``n`` ramp starts.
+
+    Client ``i`` starts at the midpoint quantile ``ramp * (2i + 1) / 2n``
+    and lands in bin ``offset // bin_s + 1``.  The offsets are computed
+    over ``_RAMP_CHUNK`` clients at a time, so a million-client class
+    needs a few MB of set-up memory instead of five ``n``-element
+    arrays.  They rise with ``i``, so a bin split between two chunks is
+    the last of one and the first of the next, and merging the two gives
+    the counts one pass over all ``n`` would.
+    """
+    out: List[Tuple[int, int]] = []
+    for start in range(0, n, _RAMP_CHUNK):
+        i = np.arange(start, min(start + _RAMP_CHUNK, n))
+        offsets = ramp * (2.0 * i + 1.0) / (2.0 * n)
+        idx = (offsets // bin_s).astype(np.int64) + 1
+        bins, counts = np.unique(idx, return_counts=True)
+        for b, k in zip(bins.tolist(), counts.tolist()):
+            if out and out[-1][0] == b:
+                out[-1] = (b, out[-1][1] + k)
+            else:
+                out.append((b, k))
+    return out
 
 
 class _FluidSession:
@@ -380,11 +407,9 @@ class FluidLoadGenerator:
         if ramp <= 0.0:
             self._enqueue(source, n, 0, None, 0.0)
             return
-        offsets = ramp * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
-        idx = (offsets // self.fluid.bin_s).astype(np.int64) + 1
-        for bin_idx, k in zip(*np.unique(idx, return_counts=True)):
+        for bin_idx, k in _ramp_bins(n, ramp, self.fluid.bin_s):
             at = float(bin_idx) * self.fluid.bin_s
-            self._enqueue(source, int(k), 0, None, at)
+            self._enqueue(source, k, 0, None, at)
 
     # -- cohort machinery ----------------------------------------------------
     def _enqueue(

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..metrics.collectors import CLIENT_TIMEOUT, CONNECTION_RESET, MetricsHub
 from ..net.link import DuplexLink
 from ..net.tcp import (
@@ -35,7 +33,7 @@ from ..net.tcp import (
     ResponseTimeout,
 )
 from ..sim.core import Simulator
-from ..sim.rng import RandomStreams
+from ..sim.rng import RandomStreams, StreamHandle
 from .surge import SessionPlan, SurgeWorkload
 
 __all__ = ["HttperfConfig", "EmulatedClient", "LoadGenerator"]
@@ -68,7 +66,7 @@ class EmulatedClient:
         duplex: DuplexLink,
         workload: SurgeWorkload,
         metrics: MetricsHub,
-        rng: np.random.Generator,
+        rng: StreamHandle,
         config: Optional[HttperfConfig] = None,
     ) -> None:
         self.sim = sim
@@ -87,7 +85,8 @@ class EmulatedClient:
         if start_delay > 0.0:
             yield self.sim.timeout(start_delay)
         while True:
-            plan = self.workload.sample_session(self.rng)
+            with self.rng as rng:
+                plan = self.workload.sample_session(rng)
             self.sessions_attempted += 1
             completed = yield from self._run_session(plan)
             if completed:

@@ -129,7 +129,7 @@ class ReplayWorkload:
 
     def sample_session(self, rng: np.random.Generator) -> SessionPlan:
         """Next session of this stream's cyclic walk over the log."""
-        key = id(rng)
+        key = _stream_key(rng)
         cursor = self._cursors.get(key)
         if cursor is None:
             # Deterministic starting offset per client stream.
@@ -137,3 +137,15 @@ class ReplayWorkload:
         plan = self.log.sessions[cursor % len(self.log)]
         self._cursors[key] = cursor + 1
         return plan
+
+
+def _stream_key(rng: np.random.Generator) -> tuple:
+    """Identity of the stream ``rng`` is drawing from.
+
+    The handles of one :class:`~repro.sim.rng.RandomStreams` all draw
+    through the same ``Generator``, so the object alone does not tell
+    two clients apart.  PCG64's increment does: it selects the stream,
+    differs between seeds and never changes as the stream advances.
+    """
+    state = rng.bit_generator.state["state"]
+    return id(rng), state.get("inc")

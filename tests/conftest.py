@@ -14,8 +14,8 @@ from repro.sim import Simulator
 from tests import reference_kernel
 
 # A harder search for properties that take their example count from the
-# active profile (tests/test_reference_kernel.py):
-#   pytest tests/test_reference_kernel.py --hypothesis-profile=ci
+# active profile (tests/test_reference_kernel.py, tests/test_sim_rng.py):
+#   pytest tests/test_reference_kernel.py tests/test_sim_rng.py --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 #: Modules whose experiments build a Simulator; the oracle swaps it.
@@ -76,6 +76,24 @@ def reference_oracle(monkeypatch):
         return production
 
     return check
+
+
+@pytest.fixture
+def derived_streams(monkeypatch):
+    """Names of the random streams whose seed material is derived while
+    the test runs, in order (every ``repro.sim.rng._seed_sequence``
+    call: each new ``stream()`` and each handle's first entry)."""
+    from repro.sim import rng
+
+    names = []
+    original = rng._seed_sequence
+
+    def recording(seed, name):
+        names.append(name)
+        return original(seed, name)
+
+    monkeypatch.setattr(rng, "_seed_sequence", recording)
+    return names
 
 
 @pytest.fixture

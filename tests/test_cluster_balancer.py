@@ -23,6 +23,7 @@ from repro.cluster import (
     RoundRobinBalancer,
     make_balancer,
 )
+from repro.sim import RandomStreams
 
 
 class Stub:
@@ -147,13 +148,11 @@ def test_consistent_hash_ring_ignores_listing_order():
 
 
 def test_hot_key_skew_concentrates_keys():
-    import numpy as np
-
     spec = BalancerSpec(
         policy="consistent_hash", hot_fraction=1.0, hot_keys=4
     )
     lb = ConsistentHashBalancer(stubs("r0", "r1"), spec=spec)
-    rng = np.random.default_rng(7)
+    rng = RandomStreams(7).spawn("route", 0)
     keys = {lb.make_key(rng) for _ in range(200)}
     assert keys <= set(range(4))
     # No skew: keys spread over the full 32-bit space.

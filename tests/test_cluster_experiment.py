@@ -9,6 +9,8 @@ histogram equal to the exact merge of the per-replica histograms.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster import (
     CacheSpec,
     ClusterExperiment,
@@ -34,6 +36,24 @@ def _experiment(cluster=None, **kwargs):
         seed=7,
         **kwargs,
     )
+
+
+# -- route streams ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "policy,draws_keys",
+    [("least_connections", False), ("consistent_hash", True)],
+)
+def test_only_key_drawing_policies_derive_route_streams(
+    derived_streams, policy, draws_keys
+):
+    """Each client holds a ``route[i]`` handle, but a key-less policy
+    never enters it, so its PCG64 state is never derived."""
+    _experiment(uniform_cluster(n=2, cpu_speed=0.3, policy=policy)).run()
+    names = derived_streams
+    assert any(name.startswith("cluster-client[") for name in names)
+    routes = [name for name in names if name.startswith("route[")]
+    assert bool(routes) is draws_keys
 
 
 # -- determinism --------------------------------------------------------------

@@ -23,11 +23,13 @@ from repro.osmodel import CPU
 from repro.sim import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.fluid import (
+    _RAMP_CHUNK,
     FluidClass,
     FluidConfig,
     _apportion,
     _attempt_offsets,
     _interleave,
+    _ramp_bins,
 )
 from repro.workload.surge import SurgeConfig, SurgeWorkload
 
@@ -71,6 +73,27 @@ def test_attempt_offsets_follow_the_syn_ladder():
     assert _attempt_offsets(10.0) == [0.0, 3.0, 9.0]
     assert _attempt_offsets(25.0) == [0.0, 3.0, 9.0, 21.0]
     assert _attempt_offsets(2.0) == [0.0]
+
+
+# -- ramp seeding -------------------------------------------------------------
+
+def _one_shot_bins(n, ramp, bin_s):
+    """The ramp bins from one pass over all ``n`` offsets."""
+    offsets = ramp * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
+    idx = (offsets // bin_s).astype(np.int64) + 1
+    bins, counts = np.unique(idx, return_counts=True)
+    return list(zip(bins.tolist(), counts.tolist()))
+
+
+@pytest.mark.parametrize(
+    "n", [1, _RAMP_CHUNK - 1, _RAMP_CHUNK, _RAMP_CHUNK + 1, 10**6]
+)
+@pytest.mark.parametrize(
+    "ramp,bin_s", [(2.0, 0.5), (8.0, 0.5), (3.3, 0.25), (0.7, 1.0)]
+)
+def test_chunked_ramp_bins_match_one_shot(n, ramp, bin_s):
+    # At n = 10**6 most bins span two or more chunks and are merged.
+    assert _ramp_bins(n, ramp, bin_s) == _one_shot_bins(n, ramp, bin_s)
 
 
 # -- config validation -------------------------------------------------------

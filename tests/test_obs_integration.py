@@ -137,7 +137,7 @@ def _marked_spans(server, workload, machine=MachineSpec(cpus=1)):
     )
     recorder = experiment.recorder
     assert recorder.dropped == 0  # every span of the run is in the ring
-    return list(recorder.spans), metrics.server_stats
+    return list(recorder.spans), metrics.server_stats, experiment
 
 
 def _mark_counts(spans):
@@ -148,7 +148,7 @@ def _mark_counts(spans):
     "server", [_httpd_reaper, _nio_reaper], ids=["httpd-16", "nio-1-adaptive"]
 )
 def test_idle_reaps_are_span_marks(server):
-    spans, stats = _marked_spans(server(), LONG_THINKS)
+    spans, stats, _ = _marked_spans(server(), LONG_THINKS)
     assert _mark_counts(spans)["idle_reap"] == stats["idle_reaps"] > 0
     for span in spans:
         reaped = span.first("idle_reap")
@@ -185,10 +185,15 @@ def test_idle_reaps_are_span_marks(server):
     ids=["backlog-2", "codel-stale-cap", "nio-1-socket-memory-4mib"],
 )
 def test_listener_drops_are_span_marks(server, workload, machine, expected):
-    spans, stats = _marked_spans(server(), workload, machine)
+    spans, stats, experiment = _marked_spans(server(), workload, machine)
     counts = _mark_counts(spans)
     for mark, key in expected.items():
         assert counts[mark] == stats[key] > 0
+    # Every refused SYN, whatever refused it, bills the reject cost.
+    reject = experiment.profiler.cpu_seconds.get("reject", 0.0)
+    assert reject == pytest.approx(
+        stats["syns_dropped"] * experiment.machine.base_costs().reject
+    )
     for span in spans:
         closed_early = span.first("early_close")
         if closed_early is not None:

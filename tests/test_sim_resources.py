@@ -143,3 +143,17 @@ def test_unused_store_behaves_as_empty():
 def test_unused_store_is_small(bytes_per_instance):
     sim = Simulator()
     assert bytes_per_instance(lambda: Store(sim)) < 200
+
+
+def test_drained_store_is_small(bytes_per_instance):
+    """A store that has held and released one item keeps an empty list,
+    not a drained deque's block."""
+    sim = Simulator()
+
+    def drained():
+        store = Store(sim)
+        store.put("x")
+        assert store.try_get() == "x"
+        return store
+
+    assert bytes_per_instance(drained) < 200

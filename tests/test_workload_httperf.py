@@ -7,7 +7,7 @@ from repro.metrics import CLIENT_TIMEOUT, CONNECTION_RESET, MetricsHub
 from repro.net import EOF, ListenSocket
 from repro.net.link import DuplexLink
 from repro.osmodel import Machine, MachineSpec
-from repro.sim import Simulator
+from repro.sim import RandomStreams, Simulator
 from repro.workload import (
     EmulatedClient,
     HttperfConfig,
@@ -31,7 +31,7 @@ def make_stack(warmup=0.0, duration=100.0, surge=None):
 def spawn_client(sim, listener, duplex, workload, metrics, config=None):
     client = EmulatedClient(
         sim, 0, listener, duplex, workload, metrics,
-        np.random.default_rng(17), config,
+        RandomStreams(17).spawn("client", 0), config,
     )
     sim.process(client.run())
     return client

@@ -75,6 +75,26 @@ def test_replay_per_stream_offsets(workload):
     assert b0 in log.sessions
 
 
+def test_replay_keeps_a_cursor_per_stream_handle(workload):
+    """Handles of one RandomStreams draw through one shared Generator,
+    yet each walks the log from its own offset."""
+    from repro.sim import RandomStreams
+
+    log = SessionLog.generate(workload, 10, np.random.default_rng(7))
+    replay = ReplayWorkload(log)
+    streams = RandomStreams(8)
+    handles = [streams.spawn("client", i) for i in range(3)]
+    walks = [[] for _ in handles]
+    for _ in range(4):
+        for handle, walk in zip(handles, walks):
+            with handle as rng:
+                walk.append(log.sessions.index(replay.sample_session(rng)))
+    for i, walk in enumerate(walks):
+        with RandomStreams(8).spawn("client", i) as rng:
+            start = int(rng.integers(len(log)))
+        assert walk == [(start + k) % len(log) for k in range(4)]
+
+
 def test_replay_rejects_empty_log():
     with pytest.raises(ValueError):
         ReplayWorkload(SessionLog([]))
@@ -86,7 +106,7 @@ def test_replay_drives_emulated_clients_identically(workload):
     from repro.net import EOF, ListenSocket
     from repro.net.link import DuplexLink
     from repro.osmodel import Machine, MachineSpec
-    from repro.sim import Simulator
+    from repro.sim import RandomStreams, Simulator
     from repro.workload import EmulatedClient
 
     log = SessionLog.generate(workload, 5, np.random.default_rng(11))
@@ -115,7 +135,7 @@ def test_replay_drives_emulated_clients_identically(workload):
         sim.process(acceptor())
         client = EmulatedClient(
             sim, 0, listener, duplex, ReplayWorkload(log), metrics,
-            np.random.default_rng(12),
+            RandomStreams(12).spawn("client", 0),
         )
         sim.process(client.run())
         sim.run(until=50.0)
