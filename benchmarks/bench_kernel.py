@@ -4,33 +4,19 @@ These bound the cost of the hot paths every figure regeneration leans on:
 raw event dispatch, processor-sharing completions, fluid-link
 transmissions, and the idle-reap timed wait.  Useful for catching
 performance regressions in the kernel (the full figure suite runs ~10^7
-events).  The runners live in :func:`repro.core.perf.kernel_runner`,
-which also writes ``BENCH_kernel.json``; the event counts here must match
-``BENCH_EVENTS`` in ``benchmarks/check_perf_floor.py``.
+events).  The runners and their event counts live in
+:mod:`repro.core.perf`, which also writes ``BENCH_kernel.json``; each
+bench records its key and event count in ``extra_info``, from which
+``benchmarks/check_perf_floor.py`` computes its rate.
 """
 
-from repro.core.perf import kernel_runner
+import pytest
+
+from repro.core.perf import KERNEL_EVENTS, kernel_runner
 
 
-def test_kernel_event_dispatch(benchmark):
-    n = 20_000
-    result = benchmark(kernel_runner("timeout_chain"), n)
-    assert result == n
-
-
-def test_cpu_processor_sharing_station(benchmark):
-    n = 10_000
-    result = benchmark(kernel_runner("cpu_bursts"), n)
-    assert result == n
-
-
-def test_link_fluid_transmissions(benchmark):
-    n = 20_000
-    result = benchmark(kernel_runner("link_transmissions"), n)
-    assert result == n
-
-
-def test_kernel_timed_wait_storm(benchmark):
-    n = 60_000
-    result = benchmark(kernel_runner("timed_wait_storm"), n)
-    assert result == n
+@pytest.mark.parametrize("name", list(KERNEL_EVENTS))
+def test_kernel(benchmark, name):
+    events = KERNEL_EVENTS[name]
+    benchmark.extra_info.update(bench=name, events=events)
+    assert benchmark(kernel_runner(name), events) == events

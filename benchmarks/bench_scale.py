@@ -33,5 +33,7 @@ def run_scale_smoke(n):
 
 
 def test_fluid_scale_smoke(benchmark):
+    # "events" here are population sessions.
+    benchmark.extra_info.update(bench="scale_smoke", events=SESSIONS)
     result = benchmark(run_scale_smoke, SESSIONS)
     assert result == SESSIONS

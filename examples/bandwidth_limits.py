@@ -7,14 +7,14 @@ system saturates and who wins past the knee.
 
 Usage::
 
-    REPRO_PROFILE=quick python examples/bandwidth_limits.py
+    python examples/bandwidth_limits.py
 """
 
-from repro.core import FigureRunner, active_profile, find_crossover
+from repro.core import FigureRunner, find_crossover
 
 
 def main() -> None:
-    runner = FigureRunner(profile=active_profile("quick"), verbose=True)
+    runner = FigureRunner(verbose=True)  # the quick profile
 
     (fig5,) = runner.figure_5()
     (fig6,) = runner.figure_6()

@@ -7,7 +7,7 @@ observation is a ~2x gain for both (Linux-2.4-era SMP efficiency).
 
 Usage::
 
-    REPRO_PROFILE=quick python examples/smp_scaling.py
+    python examples/smp_scaling.py
 """
 
 from repro.core import (
@@ -15,14 +15,13 @@ from repro.core import (
     SMP_GIGABIT,
     ServerSpec,
     UP_GIGABIT,
-    active_profile,
     best_configuration,
     scaling_factor,
 )
 
 
 def main() -> None:
-    runner = FigureRunner(profile=active_profile("quick"), verbose=True)
+    runner = FigureRunner(verbose=True)  # the quick profile
 
     for figs in (runner.figure_7(), runner.figure_8()):
         for fig in figs:

@@ -10,20 +10,19 @@ Sweeps workload intensity for the nio server (1/4/8 workers) and httpd
 
 Usage::
 
-    REPRO_PROFILE=quick python examples/uniprocessor_scalability.py
+    python examples/uniprocessor_scalability.py
 """
 
 from repro.core import (
     FigureRunner,
     ServerSpec,
     UP_GIGABIT,
-    active_profile,
     best_configuration,
 )
 
 
 def main() -> None:
-    runner = FigureRunner(profile=active_profile("quick"), verbose=True)
+    runner = FigureRunner(verbose=True)  # the quick profile
 
     for figs in (
         runner.figure_1(),

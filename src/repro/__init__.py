@@ -33,7 +33,6 @@ from .core import (
     ServerSpec,
     SweepResult,
     WorkloadSpec,
-    active_profile,
     sweep_clients,
 )
 from .metrics import RunMetrics, format_table
@@ -62,7 +61,6 @@ __all__ = [
     "ServerSpec",
     "SweepResult",
     "WorkloadSpec",
-    "active_profile",
     "sweep_clients",
     "RunMetrics",
     "format_table",

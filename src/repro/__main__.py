@@ -45,17 +45,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .core import (
     PROFILES,
     FigureRunner,
+    PointSpec,
     Scenario,
     ServerSpec,
+    SweepResult,
     WorkloadSpec,
-    sweep_clients,
+    run_points,
 )
-from .core.experiment import Experiment
 from .net import NetworkSpec
 from .osmodel import MachineSpec
 
@@ -64,6 +65,10 @@ _NETWORKS = {
     "200m": NetworkSpec.dual_fast_ethernet,
     "1g": NetworkSpec.gigabit,
 }
+
+#: Run-store directory of ``--resume`` and ``repro cache``, relative to
+#: the working directory.
+STORE_DIR = ".repro-store"
 
 
 def parse_clients(text: str) -> int:
@@ -74,13 +79,29 @@ def parse_clients(text: str) -> int:
     body = raw[:-1] if scale != 1 else raw
     try:
         count = int(round(float(body) * scale))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(
             f"bad client count {raw!r}; expected e.g. 600, 50k or 1M"
         ) from None
     if count < 1:
         raise argparse.ArgumentTypeError("client count must be >= 1")
     return count
+
+
+def parse_client_list(text: str) -> List[int]:
+    """Comma-separated client counts, each read by :func:`parse_clients`."""
+    return [parse_clients(c) for c in text.split(",")]
+
+
+def parse_reps(text: str) -> Tuple[int, int]:
+    """``MIN[:MAX]`` -> (min, max) replicate counts for ``sweep --reps``."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi or lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad --reps {text!r}; expected MIN[:MAX], e.g. 3:10"
+        ) from None
 
 
 def _fluid_config(args: argparse.Namespace):
@@ -110,6 +131,24 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     machine = MachineSpec(cpus=args.cpus, cpu_speed=args.cpu_speed)
     network = _NETWORKS[args.network]()
     return Scenario(f"{args.cpus}cpu-{args.network}", machine, network)
+
+
+def _point(
+    args: argparse.Namespace, clients: int,
+    server: Optional[ServerSpec] = None,
+) -> PointSpec:
+    """The experiment the common flags describe, at ``clients`` clients."""
+    scenario = _scenario(args)
+    return PointSpec(
+        server=server or _server_spec(args),
+        workload=WorkloadSpec(
+            clients=clients, duration=args.duration,
+            warmup=args.warmup, fluid=_fluid_config(args),
+        ),
+        machine=scenario.machine,
+        network=scenario.network,
+        seed=args.seed,
+    )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -148,8 +187,7 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for sweep points (0 = one per CPU; "
-             "default serial, or $REPRO_JOBS). Results are identical "
-             "to a serial run.",
+             "default serial). Results are identical to a serial run.",
     )
 
 
@@ -162,20 +200,21 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="shorthand for --store with the default directory "
-             "($REPRO_STORE or .repro-store)",
+        help=f"shorthand for --store {STORE_DIR}",
     )
+
+
+def _store_dir(args: argparse.Namespace) -> Optional[str]:
+    """The run-store directory the flags ask for, or ``None``."""
+    return args.store or (STORE_DIR if args.resume else None)
 
 
 def _mounted_store(args: argparse.Namespace):
     """The RunStore the flags ask for, or ``None``."""
-    from .core import RunStore, default_store_dir
+    from .core import RunStore
 
-    if args.store:
-        return RunStore(args.store)
-    if args.resume:
-        return RunStore(default_store_dir())
-    return None
+    root = _store_dir(args)
+    return RunStore(root) if root else None
 
 
 def _print_cache_summary(store=None) -> None:
@@ -215,17 +254,7 @@ def _run_profiled(fn):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    experiment = Experiment(
-        server=_server_spec(args),
-        workload=WorkloadSpec(
-            clients=args.clients, duration=args.duration,
-            warmup=args.warmup, fluid=_fluid_config(args),
-        ),
-        machine=scenario.machine,
-        network=scenario.network,
-        seed=args.seed,
-    )
+    experiment = _point(args, args.clients).experiment()
     if args.profile:
         metrics = _run_profiled(experiment.run)
     else:
@@ -252,18 +281,8 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
     import dataclasses
 
-    scenario = _scenario(args)
     spec = dataclasses.replace(_server_spec(args), observe=True)
-    experiment = Experiment(
-        server=spec,
-        workload=WorkloadSpec(
-            clients=args.clients, duration=args.duration,
-            warmup=args.warmup, fluid=_fluid_config(args),
-        ),
-        machine=scenario.machine,
-        network=scenario.network,
-        seed=args.seed,
-    )
+    experiment = _point(args, args.clients, spec).experiment()
     metrics = experiment.run()
     recorder, profiler = experiment.recorder, experiment.profiler
 
@@ -299,63 +318,32 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    clients = [parse_clients(c) for c in args.clients.split(",")]
-    store = _mounted_store(args)
     server = _server_spec(args)
-    fluid = _fluid_config(args)
+    specs = [_point(args, c, server) for c in args.clients]
+    scenario = _scenario(args).name
+    store = _mounted_store(args)
     if args.reps:
         # Adaptive replication: every client count measured at several
         # seeds until the CI half-width target (--ci) is met.
-        from .core import (
-            PointSpec,
-            ReplicationPolicy,
-            replicated_table,
-            run_replicated,
-        )
+        from .core import ReplicationPolicy, replicated_table, run_replicated
 
+        lo, hi = args.reps
         try:
-            lo, _, hi = args.reps.partition(":")
             policy = ReplicationPolicy(
-                min_replicates=int(lo),
-                max_replicates=int(hi or lo),
-                rel_halfwidth=args.ci,
+                min_replicates=lo, max_replicates=hi, rel_halfwidth=args.ci
             )
         except ValueError as exc:
             print(f"bad --reps/--ci: {exc}", file=sys.stderr)
             return 2
-        specs = [
-            PointSpec(
-                server=server,
-                workload=WorkloadSpec(
-                    clients=c, duration=args.duration,
-                    warmup=args.warmup, fluid=fluid,
-                ),
-                machine=scenario.machine,
-                network=scenario.network,
-                seed=args.seed,
-            )
-            for c in clients
-        ]
         points = run_replicated(
             specs, policy, jobs=args.jobs, store=store
         )
         print(replicated_table(
-            points, title=f"{server.label} @ {scenario.name} (adaptive)"
+            points, title=f"{server.label} @ {scenario} (adaptive)"
         ))
     else:
-        result = sweep_clients(
-            server,
-            scenario,
-            clients,
-            duration=args.duration,
-            warmup=args.warmup,
-            seed=args.seed,
-            workload_overrides={"fluid": fluid} if fluid else None,
-            jobs=args.jobs,
-            store=store,
-        )
-        print(result.table())
+        points = run_points(specs, jobs=args.jobs, store=store)
+        print(SweepResult(server.label, scenario, points).table())
     _print_cache_summary(store)
     return 0
 
@@ -532,11 +520,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         return 0
 
     cluster, flash, restart = _cluster_parts(args)
-    clients = [int(c) for c in args.clients.split(",")]
     store = _mounted_store(args)
     result = sweep_cluster(
         cluster,
-        clients,
+        args.clients,
         duration=args.duration,
         warmup=args.warmup,
         seed=args.seed,
@@ -598,7 +585,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     cluster = dc.replace(
         cluster, observe=True, slos=default_slos() if args.slo else ()
     )
-    clients = int(args.clients.split(",")[0])
+    clients = args.clients[0]
     point = ClusterPointSpec(
         cluster=cluster,
         workload=WorkloadSpec(
@@ -658,15 +645,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _figure_runner(args: argparse.Namespace) -> FigureRunner:
+    """The FigureRunner the ``figure``/``figures`` flags ask for."""
+    return FigureRunner(
+        profile=PROFILES[args.profile], verbose=True, jobs=args.jobs,
+        store=_mounted_store(args),
+    )
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     if not 1 <= args.number <= 10:
         print("figure number must be 1-10", file=sys.stderr)
         return 2
-    store = _mounted_store(args)
-    runner = FigureRunner(
-        profile=PROFILES[args.profile], verbose=True, jobs=args.jobs,
-        store=store,
-    )
+    runner = _figure_runner(args)
     figs = getattr(runner, f"figure_{args.number}")()
     for fig in figs:
         print()
@@ -674,7 +665,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         if args.chart:
             print()
             print(fig.chart(logy=args.logy))
-    _print_cache_summary(store)
+    _print_cache_summary(runner.store)
     return 0
 
 
@@ -682,11 +673,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     """Regenerate every paper figure; optionally dump them all as JSON."""
     import json
 
-    store = _mounted_store(args)
-    runner = FigureRunner(
-        profile=PROFILES[args.profile], verbose=True, jobs=args.jobs,
-        store=store,
-    )
+    runner = _figure_runner(args)
     all_figs = runner.all_figures()
     for name in sorted(all_figs, key=lambda n: int(n.split("_")[1])):
         for fig in all_figs[name]:
@@ -700,7 +687,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"\nwrote {args.json}")
-    _print_cache_summary(store)
+    _print_cache_summary(runner.store)
     return 0
 
 
@@ -708,25 +695,49 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Benchmark the pipeline itself (see repro.core.perf)."""
     from .core import perf
 
-    argv = [
-        "--kernel-out", args.kernel_out,
-        "--figures-out", args.figures_out,
-        "--scale-out", args.scale_out,
-        "--label", args.label,
-        "--profile", args.profile,
-        "--jobs", str(args.jobs if args.jobs is not None else 0),
-    ]
-    if args.store or args.resume:
-        from .core import default_store_dir
+    def bench() -> int:
+        kernel = perf.measure_kernel(label=args.label)
+        perf.write_json(kernel, args.kernel_out)
+        for name, row in kernel["benchmarks"].items():
+            print(f"[kernel] {name:>20s}: "
+                  f"{row['events_per_second']:>12,.0f} ev/s")
+        print(f"wrote {args.kernel_out}")
 
-        argv += ["--store", args.store or default_store_dir()]
-    if args.skip_figures:
-        argv.append("--skip-figures")
-    if args.skip_scale:
-        argv.append("--skip-scale")
-    if args.cprofile:
-        return _run_profiled(lambda: perf.main(argv))
-    return perf.main(argv)
+        if not args.skip_scale:
+            scale = perf.measure_scale(label=args.label)
+            for point in scale["points"]:
+                rss_mb = point["peak_rss_bytes"] / (1024 * 1024)
+                print(
+                    f"[scale] {point['clients']:>9,d} sessions: "
+                    f"{point['wall_seconds']:7.1f} s wall, "
+                    f"{rss_mb:7.0f} MB peak RSS, "
+                    f"{point['row']['replies/s']:>9,.1f} replies/s, "
+                    f"{point['row']['timeout/s']:>10,.1f} timeout/s"
+                )
+            perf.write_json(scale, args.scale_out)
+            print(f"wrote {args.scale_out}")
+
+        if not args.skip_figures:
+            report = perf.measure_figures(
+                profile=args.profile,
+                jobs=0 if args.jobs is None else args.jobs,
+                label=args.label, store_dir=_store_dir(args),
+            )
+            store = report["store"]
+            cold = " (pre-warmed store)" if store["prewarmed"] else ""
+            print(f"[figures] serial   {report['serial_seconds']:8.2f} s"
+                  f"{cold}")
+            print(f"[figures] jobs={report['jobs']:<3d} "
+                  f"{report['parallel_seconds']:8.2f} s")
+            print(f"[figures] speedup  {report['speedup']:8.2f}x")
+            print(f"[figures] warm     {store['warm_seconds']:8.2f} s "
+                  f"({store['warm_speedup']:.1f}x vs cold, "
+                  f"{store['warm_stats']['hits']} store hits)")
+            perf.write_json(report, args.figures_out)
+            print(f"wrote {args.figures_out}")
+        return 0
+
+    return _run_profiled(bench) if args.cprofile else bench()
 
 
 def parse_age(text: str) -> float:
@@ -751,10 +762,10 @@ def parse_age(text: str) -> float:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect (``ls``) or clean (``gc``) the content-addressed run store."""
-    from .core import RunStore, default_store_dir
+    from .core import RunStore
     from .metrics.report import format_table
 
-    store = RunStore(args.store or default_store_dir())
+    store = RunStore(args.store)
     if args.action == "ls":
         rows = store.ls()
         if not rows:
@@ -833,12 +844,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep client counts")
     _add_common(p_sweep)
     p_sweep.add_argument(
-        "--clients", default="60,1200,2400,3600,4800,6000",
+        "--clients", type=parse_client_list,
+        default="60,1200,2400,3600,4800,6000",
         help="comma-separated client counts; k/M suffixes allowed "
              "(e.g. 100k,250k,500k,1M)",
     )
     p_sweep.add_argument(
-        "--reps", metavar="MIN:MAX", default=None,
+        "--reps", type=parse_reps, metavar="MIN:MAX", default=None,
         help="adaptive replication: run each point at MIN..MAX seeds, "
              "stopping once the CI half-width target (--ci) is met",
     )
@@ -928,7 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-sweep", default=None, metavar="MB,MB,...",
         help="print the capacity-vs-hit-rate curve and exit",
     )
-    p_cluster.add_argument("--clients", default="150,300",
+    p_cluster.add_argument("--clients", type=parse_client_list,
+                           default="150,300",
                            help="comma-separated client counts")
     p_cluster.add_argument("--stats", action="store_true",
                            help="also print per-replica and front-end "
@@ -943,7 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
              "per-tier attribution, slowest-request waterfalls, SLOs",
     )
     _add_cluster_flags(p_trace)
-    p_trace.add_argument("--clients", default="150",
+    p_trace.add_argument("--clients", type=parse_client_list,
+                         default="150",
                          help="client count (first entry if a list)")
     p_trace.add_argument("--top", type=int, default=3,
                          help="render waterfalls of the N slowest requests")
@@ -984,9 +998,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect or garbage-collect the content-addressed run store",
     )
     p_cache.add_argument("action", choices=("ls", "gc"))
-    p_cache.add_argument("--store", metavar="DIR", default=None,
-                         help="store directory ($REPRO_STORE or "
-                              ".repro-store)")
+    p_cache.add_argument("--store", metavar="DIR", default=STORE_DIR,
+                         help="store directory (default %(default)s)")
     p_cache.add_argument("--all", action="store_true",
                          help="gc: drop every entry, not just stale ones")
     p_cache.add_argument("--older-than", type=parse_age, default=None,

@@ -29,7 +29,7 @@ from .replication import (
     run_replicated,
 )
 from .runner import PointSpec, resolve_jobs, run_point, run_points
-from .store import RunStore, code_fingerprint, default_store_dir, spec_digest
+from .store import RunStore, code_fingerprint, spec_digest
 from .scenarios import (
     MILLION_UP,
     OVERLOAD_UP,
@@ -41,7 +41,6 @@ from .scenarios import (
     UP_GIGABIT,
     MeasurementProfile,
     Scenario,
-    active_profile,
 )
 from .sweep import SweepResult, sweep_clients
 
@@ -78,7 +77,6 @@ __all__ = [
     "UP_GIGABIT",
     "MeasurementProfile",
     "Scenario",
-    "active_profile",
     "SweepResult",
     "sweep_clients",
     "PointSpec",
@@ -88,7 +86,6 @@ __all__ = [
     "RunStore",
     "spec_digest",
     "code_fingerprint",
-    "default_store_dir",
     "ReplicationPolicy",
     "ReplicatedPoint",
     "run_replicated",

@@ -26,13 +26,13 @@ from .params import (
     ServerSpec,
 )
 from .scenarios import (
+    PROFILES,
     SMP_GIGABIT,
     UP_DUAL_FAST_ETHERNET,
     UP_FAST_ETHERNET,
     UP_GIGABIT,
     MeasurementProfile,
     Scenario,
-    active_profile,
 )
 from .store import RunStore
 from .sweep import SweepResult, sweep_clients
@@ -160,13 +160,13 @@ class FigureRunner:
 
     def __init__(
         self,
-        profile: Optional[MeasurementProfile] = None,
+        profile: MeasurementProfile = PROFILES["quick"],
         seed: int = 42,
         verbose: bool = False,
         jobs: Optional[int] = None,
         store: Optional[RunStore] = None,
     ) -> None:
-        self.profile = profile or active_profile()
+        self.profile = profile
         self.seed = seed
         self.verbose = verbose
         #: Sweep points fan out over this many worker processes

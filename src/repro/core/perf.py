@@ -1,13 +1,14 @@
 """Performance trajectory of the reproduction pipeline itself.
 
-Two measurements, two JSON artifacts:
+Three measurements, three JSON artifacts, written by ``repro bench``:
 
 * :func:`measure_kernel` -> ``BENCH_kernel.json``: events/second of the
   four kernel micro-benchmarks (timeout chain, processor-sharing CPU
   bursts, fluid-link transmissions, timed-wait storm).  These bound the
   dispatch cost the whole figure suite leans on (~10^7 events per full
-  regeneration).  :func:`kernel_runner` is the one copy of each; the
-  pytest-benchmark floors in ``benchmarks/bench_kernel.py`` call it.
+  regeneration).  :func:`kernel_runner` is the one copy of each and
+  :data:`KERNEL_EVENTS` the one table of their event counts; the
+  pytest-benchmark floors in ``benchmarks/bench_kernel.py`` use both.
 * :func:`measure_figures` -> ``BENCH_figures.json``: wall-clock seconds
   to regenerate paper figures serially and with a worker pool, plus the
   speedup.  This is the headline number for the parallel sweep runner.
@@ -16,10 +17,9 @@ Two measurements, two JSON artifacts:
   scale sweep (100k-1M client sessions), each point in a fresh
   subprocess so ``ru_maxrss`` is an honest per-point peak.
 
-Both artifacts carry a ``schema`` tag, the measurement environment
+Every artifact carries a ``schema`` tag, the measurement environment
 (python version, cpu count, profile) and a caller-supplied ``label`` so
-successive commits can be compared (see ``benchmarks/bench_perf_trajectory.py``
-and EXPERIMENTS.md).
+successive commits can be compared (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import time
 from typing import Dict, List, Optional
 
 __all__ = [
-    "KERNEL_BENCHES",
+    "KERNEL_EVENTS",
     "kernel_runner",
     "measure_kernel",
     "measure_figures",
@@ -40,17 +40,20 @@ __all__ = [
     "write_json",
 ]
 
-#: Kernel micro-benchmark names (see :func:`kernel_runner`).
-KERNEL_BENCHES = (
-    "timeout_chain",
-    "cpu_bursts",
-    "link_transmissions",
-    "timed_wait_storm",
-)
+#: Kernel micro-benchmark name (see :func:`kernel_runner`) -> events per
+#: round.  The timed-wait storm parks 4096 connections before its first
+#: arrival, so it needs a longer run to amortise that set-up into the
+#: per-arrival rate.
+KERNEL_EVENTS: Dict[str, int] = {
+    "timeout_chain": 20_000,
+    "cpu_bursts": 10_000,
+    "link_transmissions": 20_000,
+    "timed_wait_storm": 60_000,
+}
 
 
 def _environment() -> Dict:
-    """Provenance block shared by both artifacts."""
+    """Provenance block shared by every artifact."""
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -159,11 +162,7 @@ def kernel_runner(name: str):
     raise ValueError(f"unknown kernel benchmark {name!r}")
 
 
-def measure_kernel(
-    n: int = 20_000,
-    rounds: int = 3,
-    label: str = "",
-) -> Dict:
+def measure_kernel(rounds: int = 3, label: str = "") -> Dict:
     """Events/second for each kernel micro-benchmark (best of ``rounds``).
 
     Best-of is the right statistic for a floor check: scheduling noise
@@ -185,18 +184,8 @@ def measure_kernel(
         return best
 
     results: Dict[str, Dict] = {}
-    for name in KERNEL_BENCHES:
-        run = kernel_runner(name)
-        if name == "cpu_bursts":
-            count = max(1, n // 2)
-        elif name == "timed_wait_storm":
-            # The storm parks 4096 connections before the first arrival;
-            # it needs a longer run to amortise that setup into the
-            # per-arrival rate.
-            count = n * 3
-        else:
-            count = n
-        best = best_of(run, count)
+    for name, count in KERNEL_EVENTS.items():
+        best = best_of(kernel_runner(name), count)
         results[name] = {
             "events": count,
             "best_seconds": round(best, 6),
@@ -363,7 +352,7 @@ def measure_figures(
 
     names = list(figures or PAPER_FIGURES)
     prof = PROFILES[profile]
-    effective_jobs = resolve_jobs(jobs if jobs else 0)
+    effective_jobs = resolve_jobs(jobs)
     sdir = store_dir or tempfile.mkdtemp(prefix="repro-figstore-")
 
     def regen(n_jobs: Optional[int], store: Optional[RunStore]) -> float:
@@ -412,78 +401,3 @@ def write_json(payload: Dict, path: str) -> str:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
     return path
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    """CLI shim used by ``benchmarks/bench_perf_trajectory.py``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--kernel-out", default="BENCH_kernel.json")
-    parser.add_argument("--figures-out", default="BENCH_figures.json")
-    parser.add_argument("--scale-out", default="BENCH_scale.json")
-    parser.add_argument("--skip-scale", action="store_true",
-                        help="skip the fluid scale sweep")
-    parser.add_argument("--scale-clients", default="",
-                        help="comma-separated scale-sweep client counts "
-                             "(default: 100000,250000,500000,1000000)")
-    parser.add_argument("--label", default="")
-    parser.add_argument("--profile", default="quick")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="workers for the parallel timing (0 = n_cpus)")
-    parser.add_argument("--figures", default="",
-                        help="comma-separated figure method names "
-                             "(default: all ten)")
-    parser.add_argument("--skip-figures", action="store_true",
-                        help="only run the kernel micro-benchmarks")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="persistent run-store directory for the "
-                             "figure timings (default: fresh temp dir); "
-                             "a pre-warmed store turns the serial pass "
-                             "into a resume")
-    args = parser.parse_args(argv)
-
-    kernel = measure_kernel(label=args.label)
-    write_json(kernel, args.kernel_out)
-    for name, row in kernel["benchmarks"].items():
-        print(f"[kernel] {name:>20s}: {row['events_per_second']:>12,.0f} ev/s")
-    print(f"wrote {args.kernel_out}")
-
-    if not args.skip_scale:
-        counts = [
-            int(c) for c in args.scale_clients.split(",") if c
-        ] or None
-        scale = measure_scale(client_counts=counts, label=args.label)
-        for point in scale["points"]:
-            rss_mb = point["peak_rss_bytes"] / (1024 * 1024)
-            print(
-                f"[scale] {point['clients']:>9,d} sessions: "
-                f"{point['wall_seconds']:7.1f} s wall, "
-                f"{rss_mb:7.0f} MB peak RSS, "
-                f"{point['row']['replies/s']:>9,.1f} replies/s, "
-                f"{point['row']['timeout/s']:>10,.1f} timeout/s"
-            )
-        write_json(scale, args.scale_out)
-        print(f"wrote {args.scale_out}")
-
-    if not args.skip_figures:
-        figures = [f for f in args.figures.split(",") if f] or None
-        report = measure_figures(
-            figures=figures, profile=args.profile,
-            jobs=args.jobs, label=args.label, store_dir=args.store,
-        )
-        store = report["store"]
-        cold_tag = " (pre-warmed store)" if store["prewarmed"] else ""
-        print(f"[figures] serial   {report['serial_seconds']:8.2f} s{cold_tag}")
-        print(f"[figures] jobs={report['jobs']:<3d} {report['parallel_seconds']:8.2f} s")
-        print(f"[figures] speedup  {report['speedup']:8.2f}x")
-        print(f"[figures] warm     {store['warm_seconds']:8.2f} s "
-              f"({store['warm_speedup']:.1f}x vs cold, "
-              f"{store['warm_stats']['hits']} store hits)")
-        write_json(report, args.figures_out)
-        print(f"wrote {args.figures_out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -37,9 +37,10 @@ __all__ = [
 class ReplicationPolicy:
     """Early-stopping rule for per-point replication.
 
-    Replication stops once ``z * s / (sqrt(n) * |mean|)`` — the relative
-    half-width of the normal-approximation confidence interval on the
-    mean throughput — drops to ``rel_halfwidth``, but never before
+    Replication stops once ``t * s / (sqrt(n) * |mean|)`` — the relative
+    half-width of the Student-t 95% confidence interval on the mean
+    throughput, ``t`` the 97.5% quantile at ``n - 1`` degrees of
+    freedom — drops to ``rel_halfwidth``, but never before
     ``min_replicates`` nor beyond ``max_replicates``.
     """
 
@@ -47,16 +48,14 @@ class ReplicationPolicy:
     max_replicates: int = 10
     #: Target relative CI half-width (0.05 = mean known to ±5%).
     rel_halfwidth: float = 0.05
-    #: Normal critical value; 1.96 ~ a 95% interval.
-    z: float = 1.96
 
     def __post_init__(self) -> None:
         if self.min_replicates < 2:
             raise ValueError("need at least 2 replicates to estimate spread")
         if self.max_replicates < self.min_replicates:
             raise ValueError("max_replicates must be >= min_replicates")
-        if self.rel_halfwidth <= 0 or self.z <= 0:
-            raise ValueError("rel_halfwidth and z must be positive")
+        if self.rel_halfwidth <= 0:
+            raise ValueError("rel_halfwidth must be positive")
 
 
 @dataclass
@@ -92,18 +91,22 @@ class ReplicatedPoint:
             sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         )
 
-    def ci_halfwidth(self, z: float = 1.96) -> float:
-        """Absolute CI half-width of the mean throughput."""
+    def ci_halfwidth(self) -> float:
+        """Absolute Student-t 95% CI half-width of the mean throughput."""
         if self.n < 2:
             return float("inf")
-        return z * self.stdev_throughput / math.sqrt(self.n)
+        # Imported here so that ``import repro`` does not load
+        # repro.analysis (about 10 ms of import time).
+        from ..analysis.stats import _t975
 
-    def rel_halfwidth(self, z: float = 1.96) -> float:
+        return _t975(self.n - 1) * self.stdev_throughput / math.sqrt(self.n)
+
+    def rel_halfwidth(self) -> float:
         """CI half-width relative to the mean (inf for a zero mean)."""
         mean = self.mean_throughput
         if mean == 0.0:
             return float("inf")
-        return self.ci_halfwidth(z) / abs(mean)
+        return self.ci_halfwidth() / abs(mean)
 
     def row(self) -> dict:
         """Summary columns for the replicated-sweep table."""
@@ -147,7 +150,7 @@ def run_replicated(
         batch = _replicate_specs(spec, 0, policy.min_replicates)
         point.replicates.extend(run_points(batch, jobs=jobs, store=store))
         while True:
-            if point.rel_halfwidth(policy.z) <= policy.rel_halfwidth:
+            if point.rel_halfwidth() <= policy.rel_halfwidth:
                 point.converged = True
                 break
             if point.n >= policy.max_replicates:

@@ -44,15 +44,9 @@ __all__ = ["PointSpec", "run_point", "run_points", "resolve_jobs"]
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker-count policy: explicit > ``REPRO_JOBS`` env > 1 (serial).
-
-    ``0`` (from either source) means "one worker per CPU".
-    """
+    """Worker count: ``None`` or 1 = serial, 0 = one worker per CPU."""
     if jobs is None:
-        try:
-            jobs = int(os.environ.get("REPRO_JOBS", "1"))
-        except ValueError:
-            jobs = 1
+        return 1
     if jobs == 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)

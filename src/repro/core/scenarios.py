@@ -12,14 +12,12 @@ UP-200M   1           2 x 100 Mbit/s  (bandwidth-bounded)
 SMP-1G    4           1 Gbit/s
 ========  ==========  ============================
 
-Measurement profiles trade figure fidelity for wall-clock; select one via
-the ``REPRO_PROFILE`` environment variable (``quick``/``standard``/
-``full``) or explicitly in code.
+Measurement profiles trade figure fidelity for wall-clock; pick one from
+:data:`PROFILES` by name (``quick``/``standard``/``full``/``scale``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -38,7 +36,6 @@ __all__ = [
     "SCALE_CLIENT_RANGE",
     "MeasurementProfile",
     "PROFILES",
-    "active_profile",
 ]
 
 
@@ -121,15 +118,3 @@ PROFILES: Dict[str, MeasurementProfile] = {
         "scale", SCALE_CLIENT_RANGE, duration=10.0, warmup=6.0
     ),
 }
-
-
-def active_profile(default: str = "quick") -> MeasurementProfile:
-    """Profile selected by ``REPRO_PROFILE``, else ``default``."""
-    name = os.environ.get("REPRO_PROFILE", default).lower()
-    try:
-        return PROFILES[name]
-    except KeyError:
-        valid = ", ".join(sorted(PROFILES))
-        raise ValueError(
-            f"unknown REPRO_PROFILE {name!r}; expected one of: {valid}"
-        ) from None

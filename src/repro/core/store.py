@@ -49,7 +49,6 @@ __all__ = [
     "metrics_to_dict",
     "metrics_from_dict",
     "RunStore",
-    "default_store_dir",
 ]
 
 #: Attributes of policy objects that are runtime *state*, not
@@ -128,17 +127,14 @@ _FINGERPRINT_CACHE: Optional[str] = None
 
 
 def code_fingerprint(refresh: bool = False) -> str:
-    """Digest of every ``repro`` source file (or ``$REPRO_FINGERPRINT``).
+    """Digest of every ``repro`` source file.
 
     Any edit to the package changes the fingerprint and therefore every
     store key — conservative (a docstring tweak invalidates too) but
-    never wrong.  The environment override exists for tests and for CI
-    runs that want to pin a fingerprint explicitly.
+    never wrong.  To pin a fingerprint, pass one to
+    ``RunStore(root, fingerprint=...)``.
     """
     global _FINGERPRINT_CACHE
-    override = os.environ.get("REPRO_FINGERPRINT")
-    if override:
-        return override
     if _FINGERPRINT_CACHE is not None and not refresh:
         return _FINGERPRINT_CACHE
     import repro
@@ -172,11 +168,6 @@ def metrics_from_dict(data: Dict) -> RunMetrics:
 
 
 # -- the store ----------------------------------------------------------------
-
-def default_store_dir() -> str:
-    """``$REPRO_STORE`` if set, else ``.repro-store`` in the cwd."""
-    return os.environ.get("REPRO_STORE") or ".repro-store"
-
 
 class RunStore:
     """Directory of content-addressed run results with atomic writes.

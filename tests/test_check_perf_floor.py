@@ -1,4 +1,5 @@
-"""The CI scale-sweep gate in ``benchmarks/check_perf_floor.py``."""
+"""The CI gates in ``benchmarks/check_perf_floor.py``: kernel floors and
+the scale sweep."""
 
 import importlib.util
 import json
@@ -12,6 +13,45 @@ def load_checker():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def floor_report(tmp_path, scale=None, drop=None):
+    """A pytest-benchmark report with every floored bench at its floor
+    rate (times ``scale[key]`` where given), leaving out ``drop``."""
+    floors = json.loads((SCRIPT.parent / "perf_floor.json").read_text())
+    events = 1_000
+    benches = [
+        {
+            "name": f"test_kernel[{key}]",
+            "extra_info": {"bench": key, "events": events},
+            "stats": {"min": events / (floor * (scale or {}).get(key, 1.0))},
+        }
+        for key, floor in floors["floors"].items()
+        if key != drop
+    ]
+    # Not a floored bench: no extra_info, and a rate far below any floor.
+    benches.append({"name": "test_other", "stats": {"min": 1e9}})
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"benchmarks": benches}))
+    return str(path)
+
+
+def test_floor_check_passes_at_the_floors_and_ignores_other_entries(tmp_path):
+    checker = load_checker()
+    assert checker.main([floor_report(tmp_path)]) == 0
+
+
+def test_floor_check_fails_a_bench_below_seventy_percent(tmp_path):
+    checker = load_checker()
+    report = floor_report(tmp_path, scale={"cpu_bursts": 0.69})
+    assert checker.main([report]) == 1
+    report = floor_report(tmp_path, scale={"cpu_bursts": 0.71})
+    assert checker.main([report]) == 0
+
+
+def test_floor_check_rejects_a_report_missing_a_floored_bench(tmp_path):
+    checker = load_checker()
+    assert checker.main([floor_report(tmp_path, drop="scale_smoke")]) == 2
 
 
 def scale_report(tmp_path, points):

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -77,13 +79,38 @@ def test_sweep_adaptive_replication(capsys):
 
 
 def test_sweep_rejects_bad_reps(capsys):
-    rc = main([
-        "sweep", "--server", "nio", "--threads", "1",
-        "--clients", "10", "--duration", "3", "--warmup", "2",
-        "--reps", "nope",
-    ])
-    assert rc == 2
-    assert "bad --reps" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "sweep", "--server", "nio", "--threads", "1",
+            "--clients", "10", "--duration", "3", "--warmup", "2",
+            "--reps", "nope",
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad --reps" in err and "usage:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--clients", "10,abc"],
+    ["cluster", "--clients", "150,0"],
+    ["trace", "--clients", "1e999"],
+], ids=["sweep", "cluster", "trace"])
+def test_list_valued_clients_flags_reject_bad_counts(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --clients" in err and "usage:" in err
+
+
+def test_clients_flags_take_k_and_m_suffixes():
+    parser = build_parser()
+    assert parser.parse_args(["sweep", "--clients", "1k,2.5k"]).clients \
+        == [1000, 2500]
+    assert parser.parse_args(["cluster", "--clients", "1k"]).clients \
+        == [1000]
+    assert parser.parse_args(["trace"]).clients == [150]
+    assert parser.parse_args(["sweep", "--reps", "3"]).reps == (3, 3)
 
 
 def test_cache_ls_and_gc(tmp_path, capsys, monkeypatch):
@@ -100,7 +127,9 @@ def test_cache_ls_and_gc(tmp_path, capsys, monkeypatch):
     assert "nio-1w" in out and "1 entries" in out
 
     # A different fingerprint sees the entry as stale and gc drops it.
-    monkeypatch.setenv("REPRO_FINGERPRINT", "some-other-version")
+    monkeypatch.setattr(
+        "repro.core.store.code_fingerprint", lambda: "some-other-version"
+    )
     assert main(["cache", "gc", "--store", store_dir]) == 0
     out = capsys.readouterr().out
     assert "removed 1 stale entries" in out
@@ -122,14 +151,37 @@ def test_cache_gc_all(tmp_path, capsys):
 
 
 def test_resume_flag_uses_default_store(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "default-store"))
+    monkeypatch.chdir(tmp_path)
     assert main([
         "sweep", "--server", "nio", "--threads", "1",
         "--clients", "5", "--duration", "3", "--warmup", "2",
         "--resume",
     ]) == 0
     out = capsys.readouterr().out
-    assert "default-store" in out and "1 points executed+stored" in out
+    assert ".repro-store" in out and "1 points executed+stored" in out
+    assert len(list((tmp_path / ".repro-store").glob("*/*.json"))) == 1
+
+
+def test_bench_writes_the_kernel_artifact(tmp_path, capsys, monkeypatch):
+    from repro.core import perf
+
+    small = {name: 50 for name in perf.KERNEL_EVENTS}
+    monkeypatch.setattr(perf, "KERNEL_EVENTS", small)
+    out_path = tmp_path / "BENCH_kernel.json"
+    assert main([
+        "bench", "--skip-figures", "--skip-scale",
+        "--kernel-out", str(out_path), "--label", "unit",
+    ]) == 0
+    assert f"wrote {out_path}" in capsys.readouterr().out
+    report = json.loads(out_path.read_text())
+    assert report["schema"] == "repro-bench-kernel/6"
+    assert report["label"] == "unit"
+    assert list(report["benchmarks"]) == [
+        "timeout_chain", "cpu_bursts", "link_transmissions",
+        "timed_wait_storm",
+    ]
+    for row in report["benchmarks"].values():
+        assert row["events"] == 50 and row["events_per_second"] > 0
 
 
 def test_figure_rejects_out_of_range(capsys):

@@ -11,7 +11,6 @@ from repro.core import (
     SweepResult,
     UP_GIGABIT,
     WorkloadSpec,
-    active_profile,
     best_configuration,
     build_server,
     find_crossover,
@@ -200,16 +199,6 @@ def test_profiles_exist_and_are_ordered():
     figure_profiles = [PROFILES[n] for n in ("quick", "standard", "full")]
     assert all(p.warmup > 15.0 for p in figure_profiles)
     assert PROFILES["scale"].duration >= 10.0
-
-
-def test_active_profile_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "standard")
-    assert active_profile().name == "standard"
-    monkeypatch.setenv("REPRO_PROFILE", "bogus")
-    with pytest.raises(ValueError):
-        active_profile()
-    monkeypatch.delenv("REPRO_PROFILE")
-    assert active_profile("quick").name == "quick"
 
 
 # ---------------------------------------------------------------------------

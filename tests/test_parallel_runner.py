@@ -73,17 +73,10 @@ def test_run_points_matches_run_point():
     assert pooled == direct
 
 
-def test_resolve_jobs_policy(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
+def test_resolve_jobs_policy():
     assert resolve_jobs(None) == 1
+    assert resolve_jobs(1) == 1
     assert resolve_jobs(3) == 3
     assert resolve_jobs(-2) == 1
     import os
     assert resolve_jobs(0) == (os.cpu_count() or 1)
-
-    monkeypatch.setenv("REPRO_JOBS", "5")
-    assert resolve_jobs(None) == 5
-    assert resolve_jobs(2) == 2  # explicit beats env
-
-    monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    assert resolve_jobs(None) == 1

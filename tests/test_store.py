@@ -25,7 +25,6 @@ from repro.core import (
     ServerSpec,
     WorkloadSpec,
     code_fingerprint,
-    default_store_dir,
     run_point,
     spec_digest,
 )
@@ -135,20 +134,15 @@ def test_digest_stable_across_processes_and_hash_seeds():
 
 # -- code fingerprint ---------------------------------------------------------
 
-def test_code_fingerprint_env_override(monkeypatch):
+def test_code_fingerprint_env_override(tmp_path, monkeypatch):
+    # No environment variable overrides the fingerprint; only the
+    # RunStore constructor pins one.
     monkeypatch.setenv("REPRO_FINGERPRINT", "forced")
-    assert code_fingerprint() == "forced"
-    monkeypatch.delenv("REPRO_FINGERPRINT")
-    real = code_fingerprint()
+    real = code_fingerprint(refresh=True)
     assert real != "forced" and len(real) == 16
     assert code_fingerprint() == real  # memoized
-
-
-def test_default_store_dir_env(monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", "/tmp/elsewhere")
-    assert default_store_dir() == "/tmp/elsewhere"
-    monkeypatch.delenv("REPRO_STORE")
-    assert default_store_dir() == ".repro-store"
+    assert RunStore(str(tmp_path)).fingerprint == real
+    assert RunStore(str(tmp_path), fingerprint="forced").fingerprint == "forced"
 
 
 # -- RunMetrics round trip ----------------------------------------------------

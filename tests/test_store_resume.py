@@ -11,11 +11,16 @@ over whole RunMetrics rows.
 
 from __future__ import annotations
 
+import concurrent.futures
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.__main__ import main
 from repro.core import (
+    PROFILES,
     UP_GIGABIT,
     FigureRunner,
     MeasurementProfile,
@@ -23,6 +28,7 @@ from repro.core import (
     RunStore,
     ServerSpec,
     WorkloadSpec,
+    code_fingerprint,
     run_point,
     run_points,
     sweep_clients,
@@ -131,6 +137,51 @@ def test_environment_cannot_change_a_stored_row(tmp_path, monkeypatch):
     for name in switches:
         monkeypatch.delenv(name)
     assert stored == [run_point(spec)]
+
+
+def test_run_configuration_comes_from_arguments_alone(tmp_path, monkeypatch):
+    """Profile, worker count, store directory and fingerprint are
+    arguments: variables that once chose them change nothing."""
+    spec = _specs()[0]
+    expected = run_point(spec)
+    fingerprint = code_fingerprint()
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    monkeypatch.setenv("REPRO_PROFILE", "full")
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "elsewhere"))
+    monkeypatch.setenv("REPRO_FINGERPRINT", "forced")
+
+    store = RunStore(str(tmp_path / "store"))
+    assert store.fingerprint == fingerprint
+    assert run_points([spec], store=store) == [expected]
+    assert FigureRunner().profile is PROFILES["quick"]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("jobs=None must run serially")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert len(run_points(_specs()[:2], jobs=None)) == 2
+
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "sweep", "--server", "nio", "--threads", "1", "--clients", "10",
+        "--duration", "1", "--warmup", "1", "--resume",
+    ]) == 0
+    assert len(RunStore(str(tmp_path / ".repro-store"))) == 1
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_nothing_under_src_reads_the_environment():
+    """No module names a ``REPRO_`` variable, and only ``measure_scale``
+    touches ``os.environ``: it hands its child process a PYTHONPATH."""
+    package = Path(repro.__file__).parent
+    sources = {
+        path.relative_to(package).as_posix(): path.read_text()
+        for path in sorted(package.rglob("*.py"))
+    }
+    assert [name for name, text in sources.items() if "REPRO_" in text] == []
+    assert [
+        name for name, text in sources.items() if "os.environ" in text
+    ] == ["core/perf.py"]
 
 
 def test_parallel_resume_matches_serial(tmp_path):
