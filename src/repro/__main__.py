@@ -70,6 +70,9 @@ _NETWORKS = {
 #: the working directory.
 STORE_DIR = ".repro-store"
 
+#: Server architectures a ServerSpec may name.
+_KINDS = ("nio", "httpd", "staged", "amped")
+
 
 def parse_clients(text: str) -> int:
     """Client count with an optional k/M suffix: 600, 50k, 250k, 1M."""
@@ -102,6 +105,71 @@ def parse_reps(text: str) -> Tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"bad --reps {text!r}; expected MIN[:MAX], e.g. 3:10"
         ) from None
+
+
+def parse_mix(text: str) -> Tuple[Tuple[str, int, Optional[float]], ...]:
+    """``kind:threads[@cpu_speed],...`` -> one ``(kind, threads, speed)``
+    per replica; ``speed`` is ``None`` where the entry names none."""
+    replicas = []
+    for entry in (t.strip() for t in text.split(",") if t.strip()):
+        spec, at, speed_text = entry.partition("@")
+        kind, _, threads_text = spec.partition(":")
+        bad = argparse.ArgumentTypeError(
+            f"bad --mix entry {entry!r}; expected kind:threads[@cpu_speed] "
+            f"with kind one of {', '.join(_KINDS)}, threads >= 1 and "
+            "cpu_speed > 0"
+        )
+        try:
+            threads = int(threads_text or 1)
+            speed = float(speed_text) if at else None
+        except ValueError:
+            raise bad from None
+        if kind not in _KINDS or threads < 1 or not (speed is None or speed > 0):
+            raise bad
+        replicas.append((kind, threads, speed))
+    return tuple(replicas)
+
+
+def parse_classes(text: str):
+    """``name:weight:bw_mbps:rtt_ms:loss[:adversary];...`` -> class specs."""
+    from .cluster import ClientClassSpec
+
+    classes = []
+    for entry in (t.strip() for t in text.split(";") if t.strip()):
+        parts = entry.split(":")
+        try:
+            if len(parts) not in (5, 6):
+                raise ValueError(
+                    "expected name:weight:bw_mbps:rtt_ms:loss[:adversary]"
+                )
+            classes.append(ClientClassSpec(
+                name=parts[0],
+                weight=float(parts[1]),
+                bandwidth_bps=float(parts[2]) * 1e6,
+                rtt_s=float(parts[3]) / 1e3,
+                loss=float(parts[4]),
+                adversary=parts[5] if len(parts) > 5 else "",
+            ))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"bad --classes entry {entry!r}: {exc}"
+            ) from None
+    return tuple(classes)
+
+
+def parse_cache_sweep(text: str) -> List[int]:
+    """``MB,MB,...`` -> LRU capacities in bytes, each at least one."""
+    bad = argparse.ArgumentTypeError(
+        f"bad --cache-sweep {text!r}; expected positive sizes in MB, "
+        "e.g. 1,4,16,64"
+    )
+    try:
+        capacities = [int(float(mb) * 1024 * 1024) for mb in text.split(",")]
+    except (ValueError, OverflowError):
+        raise bad from None
+    if min(capacities) < 1:
+        raise bad
+    return capacities
 
 
 def _fluid_config(args: argparse.Namespace):
@@ -152,9 +220,7 @@ def _point(
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--server", choices=("nio", "httpd", "staged", "amped"), default="nio"
-    )
+    parser.add_argument("--server", choices=_KINDS, default="nio")
     parser.add_argument("--threads", type=int, default=1,
                         help="workers (nio/staged) or pool size (httpd)")
     parser.add_argument("--idle-timeout", type=float, default=15.0)
@@ -348,49 +414,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_mix(text: str, cpu_speed: float):
-    """``kind:threads[@speed],...`` -> tuple of ReplicaSpec."""
-    from .cluster import ReplicaSpec
-
-    replicas = []
-    for i, entry in enumerate(t for t in text.split(",") if t.strip()):
-        entry = entry.strip()
-        speed = cpu_speed
-        if "@" in entry:
-            entry, _, speed_text = entry.partition("@")
-            speed = float(speed_text)
-        kind, _, threads = entry.partition(":")
-        replicas.append(ReplicaSpec(
-            rid=f"r{i}",
-            server=ServerSpec(kind=kind, threads=int(threads or 1)),
-            machine=MachineSpec(cpus=1, cpu_speed=speed),
-        ))
-    return tuple(replicas)
-
-
-def _parse_classes(text: str):
-    """``name:weight:bw_mbps:rtt_ms:loss[:adversary];...`` -> class specs."""
-    from .cluster import ClientClassSpec
-
-    classes = []
-    for entry in (t for t in text.split(";") if t.strip()):
-        parts = entry.strip().split(":")
-        if len(parts) < 5:
-            raise ValueError(
-                f"bad class {entry!r}; expected "
-                "name:weight:bw_mbps:rtt_ms:loss[:adversary]"
-            )
-        classes.append(ClientClassSpec(
-            name=parts[0],
-            weight=float(parts[1]),
-            bandwidth_bps=float(parts[2]) * 1e6,
-            rtt_s=float(parts[3]) / 1e3,
-            loss=float(parts[4]),
-            adversary=parts[5] if len(parts) > 5 else "",
-        ))
-    return tuple(classes)
-
-
 def _cluster_overload(args: argparse.Namespace):
     """The per-replica admission policy the flags ask for, or None."""
     if args.admission == "none":
@@ -419,17 +442,17 @@ def _cluster_parts(args: argparse.Namespace):
         RollingRestartSpec,
     )
 
-    if args.mix:
-        replicas = _parse_mix(args.mix, args.cpu_speed)
-    else:
-        replicas = tuple(
-            ReplicaSpec(
-                rid=f"r{i}",
-                server=ServerSpec(kind=args.server, threads=args.threads),
-                machine=MachineSpec(cpus=1, cpu_speed=args.cpu_speed),
-            )
-            for i in range(args.replicas)
+    mix = args.mix or ((args.server, args.threads, None),) * args.replicas
+    replicas = tuple(
+        ReplicaSpec(
+            rid=f"r{i}",
+            server=ServerSpec(kind=kind, threads=threads),
+            machine=MachineSpec(
+                cpus=1, cpu_speed=args.cpu_speed if speed is None else speed
+            ),
         )
+        for i, (kind, threads, speed) in enumerate(mix)
+    )
     overload = _cluster_overload(args)
     if overload is not None:
         replicas = tuple(
@@ -443,7 +466,7 @@ def _cluster_parts(args: argparse.Namespace):
     )
     kwargs = {}
     if args.classes:
-        kwargs["classes"] = _parse_classes(args.classes)
+        kwargs["classes"] = args.classes
     elif args.scenario == "slowloris":
         from .cluster import ClientClassSpec
 
@@ -508,13 +531,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         from .http.files import FilePopulation
 
         files = FilePopulation.shared(args.seed, n_files=2000)
-        capacities = [
-            int(float(mb) * 1024 * 1024)
-            for mb in args.cache_sweep.split(",")
-        ]
         print("LRU capacity vs hit rate (SURGE population, "
               f"seed {args.seed}):")
-        for capacity, rate in hit_rate_sweep(files, capacities, args.seed):
+        for capacity, rate in hit_rate_sweep(
+            files, args.cache_sweep, args.seed
+        ):
             print(f"  {capacity / (1024 * 1024):8.1f} MB: "
                   f"{rate * 100:5.1f}% hits")
         return 0
@@ -719,8 +740,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         if not args.skip_figures:
             report = perf.measure_figures(
-                profile=args.profile,
-                jobs=0 if args.jobs is None else args.jobs,
+                profile=args.profile, jobs=args.jobs,
                 label=args.label, store_dir=_store_dir(args),
             )
             store = report["store"]
@@ -870,14 +890,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="number of identical replicas (ignored with --mix)",
         )
         p.add_argument(
-            "--mix", default=None, metavar="SPEC",
+            "--mix", type=parse_mix, default=None, metavar="SPEC",
             help="heterogeneous replicas: 'kind:threads[@cpu_speed],...' "
                  "e.g. 'nio:1,nio:1,httpd:512@0.5'",
         )
-        p.add_argument(
-            "--server", choices=("nio", "httpd", "staged", "amped"),
-            default="nio",
-        )
+        p.add_argument("--server", choices=_KINDS, default="nio")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument(
             "--cpu-speed", type=float, default=0.35,
@@ -898,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-mb", type=int, default=0,
                        help="mount an LRU front cache of this size")
         p.add_argument(
-            "--classes", default=None, metavar="SPEC",
+            "--classes", type=parse_classes, default=None, metavar="SPEC",
             help="WAN classes: 'name:weight:bw_mbps:rtt_ms:loss[:adversary]"
                  ";...' e.g. 'dsl:1:8:60:0.02;lan:1:1000:1:0'",
         )
@@ -937,7 +954,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cluster_flags(p_cluster)
     p_cluster.add_argument(
-        "--cache-sweep", default=None, metavar="MB,MB,...",
+        "--cache-sweep", type=parse_cache_sweep, default=None,
+        metavar="MB,MB,...",
         help="print the capacity-vs-hit-rate curve and exit",
     )
     p_cluster.add_argument("--clients", type=parse_client_list,
@@ -1029,7 +1047,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "functions by cumulative time (--profile "
                               "already names the measurement profile "
                               "here, hence the different spelling)")
-    _add_jobs(p_bench)
+    p_bench.add_argument(
+        "--jobs", type=int, default=0, metavar="N",
+        help="worker processes for the parallel figure pass (default 0 = "
+             "one per CPU; 1 = serial)",
+    )
     _add_store(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 

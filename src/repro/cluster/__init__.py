@@ -37,7 +37,6 @@ from .scenarios import (
     replica,
     restart_point,
     slowloris_point,
-    steady_point,
     straggler_cluster,
     uniform_cluster,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "replica",
     "uniform_cluster",
     "straggler_cluster",
-    "steady_point",
     "flash_point",
     "slowloris_point",
     "restart_point",

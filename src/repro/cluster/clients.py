@@ -440,7 +440,7 @@ def apportion(n: int, classes) -> List[int]:
 def flash_offsets(flash: FlashCrowdSpec) -> List[float]:
     """Start offsets (relative to ``flash.at``) of the surge clients.
 
-    Quantiles of Exponential(mean=decay) via the inverse CDF — a
+    Quantiles of an exponential with mean ``decay``, by the inverse CDF — a
     deterministic arrival profile that steps up at ``at`` and decays
     away, with no RNG consumed.
     """

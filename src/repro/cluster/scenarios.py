@@ -10,7 +10,7 @@ show once at least one replica is the bottleneck.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..core.params import ServerSpec, WorkloadSpec
 from ..osmodel.machine import MachineSpec
@@ -29,7 +29,6 @@ __all__ = [
     "replica",
     "uniform_cluster",
     "straggler_cluster",
-    "steady_point",
     "flash_point",
     "slowloris_point",
     "restart_point",
@@ -107,21 +106,6 @@ def _workload(
     clients: int, duration: float, warmup: float
 ) -> WorkloadSpec:
     return WorkloadSpec(clients=clients, duration=duration, warmup=warmup)
-
-
-def steady_point(
-    cluster: ClusterSpec,
-    clients: int,
-    duration: float = 10.0,
-    warmup: float = 16.0,
-    seed: int = 42,
-) -> ClusterPointSpec:
-    """Plain steady-state cluster point."""
-    return ClusterPointSpec(
-        cluster=cluster,
-        workload=_workload(clients, duration, warmup),
-        seed=seed,
-    )
 
 
 def flash_point(

@@ -34,26 +34,22 @@ def build_server(
 ) -> Server:
     """Instantiate the requested server architecture."""
     # Imported here so optional architectures stay decoupled.
-    from ..http.protocol import HttpSemantics
     from ..servers.eventdriven import EventDrivenServer
     from ..servers.threadpool import ThreadPoolServer
 
     costs = machine.spec.base_costs()
-    semantics = HttpSemantics(keep_alive=spec.keep_alive)
     overload = spec.overload
     if spec.kind == "nio":
         return EventDrivenServer(
             sim, machine, listener,
             workers=spec.threads, jvm_factor=spec.jvm_factor, costs=costs,
-            selector_strategy=spec.selector_strategy, semantics=semantics,
-            overload=overload,
+            selector_strategy=spec.selector_strategy, overload=overload,
         )
     if spec.kind == "httpd":
         return ThreadPoolServer(
             sim, machine, listener,
             pool_size=spec.threads, idle_timeout=spec.idle_timeout,
-            costs=costs, dynamic=spec.dynamic_pool, semantics=semantics,
-            overload=overload,
+            costs=costs, dynamic=spec.dynamic_pool, overload=overload,
         )
     if spec.kind == "staged":
         from ..servers.staged import StagedServer
@@ -61,14 +57,14 @@ def build_server(
         return StagedServer(
             sim, machine, listener,
             threads_per_stage=spec.threads, jvm_factor=spec.jvm_factor,
-            costs=costs, semantics=semantics, overload=overload,
+            costs=costs, overload=overload,
         )
     if spec.kind == "amped":
         from ..servers.amped import AmpedServer
 
         return AmpedServer(
             sim, machine, listener, helpers=spec.helpers, costs=costs,
-            semantics=semantics, overload=overload,
+            overload=overload,
         )
     raise ValueError(f"unknown server kind {spec.kind!r}")
 

@@ -61,9 +61,6 @@ class ServerSpec:
     #: nio only: "shared" (one selector, the paper's design) or
     #: "partitioned" (one selector per worker, Netty-style).
     selector_strategy: str = "shared"
-    #: HTTP/1.1 persistent connections (False = HTTP/1.0 close-per-reply;
-    #: pair with HttperfConfig(new_connection_per_request=True)).
-    keep_alive: bool = True
     #: Overload-control policies to mount (admission, queue discipline,
     #: adaptive timeout).  The control's state is reset at the start of
     #: every Experiment.run(), so one spec can be swept deterministically.

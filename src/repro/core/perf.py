@@ -85,10 +85,11 @@ def kernel_runner(name: str):
 
         return run
     if name == "cpu_bursts":
-        # Completion goes through CPU.execute_call — the bare-callback
-        # fast path the TCP reject charge and the fluid boundary use —
-        # so the bench measures the station's real hot-path cost, not
-        # Event allocation + kernel dispatch on top of it.
+        # Completion goes through CPU.execute_call, which runs a bare
+        # callback, so the bench measures the station's own cost, not
+        # Event allocation + kernel dispatch on top of it.  No model
+        # code calls execute_call: the TCP reject and the fluid
+        # boundary bill the CPU with CPU.charge.
         def run(n: int) -> int:
             sim = Simulator()
             cpu = CPU(sim, nproc=2, smp_efficiency=1.0)
@@ -342,7 +343,10 @@ def measure_figures(
     With a persisted ``store_dir`` (e.g. restored from a CI cache), the
     "serial" pass is itself warm; ``store_prewarmed`` records that so the
     trajectory artifact stays honest across cached workflow runs.
+    Without one, the store lives in a temporary directory that is
+    removed on return, and the artifact's ``store.dir`` is ``None``.
     """
+    import contextlib
     import tempfile
 
     from .figures import PAPER_FIGURES, FigureRunner
@@ -353,7 +357,6 @@ def measure_figures(
     names = list(figures or PAPER_FIGURES)
     prof = PROFILES[profile]
     effective_jobs = resolve_jobs(jobs)
-    sdir = store_dir or tempfile.mkdtemp(prefix="repro-figstore-")
 
     def regen(n_jobs: Optional[int], store: Optional[RunStore]) -> float:
         runner = FigureRunner(
@@ -363,12 +366,17 @@ def measure_figures(
         runner.run_figures(names)
         return time.perf_counter() - t0
 
-    cold_store = RunStore(sdir)
-    prewarmed = len(cold_store) > 0
-    serial_s = regen(None, cold_store)
-    parallel_s = regen(effective_jobs, None)
-    warm_store = RunStore(sdir)
-    warm_s = regen(None, warm_store)
+    with (
+        contextlib.nullcontext(store_dir)
+        if store_dir
+        else tempfile.TemporaryDirectory(prefix="repro-figstore-")
+    ) as sdir:
+        cold_store = RunStore(sdir)
+        prewarmed = len(cold_store) > 0
+        serial_s = regen(None, cold_store)
+        parallel_s = regen(effective_jobs, None)
+        warm_store = RunStore(sdir)
+        warm_s = regen(None, warm_store)
     return {
         "schema": "repro-bench-figures/2",
         "label": label,
@@ -381,7 +389,7 @@ def measure_figures(
         "parallel_seconds": round(parallel_s, 3),
         "speedup": round(serial_s / parallel_s, 3) if parallel_s else None,
         "store": {
-            "dir": os.path.abspath(sdir),
+            "dir": os.path.abspath(store_dir) if store_dir else None,
             "fingerprint": cold_store.fingerprint,
             "prewarmed": prewarmed,
             "cold_seconds": round(serial_s, 3),

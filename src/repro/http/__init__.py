@@ -1,7 +1,7 @@
 """HTTP substrate: messages, parser, protocol semantics, file population."""
 
 from .files import FilePopulation, population_cache_stats
-from .messages import Request, Response
+from .messages import Request
 from .parser import ParsedRequest, ParseError, RequestParser, render_response_head
 from .protocol import HttpSemantics
 
@@ -9,7 +9,6 @@ __all__ = [
     "FilePopulation",
     "population_cache_stats",
     "Request",
-    "Response",
     "ParsedRequest",
     "ParseError",
     "RequestParser",

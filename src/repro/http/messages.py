@@ -1,11 +1,11 @@
-"""HTTP message objects shared by the simulated and live servers."""
+"""The HTTP request object the simulated workload and servers share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-__all__ = ["Request", "Response"]
+__all__ = ["Request"]
 
 #: Typical wire size of a 2004-era GET request head (request line + Host,
 #: User-Agent, Accept, Connection headers).
@@ -40,16 +40,3 @@ class Request:
         """Response head + body bytes that will cross the downlink."""
         return DEFAULT_RESPONSE_HEAD_BYTES + self.response_bytes
 
-
-@dataclass
-class Response:
-    """One HTTP response (used mainly by the live servers and parser)."""
-
-    status: int
-    body_bytes: int
-    keep_alive: bool = True
-    headers: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def wire_bytes(self) -> int:
-        return DEFAULT_RESPONSE_HEAD_BYTES + self.body_bytes

@@ -1,8 +1,8 @@
-"""HTTP/1.1 connection-semantics helpers shared by server models.
+"""HTTP/1.1 wire-size helpers shared by server models.
 
-Centralises the small protocol decisions both architectures make the same
-way (so differences between them stay architectural, as in the paper):
-persistent connections, pipelining limits, and wire-size bookkeeping.
+Centralises the small protocol decisions every architecture makes the
+same way (so differences between them stay architectural, as in the
+paper): the response head's size and the write granularity.
 """
 
 from __future__ import annotations
@@ -18,14 +18,10 @@ __all__ = ["HttpSemantics"]
 class HttpSemantics:
     """Protocol-level knobs used by the simulated servers."""
 
-    #: Persistent connections on by default (HTTP/1.1).
-    keep_alive: bool = True
     #: Response head bytes preceding the body on the wire.
     response_head_bytes: int = DEFAULT_RESPONSE_HEAD_BYTES
     #: Server-side write granularity (one write(2) worth of payload).
     chunk_bytes: int = 16 * 1024
-    #: Cap on requests a client may pipeline without waiting.
-    max_pipeline_depth: int = 4
 
     def response_wire_bytes(self, request: Request) -> int:
         """Total bytes the response to ``request`` puts on the downlink."""

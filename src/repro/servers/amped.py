@@ -164,10 +164,6 @@ class AmpedServer(Server):
             state.remaining -= n
             if state.remaining == 0:
                 self.requests_served += 1
-                if not self.semantics.keep_alive:
-                    yield self._exec("close", self.costs.close)
-                    self._close(conn, state)
-                    return
                 yield self._exec("keepalive", self.costs.keepalive_check)
         self.selector.set_interest(conn, READ)
 

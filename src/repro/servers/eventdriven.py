@@ -197,10 +197,6 @@ class EventDrivenServer(Server):
             state.remaining -= n
             if state.remaining == 0:
                 self.requests_served += 1
-                if not self.semantics.keep_alive:
-                    yield self._exec("close", self.costs.close)
-                    self._close(conn, state)
-                    return
                 yield self._exec("keepalive", self.costs.keepalive_check)
         if conn.watcher is not None:
             conn.watcher.set_interest(conn, READ)

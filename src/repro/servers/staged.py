@@ -150,10 +150,6 @@ class StagedServer(Server):
                     remaining -= n
                 else:
                     self.requests_served += 1
-                    if not self.semantics.keep_alive:
-                        yield self._exec("close", self.costs.close)
-                        self._close(conn, state)
-                        break
                     yield self._exec("keepalive", self.costs.keepalive_check)
                     continue
                 break  # inner loop broke: connection closed

@@ -79,7 +79,6 @@ class ThreadPoolServer(Server):
         self.max_spare = max_spare
         self.manager_interval = manager_interval
         self.idle_reaps = 0
-        self.keepalive_requests = 0
         self.idle_workers = 0
         self.live_workers = 0
         self.spawn_failures = 0
@@ -186,9 +185,6 @@ class ThreadPoolServer(Server):
             if not sent_ok:
                 break
             self.requests_served += 1
-            if not self.semantics.keep_alive:
-                break
-            self.keepalive_requests += 1
             yield self._exec("keepalive", self.costs.keepalive_check)
         yield self._exec("close", self.costs.close)
         conn.server_close()

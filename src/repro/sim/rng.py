@@ -9,8 +9,8 @@ regression tests stable.
 Two kinds of stream come from one :class:`RandomStreams`:
 
 * ``stream(name)`` is a plain cached :class:`numpy.random.Generator`, for
-  the few long-lived components (the file population, per-class fluid
-  sources, loss processes).
+  the few long-lived components (the file population, the fluid source,
+  loss processes).
 * ``spawn(name, i)`` is a :class:`StreamHandle`, for the per-client
   streams a population holds thousands of.  A handle keeps only its
   PCG64 state between draws -- four integers, derived from the same

@@ -1,16 +1,8 @@
-"""Workload substrate: SURGE distributions, httperf clients, session logs."""
+"""Workload substrate: SURGE distributions and httperf clients."""
 
-from .distributions import (
-    BoundedPareto,
-    Constant,
-    Distribution,
-    Exponential,
-    Geometric,
-    Lognormal,
-)
-from .fluid import FluidClass, FluidConfig, FluidLoadGenerator
+from .distributions import BoundedPareto, Distribution, Geometric
+from .fluid import FluidConfig, FluidLoadGenerator
 from .httperf import EmulatedClient, HttperfConfig, LoadGenerator
-from .sessionlog import ReplayWorkload, SessionLog
 from .surge import (
     SessionPlan,
     SurgeConfig,
@@ -20,19 +12,13 @@ from .surge import (
 
 __all__ = [
     "BoundedPareto",
-    "Constant",
     "Distribution",
-    "Exponential",
     "Geometric",
-    "Lognormal",
     "EmulatedClient",
-    "FluidClass",
     "FluidConfig",
     "FluidLoadGenerator",
     "HttperfConfig",
     "LoadGenerator",
-    "ReplayWorkload",
-    "SessionLog",
     "SessionPlan",
     "SurgeConfig",
     "SurgeWorkload",

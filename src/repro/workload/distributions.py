@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Distribution",
-    "Constant",
-    "Exponential",
-    "Lognormal",
-    "BoundedPareto",
-    "Geometric",
-]
+__all__ = ["Distribution", "BoundedPareto", "Geometric"]
 
 
 class Distribution:
@@ -34,54 +27,6 @@ class Distribution:
     def mean(self) -> float:
         """Analytic (or truncated) mean."""
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Constant(Distribution):
-    """Degenerate distribution (useful for ablations and tests)."""
-
-    value: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
-
-    def mean(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential with the given mean."""
-
-    mean_value: float
-
-    def __post_init__(self) -> None:
-        if self.mean_value <= 0:
-            raise ValueError("mean must be positive")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean_value))
-
-    def mean(self) -> float:
-        return self.mean_value
-
-
-@dataclass(frozen=True)
-class Lognormal(Distribution):
-    """Lognormal parameterised by the underlying normal's mu/sigma."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(np.exp(rng.normal(self.mu, self.sigma)))
-
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma**2 / 2.0)
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,6 @@ class HttperfConfig:
     stall_timeout: float = 60.0
     #: Reconnect-and-retry attempts when the server reset the connection.
     max_reset_retries: int = 2
-    #: HTTP/1.0 mode (httperf --num-calls=1): one connection per request,
-    #: no pipelining, no keep-alive.  Pair with a server configured with
-    #: ``keep_alive=False`` semantics.
-    new_connection_per_request: bool = False
 
 
 class EmulatedClient:
@@ -134,9 +130,6 @@ class EmulatedClient:
 
     def _run_session(self, plan: SessionPlan) -> object:
         """Generator: execute one session; returns True if it completed."""
-        if self.config.new_connection_per_request:
-            result = yield from self._run_session_http10(plan)
-            return result
         conn = yield from self._connect()
         if conn is None:
             return False
@@ -157,29 +150,6 @@ class EmulatedClient:
             conn.client_close()
             self._finish_span(conn, "closed")
         return ok
-
-    def _run_session_http10(self, plan: SessionPlan) -> object:
-        """Generator: HTTP/1.0 session — fresh connection per request."""
-        for group_index, group in enumerate(plan.groups):
-            for request in group:
-                conn = yield from self._connect()
-                if conn is None:
-                    return False
-                try:
-                    pending = yield from conn.send_request(request)
-                except ResetByServer:
-                    # Unexpected on a fresh connection; count and bail.
-                    self.metrics.record_error(CONNECTION_RESET)
-                    self._finish_span(conn, "reset")
-                    return False
-                failed = yield from self._collect_replies(conn, [pending])
-                if failed:
-                    return False
-                conn.client_close()
-                self._finish_span(conn, "closed")
-            if group_index < len(plan.groups) - 1:
-                yield self.sim.timeout(plan.think_times[group_index])
-        return True
 
     def _collect_replies(self, conn: Connection, pendings: List) -> object:
         """Generator: await every reply; returns True if the session died."""

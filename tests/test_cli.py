@@ -184,6 +184,23 @@ def test_bench_writes_the_kernel_artifact(tmp_path, capsys, monkeypatch):
         assert row["events"] == 50 and row["events_per_second"] > 0
 
 
+def test_bench_jobs_default_to_one_worker_per_cpu():
+    assert build_parser().parse_args(["bench"]).jobs == 0
+
+
+def test_measure_figures_removes_its_temporary_store(tmp_path, monkeypatch):
+    import tempfile
+
+    from repro.core import perf
+    from repro.core.figures import FigureRunner
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(FigureRunner, "run_figures", lambda self, names: [])
+    report = perf.measure_figures(jobs=1)
+    assert report["store"]["dir"] is None
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_rejects_out_of_range(capsys):
     assert main(["figure", "11"]) == 2
 

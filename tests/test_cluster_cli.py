@@ -87,12 +87,29 @@ def test_cluster_restart_scenario(capsys):
     assert "restart.picks_after_drain" in out
 
 
-def test_cluster_rejects_bad_mix():
-    with pytest.raises(ValueError, match="frobnicator"):
+def test_cluster_rejects_bad_mix(capsys):
+    with pytest.raises(SystemExit) as exc:
         main([
             "cluster", "--mix", "frobnicator:9",
             "--clients", "5", "--duration", "3", "--warmup", "2",
         ])
+    assert exc.value.code == 2
+    assert "frobnicator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("cluster", "--mix", "nio:x"),
+    ("trace", "--mix", "nio:1@0"),
+    ("cluster", "--classes", "a:1"),
+    ("trace", "--classes", "a:0:8:60:0"),
+    ("cluster", "--cache-sweep", "1,x"),
+])
+def test_cluster_list_flags_reject_bad_values(command, flag, value, capsys):
+    """A malformed list flag is a usage error (exit 2), not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 # -- age-based cache gc -------------------------------------------------------

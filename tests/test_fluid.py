@@ -1,12 +1,11 @@
 """Unit tests for the fluid client-population machinery.
 
 The integration-level guarantees (byte-identity in the pinned regime,
-statistical agreement in the aggregate regime) live in
-``test_fluid_equivalence.py``; this file covers the parts in isolation:
-apportioning, the SYN ladder, batch metrics, vectorised gap draws, the
-CPU fast-path completions the boundary rides, the flood-drop batch
-path, the session free list, and the scale plumbing (CLI parsing,
-profile, cluster bridge).
+statistical agreement and one pinned digest in the aggregate regime)
+live in ``test_fluid_equivalence.py``; this file covers the parts in
+isolation: the SYN ladder, ramp binning, batch metrics, vectorised gap
+draws, the CPU fast-path completions, the flood-drop batch path, the
+session free list, and the scale plumbing (CLI parsing, profile).
 """
 
 import json
@@ -21,51 +20,16 @@ from repro.core.scenarios import PROFILES, SCALE_CLIENT_RANGE
 from repro.metrics.collectors import CLIENT_TIMEOUT, MetricsHub
 from repro.osmodel import CPU
 from repro.sim import Simulator
-from repro.sim.rng import RandomStreams
 from repro.workload.fluid import (
     _RAMP_CHUNK,
-    FluidClass,
     FluidConfig,
-    _apportion,
     _attempt_offsets,
-    _interleave,
     _ramp_bins,
 )
 from repro.workload.surge import SurgeConfig, SurgeWorkload
 
 
-# -- class splitting ---------------------------------------------------------
-
-def _classes(*pairs):
-    return tuple(FluidClass(name, weight=w) for name, w in pairs)
-
-
-def test_apportion_splits_by_weight_and_conserves_total():
-    classes = _classes(("a", 1.0), ("b", 3.0))
-    counts = _apportion(100, classes)
-    assert counts == [25, 75]
-    for n in (1, 7, 99, 1000):
-        assert sum(_apportion(n, classes)) == n
-
-
-def test_apportion_largest_remainder_is_deterministic():
-    classes = _classes(("a", 1.0), ("b", 1.0), ("c", 1.0))
-    # 10 = 3+3+3 with one remainder seat; equal remainders break by name.
-    assert _apportion(10, classes) == [4, 3, 3]
-
-
-def test_interleave_matches_apportion_on_every_prefix():
-    classes = _classes(("a", 1.0), ("b", 2.0))
-    assignment = _interleave(9, classes)
-    assert len(assignment) == 9
-    # Totals agree with the aggregate split...
-    totals = [assignment.count(0), assignment.count(1)]
-    assert totals == _apportion(9, classes)
-    # ...and every prefix stays within one seat of the ideal share.
-    for i in range(1, 10):
-        got = assignment[:i].count(1)
-        assert abs(got - 2.0 / 3.0 * i) < 1.0 + 1e-9
-
+# -- the SYN ladder -----------------------------------------------------------
 
 def test_attempt_offsets_follow_the_syn_ladder():
     # 10 s client timeout: SYN at 0 s, retransmits at +3 s and +9 s
@@ -98,49 +62,9 @@ def test_chunked_ramp_bins_match_one_shot(n, ramp, bin_s):
 
 # -- config validation -------------------------------------------------------
 
-def test_fluid_config_normalises_class_order():
-    a = FluidConfig(classes=_classes(("dsl", 1.0), ("lan", 2.0)))
-    b = FluidConfig(classes=_classes(("lan", 2.0), ("dsl", 1.0)))
-    assert a == b
-    assert [c.name for c in a.classes] == ["dsl", "lan"]
-
-
 def test_fluid_config_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        FluidConfig(classes=())
-    with pytest.raises(ValueError):
-        FluidConfig(classes=_classes(("dup", 1.0), ("dup", 2.0)))
-    with pytest.raises(ValueError):
         FluidConfig(budget=0)
-    with pytest.raises(ValueError):
-        FluidConfig(bin_s=0.0)
-    with pytest.raises(ValueError):
-        FluidClass("bad", weight=0.0)
-    with pytest.raises(ValueError):
-        FluidClass("bad", loss=1.0)
-
-
-def test_fluid_class_wan_detection():
-    assert not FluidClass("plain").wan
-    assert FluidClass("dsl", bandwidth_bps=8e6).wan
-    assert FluidClass("far", rtt_s=0.06).wan
-    assert FluidClass("lossy", loss=0.02).wan
-
-
-def test_cluster_class_bridges_to_fluid():
-    from repro.cluster import ClientClassSpec
-
-    spec = ClientClassSpec(
-        "dsl", weight=2.0, bandwidth_bps=8e6, rtt_s=0.06, loss=0.02
-    )
-    cls = spec.to_fluid()
-    assert isinstance(cls, FluidClass)
-    assert (cls.name, cls.weight) == ("dsl", 2.0)
-    assert cls.bandwidth_bps == 8e6
-    assert cls.rtt_s == 0.06
-    assert cls.loss == 0.02
-    with pytest.raises(ValueError):
-        ClientClassSpec("bad", adversary="slowloris").to_fluid()
 
 
 # -- batch metrics and vectorised draws --------------------------------------
@@ -235,10 +159,10 @@ def test_drop_flood_batches_counters_and_reject_cost():
 
 # -- aggregate regime mechanics ---------------------------------------------
 
-def _aggregate_run(clients=900, budget=64, seed=11, **fluid_kwargs):
+def _aggregate_run(clients=900, budget=64, seed=11):
     workload = WorkloadSpec(
         clients=clients, duration=6.0, warmup=6.0,
-        fluid=FluidConfig(budget=budget, **fluid_kwargs),
+        fluid=FluidConfig(budget=budget),
     )
     experiment = Experiment(ServerSpec.nio(1), workload, seed=seed)
     return experiment.run()
@@ -318,16 +242,3 @@ def test_measure_scale_emits_the_artifact_schema(tmp_path):
     assert point["fluid"]["fluid.aggregate"] == 1
     path = write_json(report, str(tmp_path / "BENCH_scale.json"))
     assert json.loads(Path(path).read_text())["points"][0]["clients"] == 2000
-
-
-def test_fluid_uses_per_class_streams():
-    """Aggregate sources draw from ``fluid[<name>]`` streams keyed off
-    (seed, class name) — independent of construction order and of the
-    discrete ``client[i]`` streams."""
-    streams_a = RandomStreams(21)
-    streams_b = RandomStreams(21)
-    one = streams_a.stream("fluid[dsl]").random(4)
-    two = streams_b.stream("fluid[dsl]").random(4)
-    assert np.array_equal(one, two)
-    other = RandomStreams(21).stream("fluid[lan]").random(4)
-    assert not np.array_equal(one, other)

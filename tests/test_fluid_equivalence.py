@@ -6,25 +6,28 @@ the results.  Two regimes, two contracts:
 
 * **pinned** (population fits the boundary budget): byte-identical
   RunMetrics rows against the discrete generator — same streams, same
-  offsets, same link rotation — across architectures, scenarios, the
-  production and reference kernels, and random class mixes;
+  offsets, same link rotation — across architectures, scenarios and the
+  production and reference kernels;
 * **aggregate** (population exceeds the budget): statistical agreement
   on saturated testbeds, pinned to explicit tolerances.  Saturation is
   part of the contract — the budget must exceed the server's useful
   concurrency for the marginal aggregated client's fate to match the
   discrete model's (see the budget contract in repro/workload/fluid.py).
+  One aggregate run is also pinned whole, by digest.
 """
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.experiment import Experiment
 from repro.core.params import ServerSpec, WorkloadSpec
 from repro.core.scenarios import OVERLOAD_UP, UP_FAST_ETHERNET
 from repro.net.topology import NetworkSpec
 from repro.osmodel.machine import MachineSpec
-from repro.workload.fluid import FluidClass, FluidConfig
+from repro.workload.fluid import FluidConfig
 
 #: Architecture x scenario grid, mirroring test_wheel_equivalence.py.
 GRID = [
@@ -91,56 +94,6 @@ def test_pinned_fluid_is_wheel_invariant(reference_oracle):
     assert discrete.replies > 0
 
 
-def test_class_reorder_invariance_pinned_and_aggregate():
-    """Class declaration order never matters, in either regime."""
-    dsl = FluidClass("dsl", weight=1.0, bandwidth_bps=8e6, rtt_s=0.06)
-    lan = FluidClass("lan", weight=2.0)
-    spec, machine = ServerSpec.nio(1), MachineSpec(cpus=1)
-    for budget in (4096, 64):  # 96 <= 4096 pins; 96 > 64 aggregates
-        ab = _row(
-            spec, machine, "gigabit",
-            fluid=FluidConfig(classes=(dsl, lan), budget=budget),
-        ).row()
-        ba = _row(
-            spec, machine, "gigabit",
-            fluid=FluidConfig(classes=(lan, dsl), budget=budget),
-        ).row()
-        assert ab == ba, f"budget={budget}"
-        assert ab["replies/s"] > 0
-
-
-# -- property: random non-WAN class mixes stay pinned to discrete ------------
-
-_names = st.lists(
-    st.sampled_from(["a", "b", "c", "d", "e"]),
-    min_size=1, max_size=4, unique=True,
-)
-_weights = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
-
-
-@settings(
-    max_examples=6, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(data=st.data())
-def test_random_class_mixes_without_wan_overrides_pin_to_discrete(data):
-    names = data.draw(_names)
-    classes = tuple(
-        FluidClass(name, weight=data.draw(_weights)) for name in names
-    )
-    spec, machine = ServerSpec.nio(1), MachineSpec(cpus=1)
-    discrete = _row(
-        spec, machine, "gigabit", clients=24, duration=1.5, warmup=0.75
-    ).row()
-    fluid = _row(
-        spec, machine, "gigabit", clients=24, duration=1.5, warmup=0.75,
-        fluid=FluidConfig(classes=classes),
-    ).row()
-    # No class carries link overrides, so the pin is exact regardless of
-    # how the population is split across classes.
-    assert fluid == discrete
-
-
 # -- aggregate regime: tolerance-pinned agreement on saturated testbeds ------
 
 #: Relative tolerances for the aggregate-vs-discrete comparison.  The
@@ -187,3 +140,43 @@ def test_aggregate_matches_discrete_within_tolerance(label, spec, scenario):
         <= fluid["resp_ms"]
         <= discrete["resp_ms"] * RESP_FACTOR
     ), (fluid, discrete)
+
+
+# -- aggregate regime: one pinned run -----------------------------------------
+
+def _metrics_digest(metrics):
+    """First 16 hex digits of the whole RunMetrics' sha256, hashed as
+    ``benchmarks/e2e/probe.py`` hashes a row: every field but
+    ``tombstones_compacted``, sorted keys, compact separators, numpy
+    scalars as Python numbers."""
+    body = dataclasses.asdict(metrics)
+    body["server_stats"].pop("tombstones_compacted", None)
+    blob = json.dumps(
+        body, sort_keys=True, separators=(",", ":"),
+        default=lambda value: value.item(),
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_aggregate_regime_run_is_pinned():
+    """A 20k-client population over a 256-session budget on a small
+    backlog: every aggregate path runs (ramp bins, materialisation, SYN
+    floods, the abandon ladder, gap re-entry), and the whole RunMetrics
+    is pinned, so a change to the ``fluid[all]`` stream, the bin width
+    or the cohort order moves the digest."""
+    metrics = Experiment(
+        server=ServerSpec("httpd", 16, backlog=32),
+        workload=WorkloadSpec(
+            clients=20_000, duration=6.0, warmup=6.0,
+            fluid=FluidConfig(budget=256),
+        ),
+        machine=OVERLOAD_UP.machine,
+        seed=7,
+    ).run()
+    stats = metrics.server_stats
+    assert stats["fluid.aggregate"] == 1
+    assert stats["fluid.sessions_materialized"] == 513
+    assert stats["fluid.flood_syn_drops"] == 3342
+    assert stats["fluid.sessions_abandoned"] == 12847
+    assert stats["fluid.pool_peak"] == 210
+    assert _metrics_digest(metrics) == "09996301b3d70845"

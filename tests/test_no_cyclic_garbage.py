@@ -14,8 +14,7 @@ behind and switches the collector off; after each ``run`` returns, while
 the model is still alive, ``gc.collect()`` must find nothing unreachable.
 The matrix spans every server architecture and each feature that adds
 its own race or timer pattern: httpd idle reaping, the dynamic pool,
-HTTP/1.0, overload control, observation, fluid populations and the
-cluster tier.
+overload control, observation, fluid populations and the cluster tier.
 """
 
 import dataclasses
@@ -84,7 +83,6 @@ CASES = {
     "amped": lambda: _experiment(ServerSpec.amped(2)),
     "httpd-reaping": lambda: _experiment(_httpd(idle_timeout=0.5)),
     "httpd-dynamic-pool": lambda: _experiment(_httpd(dynamic_pool=True)),
-    "httpd-http10": lambda: _experiment(_httpd(keep_alive=False)),
     "codel-lifo-adaptive": lambda: _experiment(
         _httpd(
             overload=OverloadControl(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.http import RequestParser
 from repro.net import Link
 from repro.sim import Simulator
-from repro.workload import BoundedPareto, Geometric, Lognormal
+from repro.workload import BoundedPareto, Geometric
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +127,6 @@ def test_bounded_pareto_support_and_mean_bound(k, alpha, upper_mult, seed):
     xs = [d.sample(rng) for _ in range(200)]
     assert all(k <= x <= upper for x in xs)
     assert k <= d.mean() <= upper
-
-
-@given(
-    st.floats(min_value=-2.0, max_value=5.0),
-    st.floats(min_value=0.0, max_value=2.0),
-)
-@settings(max_examples=50, deadline=None)
-def test_lognormal_mean_dominates_median(mu, sigma):
-    d = Lognormal(mu, sigma)
-    median = np.exp(mu)
-    assert d.mean() >= median - 1e-12
 
 
 @given(st.floats(min_value=1.0, max_value=50.0), st.integers(0, 2**31 - 1))

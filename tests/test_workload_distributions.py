@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.workload import (
-    BoundedPareto,
-    Constant,
-    Exponential,
-    Geometric,
-    Lognormal,
-)
+from repro.workload import BoundedPareto, Geometric
 
 
 def rng():
@@ -21,34 +15,6 @@ def rng():
 def empirical_mean(dist, n=50_000):
     r = rng()
     return float(np.mean([dist.sample(r) for _ in range(n)]))
-
-
-def test_constant():
-    d = Constant(3.5)
-    assert d.sample(rng()) == 3.5
-    assert d.mean() == 3.5
-
-
-def test_exponential_mean_matches():
-    d = Exponential(2.0)
-    assert d.mean() == 2.0
-    assert empirical_mean(d, 20_000) == pytest.approx(2.0, rel=0.05)
-
-
-def test_exponential_validation():
-    with pytest.raises(ValueError):
-        Exponential(0.0)
-
-
-def test_lognormal_mean_formula():
-    d = Lognormal(mu=1.0, sigma=0.5)
-    assert d.mean() == pytest.approx(math.exp(1.0 + 0.125))
-    assert empirical_mean(d, 50_000) == pytest.approx(d.mean(), rel=0.05)
-
-
-def test_lognormal_validation():
-    with pytest.raises(ValueError):
-        Lognormal(0.0, -1.0)
 
 
 def test_bounded_pareto_samples_within_bounds():

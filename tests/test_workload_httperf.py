@@ -1,7 +1,11 @@
 """Unit tests for the httperf-style emulated client against scripted servers."""
 
-import numpy as np
+import dataclasses
 
+import numpy as np
+import pytest
+
+from repro.core import Experiment, ServerSpec, WorkloadSpec
 from repro.http import FilePopulation
 from repro.metrics import CLIENT_TIMEOUT, CONNECTION_RESET, MetricsHub
 from repro.net import EOF, ListenSocket
@@ -175,3 +179,21 @@ def test_pipelined_group_counts_every_reply():
     sim.run(until=40.0)
     assert metrics.replies > 20
     assert metrics.errors == {}
+
+
+def test_http11_reuses_connections():
+    workload = WorkloadSpec(
+        clients=25, duration=25.0, warmup=10.0, n_files=100
+    )
+    m = Experiment(
+        server=ServerSpec.nio(1), workload=workload, seed=7
+    ).run()
+    # Persistent connections: ~one connection per session (~6.5 requests).
+    assert m.connections_established < m.replies * 0.5
+
+
+def test_httperf_config_is_frozen_dataclass():
+    cfg = HttperfConfig()
+    assert dataclasses.is_dataclass(cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.client_timeout = 5.0  # type: ignore[misc]
