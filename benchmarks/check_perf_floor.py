@@ -24,7 +24,7 @@ budget, not to the population.  This mode enforces the gate
 ``repro.core.perf.measure_scale`` documents on the regenerated
 ``BENCH_scale.json``: every point stays under 1 GiB of peak RSS, the
 100k point finishes within 60 s, and the 1M point's peak RSS is at most
-1.10x the 100k point's.
+1.05x the 100k point's.
 
 Exit status: 0 = all benches clear the bar, 1 = regression, 2 = bad input.
 """
@@ -45,7 +45,7 @@ SCALE_RSS_LIMIT = 1 << 30
 SCALE_WALL_LIMIT = 60.0
 
 #: --scale: allowed peak-RSS growth from 100k to 1M clients.
-SCALE_RSS_GROWTH = 1.10
+SCALE_RSS_GROWTH = 1.05
 
 FLOOR_PATH = Path(__file__).resolve().parent / "perf_floor.json"
 

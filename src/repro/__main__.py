@@ -44,8 +44,9 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .core import (
     PROFILES,
@@ -219,6 +220,19 @@ def _point(
     )
 
 
+@contextlib.contextmanager
+def _usage_errors(args: argparse.Namespace) -> Iterator[None]:
+    """Report a value a spec rejects as a usage error (exit 2).
+
+    Wraps only the turning of flags into specs: an error raised while a
+    run executes still propagates with its traceback.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--server", choices=_KINDS, default="nio")
     parser.add_argument("--threads", type=int, default=1,
@@ -320,7 +334,9 @@ def _run_profiled(fn):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    experiment = _point(args, args.clients).experiment()
+    with _usage_errors(args):
+        point = _point(args, args.clients)
+    experiment = point.experiment()
     if args.profile:
         metrics = _run_profiled(experiment.run)
     else:
@@ -347,8 +363,10 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
     import dataclasses
 
-    spec = dataclasses.replace(_server_spec(args), observe=True)
-    experiment = _point(args, args.clients, spec).experiment()
+    with _usage_errors(args):
+        spec = dataclasses.replace(_server_spec(args), observe=True)
+        point = _point(args, args.clients, spec)
+    experiment = point.experiment()
     metrics = experiment.run()
     recorder, profiler = experiment.recorder, experiment.profiler
 
@@ -384,9 +402,10 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    server = _server_spec(args)
-    specs = [_point(args, c, server) for c in args.clients]
-    scenario = _scenario(args).name
+    with _usage_errors(args):
+        server = _server_spec(args)
+        specs = [_point(args, c, server) for c in args.clients]
+        scenario = _scenario(args).name
     store = _mounted_store(args)
     if args.reps:
         # Adaptive replication: every client count measured at several
@@ -429,13 +448,14 @@ def _cluster_overload(args: argparse.Namespace):
     )
 
 
-def _cluster_parts(args: argparse.Namespace):
-    """(ClusterSpec, flash, restart) for the cluster/trace flag set."""
+def _cluster_point(args: argparse.Namespace, clients: int):
+    """The ClusterPointSpec the cluster/trace flags describe, at ``clients``."""
     import dataclasses as dc
 
     from .cluster import (
         BalancerSpec,
         CacheSpec,
+        ClusterPointSpec,
         ClusterSpec,
         FlashCrowdSpec,
         ReplicaSpec,
@@ -520,7 +540,15 @@ def _cluster_parts(args: argparse.Namespace):
             ),
             warm_s=args.warm_s,
         )
-    return cluster, flash, restart
+    return ClusterPointSpec(
+        cluster=cluster,
+        workload=WorkloadSpec(
+            clients=clients, duration=args.duration, warmup=args.warmup
+        ),
+        seed=args.seed,
+        flash=flash,
+        restart=restart,
+    )
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -540,18 +568,20 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                   f"{rate * 100:5.1f}% hits")
         return 0
 
-    cluster, flash, restart = _cluster_parts(args)
+    # Every point of the sweep differs from the first only in clients.
+    with _usage_errors(args):
+        first = _cluster_point(args, args.clients[0])
+    cluster = first.cluster
     store = _mounted_store(args)
     result = sweep_cluster(
         cluster,
         args.clients,
-        duration=args.duration,
-        warmup=args.warmup,
-        seed=args.seed,
-        flash=flash,
-        restart=restart,
+        seed=first.seed,
+        flash=first.flash,
+        restart=first.restart,
         jobs=args.jobs,
         store=store,
+        workload=first.workload,
     )
     print(result.table())
     if args.stats:
@@ -593,7 +623,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     import dataclasses as dc
     import json
 
-    from .cluster import ClusterPointSpec
     from .obs import (
         attribution_summary,
         default_slos,
@@ -602,20 +631,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         traces_to_jsonl,
     )
 
-    cluster, flash, restart = _cluster_parts(args)
-    cluster = dc.replace(
-        cluster, observe=True, slos=default_slos() if args.slo else ()
-    )
     clients = args.clients[0]
-    point = ClusterPointSpec(
-        cluster=cluster,
-        workload=WorkloadSpec(
-            clients=clients, duration=args.duration, warmup=args.warmup
-        ),
-        seed=args.seed,
-        flash=flash,
-        restart=restart,
-    )
+    with _usage_errors(args):
+        point = _cluster_point(args, clients)
+        cluster = dc.replace(
+            point.cluster, observe=True,
+            slos=default_slos() if args.slo else (),
+        )
+        point = dc.replace(point, cluster=cluster)
     experiment = point.experiment()
     metrics = experiment.run()
     telemetry = experiment.telemetry
@@ -844,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top 20 "
                             "functions by cumulative time")
-    p_run.set_defaults(fn=cmd_run)
+    p_run.set_defaults(fn=cmd_run, parser=p_run)
 
     p_obs = sub.add_parser(
         "observe",
@@ -859,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump retained spans as JSONL")
     p_obs.add_argument("--chrome", metavar="FILE",
                        help="dump a Chrome trace_event JSON file")
-    p_obs.set_defaults(fn=cmd_observe)
+    p_obs.set_defaults(fn=cmd_observe, parser=p_obs)
 
     p_sweep = sub.add_parser("sweep", help="sweep client counts")
     _add_common(p_sweep)
@@ -881,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs(p_sweep)
     _add_store(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
+    p_sweep.set_defaults(fn=cmd_sweep, parser=p_sweep)
 
     def _add_cluster_flags(p: argparse.ArgumentParser) -> None:
         """Flags shared by the ``cluster`` and ``trace`` subcommands."""
@@ -966,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "counters (incl. trace/slo/obs extras)")
     _add_jobs(p_cluster)
     _add_store(p_cluster)
-    p_cluster.set_defaults(fn=cmd_cluster)
+    p_cluster.set_defaults(fn=cmd_cluster, parser=p_cluster)
 
     p_trace = sub.add_parser(
         "trace",
@@ -987,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--chrome", metavar="FILE",
                          help="dump the slowest traces as Chrome "
                               "trace_event JSON")
-    p_trace.set_defaults(fn=cmd_trace)
+    p_trace.set_defaults(fn=cmd_trace, parser=p_trace)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("number", type=int, help="paper figure number (1-10)")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import defaultdict
 from typing import Dict, List, Optional
 
@@ -45,7 +46,9 @@ class StatAccumulator:
     reservoir (Vitter's Algorithm R) keeps a uniform random subset —
     so quantiles of very long runs stay unbiased instead of reflecting
     only the first N observations.  ``samples_dropped`` counts the
-    observations not retained.
+    observations not retained.  Samples are kept in an ``array('d')``
+    (8 bytes each, where a list of floats costs 32), which numpy reads
+    without a copy.
     """
 
     __slots__ = ("count", "total", "total_sq", "min", "max", "_samples",
@@ -57,7 +60,7 @@ class StatAccumulator:
         self.total_sq = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._samples: List[float] = []
+        self._samples = array("d")
         self.samples_dropped = 0
         self._rng = random.Random(seed)
 

@@ -45,10 +45,21 @@ agree.
 
 The recorder is clock-agnostic: pass ``lambda: sim.now`` for the
 simulation or ``time.monotonic`` for the live servers.
+
+Storage: a span keeps its marks as two flat typed arrays, a
+``bytearray`` of codes (each an index into :data:`MARKS`, the table
+above in order) and an ``array('d')`` of times, about 9 bytes a mark
+instead of an 83-byte ``(name, t)`` tuple.  :meth:`ConnSpan.mark`
+appends to both and rejects a name outside :data:`MARKS`;
+:attr:`ConnSpan.events` is a read-only list of ``(name, t)`` pairs built
+on each read.  A span has one writer (its simulated connection, a live
+server's connection thread, or the asyncio loop), so the two arrays
+stay aligned.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -58,9 +69,49 @@ __all__ = [
     "ConnSpan",
     "SpanRecorder",
     "phase_intervals",
+    "MARKS",
     "QUEUE_HISTOGRAMS",
     "SERVICE_HISTOGRAMS",
 ]
+
+#: Every mark name, in the module docstring's order; a span stores each
+#: mark as its index here.
+MARKS = (
+    "routed",
+    "backlog_enter",
+    "established",
+    "accept",
+    "req_sent",
+    "req_arrive",
+    "svc_start",
+    "svc_end",
+    "tx_start",
+    "reply_done",
+    "syn_drop",
+    "syn_shed",
+    "early_close",
+    "idle_reap",
+    "server_close",
+)
+_CODE = {name: code for code, name in enumerate(MARKS)}
+_BACKLOG_ENTER = _CODE["backlog_enter"]
+_ACCEPT = _CODE["accept"]
+_REQ_ARRIVE = _CODE["req_arrive"]
+_SVC_START = _CODE["svc_start"]
+_SVC_END = _CODE["svc_end"]
+_TX_START = _CODE["tx_start"]
+_REPLY_DONE = _CODE["reply_done"]
+
+
+def _code(name: str) -> int:
+    """The code of mark ``name``; a name outside :data:`MARKS` raises."""
+    try:
+        return _CODE[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown span mark {name!r} (expected one of {MARKS})"
+        ) from None
+
 
 #: Histograms counted as *queue wait* in the latency breakdown: time a
 #: client spent making no progress, including the failed connections
@@ -81,7 +132,7 @@ SERVICE_HISTOGRAMS = ("req_service", "req_transmit")
 class ConnSpan:
     """One connection's recorded timeline."""
 
-    __slots__ = ("recorder", "cid", "t0", "events", "status", "t_end")
+    __slots__ = ("recorder", "cid", "t0", "_codes", "_times", "status", "t_end")
 
     def __init__(
         self,
@@ -92,29 +143,38 @@ class ConnSpan:
         self.recorder = recorder
         self.cid = cid
         self.t0 = t0
-        self.events: List[Tuple[str, float]] = []
+        self._codes = bytearray()
+        self._times = array("d")
         self.status: Optional[str] = None
         self.t_end: Optional[float] = None
 
     def mark(self, phase: str) -> None:
-        """Stamp a phase transition at the recorder's current time."""
-        self.events.append((phase, self.recorder.now()))
+        """Stamp a phase transition at the recorder's current time.
+
+        ``phase`` must be one of :data:`MARKS`; any other name raises
+        ``ValueError`` and records nothing.
+        """
+        self._codes.append(_code(phase))
+        self._times.append(self.recorder.now())
+
+    @property
+    def events(self) -> List[Tuple[str, float]]:
+        """The marks as ``(name, t)`` pairs, in order (a fresh list)."""
+        return list(zip(map(MARKS.__getitem__, self._codes), self._times))
 
     @property
     def duration(self) -> float:
         """Lifetime so far (0 until at least one mark or finish)."""
         if self.t_end is not None:
             return self.t_end - self.t0
-        if self.events:
-            return self.events[-1][1] - self.t0
+        if self._times:
+            return self._times[-1] - self.t0
         return 0.0
 
     def first(self, phase: str) -> Optional[float]:
         """Timestamp of the first occurrence of ``phase`` mark."""
-        for name, t in self.events:
-            if name == phase:
-                return t
-        return None
+        i = self._codes.find(_code(phase))
+        return None if i < 0 else self._times[i]
 
     def to_dict(self) -> Dict:
         """JSON-serialisable form (inverse of :meth:`from_dict`)."""
@@ -123,14 +183,18 @@ class ConnSpan:
             "t0": self.t0,
             "status": self.status,
             "t_end": self.t_end,
-            "events": [[name, t] for name, t in self.events],
+            "events": [
+                [MARKS[code], t] for code, t in zip(self._codes, self._times)
+            ],
         }
 
     @staticmethod
     def from_dict(data: Dict) -> "ConnSpan":
         """Rebuild a span from :meth:`to_dict` output (recorder-less)."""
         span = ConnSpan(data["cid"], data["t0"])
-        span.events = [(name, t) for name, t in data["events"]]
+        events = data["events"]
+        span._codes = bytearray(_code(name) for name, _t in events)
+        span._times = array("d", [t for _name, t in events])
         span.status = data.get("status")
         span.t_end = data.get("t_end")
         return span
@@ -138,7 +202,7 @@ class ConnSpan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ConnSpan {self.cid} {self.status or 'open'} "
-            f"{len(self.events)} marks>"
+            f"{len(self._codes)} marks>"
         )
 
 
@@ -157,26 +221,26 @@ def phase_intervals(span: ConnSpan) -> List[Tuple[str, float, float]]:
     arrivals: Deque[float] = deque()
     svc_starts: Deque[float] = deque()
     tx_starts: Deque[float] = deque()
-    for name, t in span.events:
-        if name == "backlog_enter":
+    for code, t in zip(span._codes, span._times):
+        if code == _BACKLOG_ENTER:
             backlog_enter = t
             out.append(("syn", span.t0, t))
-        elif name == "accept":
+        elif code == _ACCEPT:
             accepted = t
             if backlog_enter is not None:
                 out.append(("backlog", backlog_enter, t))
-        elif name == "req_arrive":
+        elif code == _REQ_ARRIVE:
             arrivals.append(t)
-        elif name == "svc_start":
+        elif code == _SVC_START:
             if arrivals:
                 out.append(("queue_wait", arrivals.popleft(), t))
             svc_starts.append(t)
-        elif name == "svc_end":
+        elif code == _SVC_END:
             if svc_starts:
                 out.append(("service", svc_starts.popleft(), t))
-        elif name == "tx_start":
+        elif code == _TX_START:
             tx_starts.append(t)
-        elif name == "reply_done":
+        elif code == _REPLY_DONE:
             if tx_starts:
                 out.append(("transmit", tx_starts.popleft(), t))
     end = span.t_end if span.t_end is not None else span.duration + span.t0

@@ -32,6 +32,13 @@ event (hence the same float) as ``PendingResponse.sent_at``, and
 ``reply_done`` is stamped in the same event as the client's response
 time measurement — so ``trace.response_time`` *is* the measured value,
 not an approximation of it.
+
+Storage: a :class:`RequestTrace` keeps its segment end times as one
+tuple of floats, and its segment names as one tuple shared by every
+trace of the same path shape; ``bounds`` pairs the two up on each read.
+Harvesting a span makes one pass over its mark arrays into one column of
+times per mark, and each trace takes its end times as one row of the
+columns, with no intermediate ``(name, t)`` pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .spans import ConnSpan, SpanRecorder
+from .spans import MARKS, ConnSpan, SpanRecorder
 
 __all__ = [
     "derive_trace_id",
@@ -167,10 +174,14 @@ class RequestTrace:
     a front-cache hit; ``cid`` is the recorder connection id (−1 for
     cache hits, which never reach a replica connection); ``index`` is
     the request's position on its connection (pipelining) or the
-    cache-hit ordinal.
+    cache-hit ordinal.  ``bounds`` is built on each read from the end
+    times and the shared segment names (see the module docstring).
     """
 
-    __slots__ = ("trace_id", "rid", "wan_class", "cid", "index", "t_sent", "bounds")
+    __slots__ = (
+        "trace_id", "rid", "wan_class", "cid", "index", "t_sent",
+        "_names", "_ends",
+    )
 
     def __init__(
         self,
@@ -182,19 +193,43 @@ class RequestTrace:
         t_sent: float,
         bounds: Tuple[Tuple[str, float], ...],
     ) -> None:
+        bounds = tuple(bounds)
         if not bounds:
             raise ValueError("a trace needs at least one segment boundary")
+        names = tuple(name for name, _t in bounds)
+        self._fill(
+            trace_id, rid, wan_class, cid, index, t_sent,
+            _SHAPES.get(names, names), tuple(t for _name, t in bounds),
+        )
+
+    def _fill(
+        self,
+        trace_id: str,
+        rid: str,
+        wan_class: str,
+        cid: int,
+        index: int,
+        t_sent: float,
+        names: Tuple[str, ...],
+        ends: Tuple[float, ...],
+    ) -> None:
         self.trace_id = trace_id
         self.rid = rid
         self.wan_class = wan_class
         self.cid = cid
         self.index = index
         self.t_sent = t_sent
-        self.bounds = tuple(bounds)
+        self._names = names
+        self._ends = ends
+
+    @property
+    def bounds(self) -> Tuple[Tuple[str, float], ...]:
+        """The ordered ``(segment, end_time)`` pairs (built on each read)."""
+        return tuple(zip(self._names, self._ends))
 
     @property
     def t_done(self) -> float:
-        return self.bounds[-1][1]
+        return self._ends[-1]
 
     @property
     def response_time(self) -> float:
@@ -213,7 +248,7 @@ class RequestTrace:
         """Ordered (segment, start, end) intervals, clamped monotone."""
         out: List[Tuple[str, float, float]] = []
         prev = self.t_sent
-        for name, t in self.bounds:
+        for name, t in zip(self._names, self._ends):
             if t < prev:
                 t = prev
             out.append((name, prev, t))
@@ -285,7 +320,7 @@ class RequestTrace:
             "cid": self.cid,
             "index": self.index,
             "t_sent": self.t_sent,
-            "bounds": [[name, t] for name, t in self.bounds],
+            "bounds": [[name, t] for name, t in zip(self._names, self._ends)],
         }
 
     @staticmethod
@@ -307,15 +342,28 @@ class RequestTrace:
         )
 
 
-#: Boundary lists per completed request, in causal order.  Each entry is
-#: (segment name, mark name): the segment *ends* at that mark's time.
-_REPLICA_BOUNDS = (
-    ("wan_up", "req_arrive"),
-    ("replica_queue", "svc_start"),
-    ("replica_service", "svc_end"),
-    ("replica_stall", "tx_start"),
-    ("transmit", "reply_done"),
+#: A replica-served request's segments, in causal order: segment k ends
+#: at the k-th mark of :data:`_REPLICA_MARKS` after ``req_sent``.
+_REPLICA_SEGMENTS = (
+    "wan_up", "replica_queue", "replica_service", "replica_stall", "transmit",
 )
+_REPLICA_MARKS = (
+    "req_sent", "req_arrive", "svc_start", "svc_end", "tx_start", "reply_done",
+)
+#: Harvest column of each mark code: its index in :data:`_REPLICA_MARKS`,
+#: or -1 for a mark no trace reads.
+_COLUMN = tuple(
+    _REPLICA_MARKS.index(name) if name in _REPLICA_MARKS else -1
+    for name in MARKS
+)
+#: The segment-name tuple of each path shape, shared by all its traces.
+_SHAPES = {
+    shape: shape
+    for shape in (
+        _REPLICA_SEGMENTS,
+        ("wan_up", "cache_service", "transmit"),
+    )
+}
 
 
 def request_traces_from_span(
@@ -330,34 +378,45 @@ def request_traces_from_span(
     yield traces; a trailing request cut off by a reset, client
     timeout, or end-of-run flush is simply unmatched and dropped —
     response-time metrics exclude it too, so traces and metrics agree.
+
+    One pass over the span's mark arrays fills one column of times per
+    mark; each trace then takes its end times as one row of the columns.
     """
-    marks: Dict[str, List[float]] = {"req_sent": [], "reply_done": []}
-    for _segment, mark in _REPLICA_BOUNDS:
-        marks.setdefault(mark, [])
-    for name, t in span.events:
-        if name in marks:
-            marks[name].append(t)
-    done = marks["reply_done"]
-    sent = marks["req_sent"]
-    trace_id = derive_trace_id(seed, rid, span.cid)
+    cols: Tuple[List[float], ...] = ([], [], [], [], [], [])
+    column = _COLUMN
+    for code, t in zip(span._codes, span._times):
+        j = column[code]
+        if j >= 0:
+            cols[j].append(t)
+    sent, ends_cols = cols[0], cols[1:]
+    n = min(len(sent), len(cols[-1]))
+    if not n:
+        return []
+    cid = span.cid
+    trace_id = derive_trace_id(seed, rid, cid)
     out: List[RequestTrace] = []
-    for i in range(min(len(sent), len(done))):
-        bounds = tuple(
-            (segment, marks[mark][i])
-            for segment, mark in _REPLICA_BOUNDS
-            if i < len(marks[mark])
+    # Requests with every mark share the full shape; rows come off zip.
+    full = min(n, min(map(len, ends_cols)))
+    for i, t_sent, ends in zip(range(full), sent, zip(*ends_cols)):
+        trace = object.__new__(RequestTrace)
+        trace._fill(
+            trace_id, rid, wan_class, cid, i, t_sent, _REPLICA_SEGMENTS, ends
         )
-        out.append(
-            RequestTrace(
-                trace_id=trace_id,
-                rid=rid,
-                wan_class=wan_class,
-                cid=span.cid,
-                index=i,
-                t_sent=sent[i],
-                bounds=bounds,
-            )
+        out.append(trace)
+    # A request missing a phase mark keeps the segments it can end.
+    for i in range(full, n):
+        names = tuple(
+            segment
+            for segment, col in zip(_REPLICA_SEGMENTS, ends_cols)
+            if i < len(col)
         )
+        trace = object.__new__(RequestTrace)
+        trace._fill(
+            trace_id, rid, wan_class, cid, i, sent[i],
+            _SHAPES.get(names, names),
+            tuple(col[i] for col in ends_cols if i < len(col)),
+        )
+        out.append(trace)
     return out
 
 

@@ -8,7 +8,8 @@ SUT — that dominates at 100k-1M concurrent sessions (per-connection
 objects, per-client timers, per-session RNG draws).
 
 This module replaces the population with one *fluid* session source
-that keeps O(bins + budget) state:
+that keeps O(bins + budget) state, and whose numpy transients stay
+bounded by a fixed chunk however large a cohort grows:
 
 * client-side waiting (ramp offsets, SYN-retry backoff, the 10 s abandon
   deadline, inter-session gaps) is aggregated into *cohorts* — counts in
@@ -55,7 +56,8 @@ __all__ = ["FluidConfig", "FluidLoadGenerator"]
 #: Cohort stage marker: the batch has exhausted its SYN retries and
 #: abandons (one CLIENT_TIMEOUT per session) when its bin fires.
 _ABANDON = -1
-#: Clients binned per numpy pass when seeding the ramp.
+#: Sessions binned per numpy pass when seeding the ramp or re-queueing
+#: an abandoned batch.
 _RAMP_CHUNK = 1 << 16
 #: Client-side batch-timer quantum: aggregate cohorts fire on multiples
 #: of this, aligned with the kernel wheel's default tick.
@@ -114,6 +116,29 @@ def _ramp_bins(n: int, ramp: float, bin_s: float) -> List[Tuple[int, int]]:
             else:
                 out.append((b, k))
     return out
+
+
+def _gap_bins(
+    workload: SurgeWorkload, rng: np.random.Generator, count: int, t: float
+) -> List[Tuple[int, int]]:
+    """``(bin index, count)`` pairs, in bin order, for ``count`` sessions
+    that re-enter the arrival stream an inter-session gap after ``t``.
+
+    The gaps are drawn from ``rng`` and binned ``_RAMP_CHUNK`` sessions
+    per numpy pass, so a batch of 160k abandoned sessions needs about
+    2 MB of transient arrays instead of 4 MB.  Chunked draws continue
+    the stream exactly where one draw of ``count`` would.  The gaps are
+    random, so a bin recurs across chunks; the merged counts come back
+    in bin order, as one pass over all ``count`` gaps gives them.
+    """
+    counts: Dict[int, int] = {}
+    for start in range(0, count, _RAMP_CHUNK):
+        gaps = workload.sample_gaps(rng, min(_RAMP_CHUNK, count - start))
+        idx = ((t + gaps) // _BIN_S).astype(np.int64) + 1
+        bins, ks = np.unique(idx, return_counts=True)
+        for b, k in zip(bins.tolist(), ks.tolist()):
+            counts[b] = counts.get(b, 0) + k
+    return sorted(counts.items())
 
 
 class _FluidSession:
@@ -272,12 +297,9 @@ class FluidLoadGenerator(LoadGenerator):
         """``count`` sessions hit the client timeout without connecting."""
         self.metrics.record_errors(CLIENT_TIMEOUT, count)
         self.sessions_abandoned += count
-        # One vectorised draw covers the whole batch's inter-session
-        # gaps; each session re-enters the arrival stream after its gap.
-        gaps = self.workload.sample_gaps(self._rng, count)
-        idx = ((t + gaps) // _BIN_S).astype(np.int64) + 1
-        for bin_idx, k in zip(*np.unique(idx, return_counts=True)):
-            self._enqueue(int(k), 0, None, float(bin_idx) * _BIN_S)
+        # Each session re-enters the arrival stream after its gap.
+        for bin_idx, k in _gap_bins(self.workload, self._rng, count, t):
+            self._enqueue(k, 0, None, float(bin_idx) * _BIN_S)
 
     # -- the discrete boundary ----------------------------------------------
     def _materialize(self, k: int) -> None:

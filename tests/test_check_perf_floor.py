@@ -87,6 +87,15 @@ def test_scale_gate_fails_memory_growing_with_population(tmp_path):
     assert checker.main(["--scale", report]) == 1
 
 
+def test_scale_gate_fails_growth_above_five_percent(tmp_path):
+    checker = load_checker()
+    report = scale_report(tmp_path, [
+        (100_000, 4.3, 83 * MB),
+        (1_000_000, 4.5, 89 * MB),  # 1.07x the 100k point
+    ])
+    assert checker.main(["--scale", report]) == 1
+
+
 def test_scale_gate_fails_on_time_and_absolute_memory(tmp_path):
     checker = load_checker()
     slow = scale_report(tmp_path, [

@@ -90,6 +90,25 @@ def test_sweep_rejects_bad_reps(capsys):
     assert "bad --reps" in err and "usage:" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--threads", "0"], "threads must be >= 1"),
+    (["run", "--fluid-budget", "-1"], "budget must be >= 1 (or None)"),
+    (["run", "--cpu-speed", "0"], "cpu_speed must be positive"),
+    (["observe", "--threads", "0"], "threads must be >= 1"),
+    (["sweep", "--cpu-speed", "0"], "cpu_speed must be positive"),
+], ids=[
+    "run-threads-0", "run-fluid-budget-neg", "run-cpu-speed-0",
+    "observe-threads-0", "sweep-cpu-speed-0",
+])
+def test_values_a_spec_rejects_exit_2(argv, message, capsys):
+    """A value a spec rejects is a usage error, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "usage:" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--clients", "10,abc"],
     ["cluster", "--clients", "150,0"],

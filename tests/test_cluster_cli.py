@@ -112,6 +112,37 @@ def test_cluster_list_flags_reject_bad_values(command, flag, value, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["cluster", "--replicas", "0"], "cluster needs at least one replica"),
+    (
+        ["cluster", "--classes", "a:1:8:60:0;a:2:8:60:0"],
+        "duplicate client class names: ['a', 'a']",
+    ),
+    (
+        ["cluster", "--classes", "bots:1:8:60:0:slowloris"],
+        "need at least one legitimate client class",
+    ),
+    (
+        ["cluster", "--scenario", "restart", "--restart-rid", "r9"],
+        "restart rid 'r9' not in ['r0', 'r1', 'r2']",
+    ),
+    (
+        ["trace", "--scenario", "restart", "--restart-rid", "r9"],
+        "restart rid 'r9' not in ['r0', 'r1', 'r2']",
+    ),
+], ids=[
+    "replicas-0", "repeated-class", "only-adversaries", "restart-rid-r9",
+    "trace-restart-rid-r9",
+])
+def test_cluster_values_a_spec_rejects_exit_2(argv, message, capsys):
+    """A value the cluster specs reject is a usage error, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "usage:" in err
+
+
 # -- age-based cache gc -------------------------------------------------------
 
 def _age_entries(store_root, seconds):

@@ -8,7 +8,9 @@ draws, the CPU fast-path completions, the flood-drop batch path, the
 session free list, and the scale plumbing (CLI parsing, profile).
 """
 
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,11 @@ from repro.metrics.collectors import CLIENT_TIMEOUT, MetricsHub
 from repro.osmodel import CPU
 from repro.sim import Simulator
 from repro.workload.fluid import (
+    _BIN_S,
     _RAMP_CHUNK,
     FluidConfig,
     _attempt_offsets,
+    _gap_bins,
     _ramp_bins,
 )
 from repro.workload.surge import SurgeConfig, SurgeWorkload
@@ -58,6 +62,52 @@ def _one_shot_bins(n, ramp, bin_s):
 def test_chunked_ramp_bins_match_one_shot(n, ramp, bin_s):
     # At n = 10**6 most bins span two or more chunks and are merged.
     assert _ramp_bins(n, ramp, bin_s) == _one_shot_bins(n, ramp, bin_s)
+
+
+# -- abandoned batches --------------------------------------------------------
+
+def _surge(**config):
+    from repro.http.files import FilePopulation
+
+    return SurgeWorkload(
+        FilePopulation.shared(3, n_files=50), SurgeConfig(**config)
+    )
+
+
+def _one_shot_gap_bins(workload, rng, count, t):
+    """The re-arrival bins from one draw of all ``count`` gaps."""
+    gaps = workload.sample_gaps(rng, count)
+    idx = ((t + gaps) // _BIN_S).astype(np.int64) + 1
+    bins, counts = np.unique(idx, return_counts=True)
+    return list(zip(bins.tolist(), counts.tolist()))
+
+
+@pytest.mark.parametrize(
+    "count", [1, _RAMP_CHUNK - 1, _RAMP_CHUNK, _RAMP_CHUNK + 1, 160_000]
+)
+@pytest.mark.parametrize("think", [True, False], ids=["think", "no-think"])
+def test_chunked_gap_bins_match_one_shot(count, think):
+    workload = _surge(inter_session_think=think)
+    chunked, one_shot = np.random.default_rng(42), np.random.default_rng(42)
+    assert _gap_bins(workload, chunked, count, 10.5) == _one_shot_gap_bins(
+        workload, one_shot, count, 10.5
+    )
+    # Both leave the stream at the same position.
+    assert chunked.bit_generator.state == one_shot.bit_generator.state
+
+
+def test_abandoned_batch_transient_is_small():
+    # million-fluid abandons batches of 162k-167k sessions at seed 42.
+    workload = _surge()
+    rng = np.random.default_rng(42)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _gap_bins(workload, rng, 160_000, 10.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
 
 
 # -- config validation -------------------------------------------------------

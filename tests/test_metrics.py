@@ -194,6 +194,19 @@ def test_accumulator_reservoir_caps_samples():
     assert acc.percentile(50) == pytest.approx(n / 2, rel=0.05)
 
 
+def test_accumulator_samples_are_small(bytes_per_instance):
+    """10,000 retained samples fit in under 120 kB (8 bytes each in an
+    ``array('d')``; a list of float objects cost 320 kB)."""
+
+    def full():
+        acc = StatAccumulator()
+        for i in range(10_000):
+            acc.add(i * 1e-3)
+        return acc
+
+    assert bytes_per_instance(full, n=10) < 120_000
+
+
 def test_accumulator_reservoir_is_seeded():
     a, b = StatAccumulator(), StatAccumulator()
     from repro.metrics.collectors import _MAX_SAMPLES

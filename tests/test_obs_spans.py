@@ -1,9 +1,12 @@
 """Unit tests for connection spans, phase intervals and the recorder."""
 
+import itertools
+
 import pytest
 
+import repro.obs.spans
 from repro.obs import ConnSpan, SpanRecorder, phase_intervals
-from repro.obs.spans import QUEUE_HISTOGRAMS, SERVICE_HISTOGRAMS
+from repro.obs.spans import MARKS, QUEUE_HISTOGRAMS, SERVICE_HISTOGRAMS
 
 
 class FakeClock:
@@ -64,6 +67,56 @@ def test_span_dict_round_trip(recorder, clock):
     assert clone.events == span.events
     assert clone.status == "closed"
     assert clone.t_end == span.t_end
+
+
+def test_marks_are_the_docstring_table():
+    lines = repro.obs.spans.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("=====")]
+    rows = lines[rules[1] + 1:rules[2]]
+    assert tuple(row.split()[0] for row in rows if row[:1].isalpha()) == MARKS
+
+
+def test_mark_rejects_a_name_outside_marks(recorder, clock):
+    span = recorder.open()
+    span.mark("accept")
+    with pytest.raises(ValueError, match="svc_begin"):
+        span.mark("svc_begin")
+    with pytest.raises(ValueError, match="acept"):
+        span.first("acept")
+    assert span.events == [("accept", 0.0)]  # nothing half-recorded
+
+
+def test_events_is_a_read_only_view(recorder, clock):
+    span = _lifecycle(recorder, clock, [("backlog_enter", 0.5)])
+    view = span.events
+    view.append(("accept", 1.0))
+    assert span.events == [("backlog_enter", 0.5)]
+    with pytest.raises(AttributeError):
+        span.events = []
+
+
+#: A routed connection serving five requests: 33 marks, about the 30.5
+#: a cluster flash-crowd span carries on average.
+_ROUTED_FIVE = ("routed", "backlog_enter", "accept") + (
+    "req_sent", "req_arrive", "svc_start", "svc_end", "tx_start", "reply_done",
+) * 5
+
+
+def test_finished_span_is_small(bytes_per_instance):
+    """A finished 33-mark span keeps its marks as flat typed arrays
+    (under 1 kB; one ``(name, t)`` tuple per mark cost 2.9 kB)."""
+    ticks = itertools.count(1)
+    recorder = SpanRecorder(lambda: next(ticks) * 1e-3, capacity=1)
+
+    def finished():
+        span = recorder.open()
+        for name in _ROUTED_FIVE:
+            span.mark(name)
+        recorder.finish(span, "closed")
+        return span
+
+    assert len(_ROUTED_FIVE) == 33
+    assert bytes_per_instance(finished) < 1000
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,9 @@ def test_derived_ids_are_deterministic_and_distinct():
 # -- span matching --------------------------------------------------------
 
 def _span(cid, events):
-    span = ConnSpan(cid, events[0][1])
-    span.events = list(events)
-    return span
+    return ConnSpan.from_dict(
+        {"cid": cid, "t0": events[0][1], "events": [list(e) for e in events]}
+    )
 
 
 def test_request_traces_match_pipelined_requests_fifo():
@@ -104,6 +104,26 @@ def test_request_traces_match_pipelined_requests_fifo():
     # FIFO pairing: the i-th req_sent got the i-th mark of every phase.
     assert dict(second.bounds)["replica_service"] == 2.5
     assert SEGMENT_TIERS["replica_service"] == "replica"
+
+
+def test_a_request_missing_phase_marks_keeps_the_rest():
+    # The second request's reply arrives with no arrival, service or
+    # transmit-start mark: its trace has only the segments it can end.
+    span = _span(3, [
+        ("req_sent", 1.0), ("req_arrive", 1.1), ("svc_start", 1.2),
+        ("svc_end", 1.3), ("tx_start", 1.4), ("reply_done", 1.5),
+        ("req_sent", 2.0), ("reply_done", 2.5),
+    ])
+    first, second = request_traces_from_span(span, 7, "r0", "wan")
+    assert [name for name, _t in first.bounds] == [
+        "wan_up", "replica_queue", "replica_service", "replica_stall",
+        "transmit",
+    ]
+    assert second.bounds == (("transmit", 2.5),)
+    assert second.response_time == 2.5 - 2.0
+    for trace in (first, second):
+        clone = RequestTrace.from_dict(trace.to_dict())
+        assert clone.to_dict() == trace.to_dict()
 
 
 def test_attribution_and_by_tier_sum_exactly():
