@@ -28,13 +28,13 @@ from repro.analysis import (
 )
 from repro.analysis.stats import DEFAULT_GETTERS
 from repro.core import Experiment, ServerSpec, WorkloadSpec
-from repro.http import FilePopulation, HttpSemantics
+from repro.http import FilePopulation
+from repro.http.messages import DEFAULT_RESPONSE_HEAD_BYTES
 from repro.osmodel import CostModel, MachineSpec
 from repro.sim import RandomStreams
 from repro.workload import SurgeConfig
 
 CPU_SPEED = 0.05  # 5% of the calibrated CPU: saturates at ~150 replies/s
-SEM = HttpSemantics()
 
 
 def run(clients: int, seed: int = 42):
@@ -51,8 +51,8 @@ def run(clients: int, seed: int = 42):
 def main() -> None:
     costs = CostModel().scaled(1.0 / CPU_SPEED).scaled(1.05)  # machine + JVM
     population = FilePopulation(RandomStreams(42).stream("files"), n_files=200)
-    mean_transfer = population.mean_transfer_size() + SEM.response_head_bytes
-    service = ServiceEstimate.for_event_driven(costs, SEM, 16_000)
+    mean_transfer = population.mean_transfer_size() + DEFAULT_RESPONSE_HEAD_BYTES
+    service = ServiceEstimate.for_event_driven(costs, 16_000)
 
     print("analytic predictions:")
     print(f"  service demand     S  = {service.cpu_seconds * 1e3:.2f} ms")

@@ -37,10 +37,8 @@ from .core import (
 )
 from .metrics import RunMetrics, format_table
 from .overload import (
-    AdaptiveTimeout,
     AdmissionPolicy,
     AlwaysAdmit,
-    BacklogThreshold,
     CoDelShedder,
     OverloadControl,
     TokenBucket,
@@ -64,10 +62,8 @@ __all__ = [
     "sweep_clients",
     "RunMetrics",
     "format_table",
-    "AdaptiveTimeout",
     "AdmissionPolicy",
     "AlwaysAdmit",
-    "BacklogThreshold",
     "CoDelShedder",
     "OverloadControl",
     "TokenBucket",

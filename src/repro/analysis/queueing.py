@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..http.protocol import HttpSemantics
+from ..http.messages import CHUNK_BYTES, DEFAULT_RESPONSE_HEAD_BYTES
 from ..osmodel.costs import CostModel
 
 __all__ = [
@@ -43,13 +43,12 @@ class ServiceEstimate:
     @staticmethod
     def for_threadpool(
         costs: CostModel,
-        semantics: HttpSemantics,
         mean_response_bytes: float,
         requests_per_connection: float = 6.5,
     ) -> "ServiceEstimate":
         """Per-request demand of the thread-pool server."""
-        wire = mean_response_bytes + semantics.response_head_bytes
-        chunks = max(1.0, wire / semantics.chunk_bytes)
+        wire = mean_response_bytes + DEFAULT_RESPONSE_HEAD_BYTES
+        chunks = max(1.0, wire / CHUNK_BYTES)
         per_request = (
             costs.read_syscall
             + costs.parse_request
@@ -66,7 +65,6 @@ class ServiceEstimate:
     @staticmethod
     def for_event_driven(
         costs: CostModel,
-        semantics: HttpSemantics,
         mean_response_bytes: float,
         requests_per_connection: float = 6.5,
         events_per_request: float = 1.3,
@@ -78,7 +76,7 @@ class ServiceEstimate:
         some writes need a second readiness round).
         """
         base = ServiceEstimate.for_threadpool(
-            costs, semantics, mean_response_bytes, requests_per_connection
+            costs, mean_response_bytes, requests_per_connection
         ).cpu_seconds
         selector = (costs.select_per_event + costs.dispatch) * events_per_request
         return ServiceEstimate(base + selector)

@@ -3,8 +3,9 @@
 One run builds, inside a single deterministic :class:`~repro.sim.core.
 Simulator`, a full front end: every replica gets its own
 :class:`~repro.osmodel.machine.Machine`, :class:`~repro.net.tcp.
-ListenSocket`, server instance (its own deep-copied overload-control
-state), per-replica :class:`~repro.metrics.collectors.MetricsHub` and
+ListenSocket`, server instance (its own copy of the overload-control
+state, made by ``build_server``), per-replica
+:class:`~repro.metrics.collectors.MetricsHub` and
 :class:`~repro.obs.hist.Registry`; the client side gets one shared
 :class:`~repro.cluster.balancer.LoadBalancer`, an optional
 :class:`~repro.cluster.cache.LruCache` tier, and one
@@ -31,7 +32,6 @@ replica), warming (error-diffusion ramp back to full share).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -144,15 +144,9 @@ class ClusterExperiment:
                 else None
             ),
         )
-        server_spec = rspec.server
-        if server_spec.overload is not None:
-            # Admission-control state is per replica: each one gets its
-            # own deep copy, reset, so shed decisions never couple
-            # replicas or leak across sweep points.
-            policy = copy.deepcopy(server_spec.overload)
-            policy.reset()
-            server_spec = dataclasses.replace(server_spec, overload=policy)
-        server = build_server(server_spec, sim, machine, listener)
+        # build_server mounts a deep copy of the spec's overload control,
+        # so shed decisions never couple replicas or leak across points.
+        server = build_server(rspec.server, sim, machine, listener)
         # Satellite: replica streams key off (seed, rid), so a replica's
         # reservoir seed survives any reordering of the spec.
         rep_rng = streams.stream(f"replica[{rspec.rid}]")

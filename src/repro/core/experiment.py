@@ -8,6 +8,7 @@ httperf-style metrics.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from ..http.files import FilePopulation
@@ -32,13 +33,18 @@ def build_server(
     machine: Machine,
     listener: ListenSocket,
 ) -> Server:
-    """Instantiate the requested server architecture."""
+    """Instantiate the requested server architecture.
+
+    The server mounts its own deep copy of ``spec.overload``: policy
+    state (token buckets, CoDel timers, counters) is per server, so runs
+    of one spec and replicas of one cluster never share it.
+    """
     # Imported here so optional architectures stay decoupled.
     from ..servers.eventdriven import EventDrivenServer
     from ..servers.threadpool import ThreadPoolServer
 
     costs = machine.spec.base_costs()
-    overload = spec.overload
+    overload = copy.deepcopy(spec.overload)
     if spec.kind == "nio":
         return EventDrivenServer(
             sim, machine, listener,
@@ -89,11 +95,6 @@ class Experiment:
     def run(self) -> RunMetrics:
         """Build the testbed, run to steady state, return the measurements."""
         sim = Simulator()
-        if self.server.overload is not None:
-            # Overload-control state (token buckets, CoDel timers,
-            # counters) must not leak between sweep points: same seed =>
-            # same shed decisions.
-            self.server.overload.reset()
         streams = RandomStreams(self.seed)
         machine = Machine(sim, self.machine)
         if self.server.observe:

@@ -12,6 +12,7 @@ Use :class:`FigureRunner` directly, or the per-figure benchmarks in
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -34,7 +35,7 @@ from .scenarios import (
     MeasurementProfile,
     Scenario,
 )
-from .store import RunStore
+from .store import RunStore, canonical
 from .sweep import SweepResult, sweep_clients
 
 __all__ = ["Series", "FigureData", "FigureRunner", "PAPER_FIGURES"]
@@ -178,12 +179,15 @@ class FigureRunner:
         #: already-stored points are not re-run, so an interrupted
         #: regeneration resumes and a warm one costs only file reads.
         self.store = store
-        self._cache: Dict[Tuple[str, str], SweepResult] = {}
+        #: Sweeps by content key (:meth:`sweep`) or by cluster label.
+        self._cache: Dict[object, SweepResult] = {}
 
     # -- sweep plumbing ------------------------------------------------------
     def sweep(self, server: ServerSpec, scenario: Scenario) -> SweepResult:
         """Cached client sweep of ``server`` in ``scenario``."""
-        key = (repr(server), scenario.name)
+        # The store's content form: every configuration value, so two
+        # specs that differ only in a policy parameter never share a key.
+        key = json.dumps(canonical((server, scenario)), sort_keys=True)
         cached = self._cache.get(key)
         if cached is not None:
             return cached

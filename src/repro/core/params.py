@@ -61,9 +61,9 @@ class ServerSpec:
     #: nio only: "shared" (one selector, the paper's design) or
     #: "partitioned" (one selector per worker, Netty-style).
     selector_strategy: str = "shared"
-    #: Overload-control policies to mount (admission, queue discipline,
-    #: adaptive timeout).  The control's state is reset at the start of
-    #: every Experiment.run(), so one spec can be swept deterministically.
+    #: Overload-control policies to mount (admission policy, queue
+    #: discipline).  ``build_server`` mounts a deep copy, so every run
+    #: starts from fresh policy state and the spec is never mutated.
     overload: Optional[OverloadControl] = None
     #: Mount request-lifecycle observability (a fresh
     #: :class:`~repro.obs.SpanRecorder` + :class:`~repro.obs.PhaseProfiler`

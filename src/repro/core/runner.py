@@ -21,10 +21,11 @@ mounted, results additionally round-trip through the store's JSON files
 — reporting reads what the store holds, never the in-memory object — and
 ``tests/test_store_resume.py`` pins that the round trip changes nothing.
 
-Worker processes never mutate parent state; in particular a
-:class:`~repro.overload.OverloadControl` mounted on a ``ServerSpec`` is
-pickled per point, so each worker resets and consumes its own copy —
-exactly what the serial path's per-run ``reset()`` guarantees.
+Worker processes never mutate parent state.  Nor does a run mutate its
+spec: ``build_server`` mounts a deep copy of the
+:class:`~repro.overload.OverloadControl` a ``ServerSpec`` carries, so a
+point's policy state starts fresh whether it runs serially or in a
+worker.
 """
 
 from __future__ import annotations

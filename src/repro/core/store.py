@@ -53,16 +53,14 @@ __all__ = [
 
 #: Attributes of policy objects that are runtime *state*, not
 #: configuration; they must never leak into a content address.
-_POLICY_STATE_ATTRS = frozenset(
-    {"admitted", "shed", "early_closed", "last", "min_applied"}
-)
+_POLICY_STATE_ATTRS = frozenset({"admitted", "shed"})
 
 
 def canonical(obj) -> object:
     """Reduce ``obj`` to plain JSON types, deterministically.
 
     Dataclasses become ``{"__type__": name, **fields}``; tuples become
-    lists; policy objects (admission/timeout) contribute their class name
+    lists; admission policies contribute their class name
     and public configuration attributes only.  Raises ``TypeError`` for
     anything unrecognised so new spec fields cannot silently produce
     unstable keys.
@@ -88,16 +86,14 @@ def canonical(obj) -> object:
     # lazily to keep the store importable without the overload package.
     from ..overload.control import OverloadControl
     from ..overload.policies import AdmissionPolicy
-    from ..overload.timeouts import AdaptiveTimeout
 
     if isinstance(obj, OverloadControl):
         return {
             "__type__": "OverloadControl",
             "admission": canonical(obj.admission),
             "discipline": canonical(obj.discipline),
-            "timeout": canonical(obj.timeout),
         }
-    if isinstance(obj, (AdmissionPolicy, AdaptiveTimeout)):
+    if isinstance(obj, AdmissionPolicy):
         config = {
             name: canonical(value)
             for name, value in sorted(vars(obj).items())

@@ -1,9 +1,8 @@
-"""HTTP substrate: messages, parser, protocol semantics, file population."""
+"""HTTP substrate: messages and wire sizes, parser, file population."""
 
 from .files import FilePopulation, population_cache_stats
 from .messages import Request
 from .parser import ParsedRequest, ParseError, RequestParser, render_response_head
-from .protocol import HttpSemantics
 
 __all__ = [
     "FilePopulation",
@@ -13,5 +12,4 @@ __all__ = [
     "ParseError",
     "RequestParser",
     "render_response_head",
-    "HttpSemantics",
 ]

@@ -1,4 +1,5 @@
-"""The HTTP request object the simulated workload and servers share."""
+"""The HTTP request object the simulated workload and servers share,
+and the wire sizes every server architecture uses alike."""
 
 from __future__ import annotations
 
@@ -14,6 +15,9 @@ DEFAULT_REQUEST_WIRE_BYTES = 300
 #: Typical wire size of a response head (status line + Date, Server,
 #: Content-Length, Content-Type, Connection headers).
 DEFAULT_RESPONSE_HEAD_BYTES = 250
+
+#: Server-side write granularity: one write(2) worth of response payload.
+CHUNK_BYTES = 16 * 1024
 
 
 @dataclass(frozen=True)

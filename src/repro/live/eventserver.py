@@ -18,7 +18,6 @@ from typing import Optional
 
 from ..http.parser import ParseError, RequestParser, render_response_head
 from ..obs import Registry, SeriesRecorder, SpanRecorder, derive_trace_id
-from ..overload import OverloadControl, Signals
 from .docroot import DocRoot
 
 __all__ = ["AsyncioEventServer", "METRICS_PATH"]
@@ -28,21 +27,13 @@ METRICS_PATH = "/-/metrics"
 
 
 class AsyncioEventServer:
-    """Single-threaded, selector-driven HTTP/1.1 server.
-
-    Accepts the same :class:`~repro.overload.OverloadControl` as the
-    simulated servers: the admission policy is consulted per accepted
-    connection (shed = close immediately), with the count of concurrently
-    open connections against ``max_connections`` as the pressure signal.
-    """
+    """Single-threaded, selector-driven HTTP/1.1 server."""
 
     def __init__(
         self,
         docroot: DocRoot,
         host: str = "127.0.0.1",
         port: int = 0,
-        overload: Optional[OverloadControl] = None,
-        max_connections: int = 1024,
         registry: Optional[Registry] = None,
         recorder: Optional[SpanRecorder] = None,
         series: Optional[SeriesRecorder] = None,
@@ -50,12 +41,8 @@ class AsyncioEventServer:
         self.docroot = docroot
         self.host = host
         self.port = port
-        self.overload = overload
-        self.max_connections = max_connections
         self.requests_served = 0
         self.connections_accepted = 0
-        self.requests_shed = 0
-        self.open_connections = 0
         #: Metrics registry backing the /-/metrics endpoint; shares the
         #: histogram/counter implementation with the simulation.
         self.registry = registry if registry is not None else Registry()
@@ -143,22 +130,6 @@ class AsyncioEventServer:
         # same derivation the cluster tracer uses for simulated runs.
         trace_id = derive_trace_id(0, "live", self.connections_accepted)
         self.registry.counter("connections_accepted").inc()
-        if self.overload is not None:
-            signals = Signals(
-                queue_depth=self.open_connections,
-                queue_capacity=self.max_connections,
-                pressure=min(
-                    1.0, self.open_connections / self.max_connections
-                ),
-            )
-            if not self.overload.admission.on_arrival(
-                time.monotonic(), signals
-            ):
-                self.requests_shed += 1
-                self.registry.counter("connections_shed").inc()
-                writer.close()
-                return
-        self.open_connections += 1
         self.registry.gauge("open_connections").add(1)
         span = self.recorder.open() if self.recorder is not None else None
         if span is not None:
@@ -186,7 +157,6 @@ class AsyncioEventServer:
         except (ConnectionResetError, BrokenPipeError):
             status = "reset"
         finally:
-            self.open_connections -= 1
             self.registry.gauge("open_connections").add(-1)
             if self.recorder is not None:
                 self.recorder.finish(span, status)

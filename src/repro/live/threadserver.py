@@ -16,7 +16,6 @@ from typing import List, Optional, Set
 
 from ..http.parser import ParseError, RequestParser, render_response_head
 from ..obs import Registry, SpanRecorder
-from ..overload import OverloadControl, Signals
 from .docroot import DocRoot
 from .eventserver import METRICS_PATH
 
@@ -24,14 +23,7 @@ __all__ = ["ThreadPoolHttpServer"]
 
 
 class ThreadPoolHttpServer:
-    """Blocking-I/O server with one thread bound per active connection.
-
-    A mounted :class:`~repro.overload.OverloadControl` — the *same*
-    policy objects the simulated servers mount — drives real sockets:
-    admission is consulted as each connection is accepted (shed = close
-    before reading a byte), and an adaptive timeout replaces the fixed
-    idle timeout, tightening as pool occupancy rises.
-    """
+    """Blocking-I/O server with one thread bound per active connection."""
 
     def __init__(
         self,
@@ -41,7 +33,6 @@ class ThreadPoolHttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         backlog: int = 128,
-        overload: Optional[OverloadControl] = None,
         registry: Optional[Registry] = None,
         recorder: Optional[SpanRecorder] = None,
     ):
@@ -53,11 +44,8 @@ class ThreadPoolHttpServer:
         self.host = host
         self.port = port
         self.backlog = backlog
-        self.overload = overload
         self.requests_served = 0
         self.connections_accepted = 0
-        self.requests_shed = 0
-        self.active_connections = 0
         self.idle_reaps = 0
         #: Metrics registry backing the /-/metrics endpoint; shares the
         #: histogram/counter implementation with the simulation.
@@ -127,50 +115,18 @@ class ThreadPoolHttpServer:
             with self._lock:
                 self.connections_accepted += 1
                 self.registry.counter("connections_accepted").inc()
-                admitted = self._admit_locked()
-                if admitted:
-                    self._conns.add(conn)
-            if not admitted:
-                try:
-                    conn.close()  # shed: refuse before reading a byte
-                except OSError:
-                    pass
-                continue
+                self._conns.add(conn)
             self.registry.gauge("open_connections").add(1)
             try:
                 self._serve_connection(conn)
             finally:
                 with self._lock:
-                    self.active_connections -= 1
                     self._conns.discard(conn)
                 self.registry.gauge("open_connections").add(-1)
                 try:
                     conn.close()
                 except OSError:
                     pass
-
-    def _admit_locked(self) -> bool:
-        """Consult the admission policy; caller holds ``self._lock``."""
-        if self.overload is not None:
-            signals = Signals(
-                queue_depth=self.active_connections,
-                queue_capacity=self.pool_size,
-                pressure=min(1.0, self.active_connections / self.pool_size),
-            )
-            if not self.overload.admission.on_arrival(
-                time.monotonic(), signals
-            ):
-                self.requests_shed += 1
-                return False
-        self.active_connections += 1
-        return True
-
-    def _idle_timeout_now(self) -> float:
-        """Idle timeout to apply (adaptive when a controller is mounted)."""
-        if self.overload is None:
-            return self.idle_timeout
-        pressure = min(1.0, self.active_connections / self.pool_size)
-        return self.overload.idle_timeout(self.idle_timeout, pressure)
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """One thread bound to one connection, blocking I/O throughout."""
@@ -180,8 +136,8 @@ class ThreadPoolHttpServer:
         status = "closed"
         try:
             parser = RequestParser()
+            conn.settimeout(self.idle_timeout)
             while not self._stopping.is_set():
-                conn.settimeout(self._idle_timeout_now())
                 try:
                     data = conn.recv(64 * 1024)
                 except socket.timeout:

@@ -34,7 +34,6 @@ from typing import Any, List, Optional
 from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..osmodel.memory import MemoryExhausted
-from ..overload.policies import Signals
 from ..sim.core import Event, SimulationError, Simulator
 from ..sim.resources import Store
 from .link import DuplexLink
@@ -429,9 +428,9 @@ class ListenSocket:
     A mounted :class:`~repro.overload.OverloadControl` turns the accident
     into policy: its admission policy is consulted *before* the kernel
     checks (deliberate SYN shedding), its queue discipline orders the
-    backlog (FIFO/LIFO), and its dequeue hook may early-close connections
-    that waited too long to be worth serving.  Servers mount it via the
-    ``overload`` argument of :class:`~repro.servers.base.Server`.
+    backlog (FIFO/LIFO), and it records each accepted connection's
+    queueing delay.  Servers mount it via the ``overload`` argument of
+    :class:`~repro.servers.base.Server`.
     """
 
     def __init__(
@@ -468,7 +467,6 @@ class ListenSocket:
         self.handshakes_completed = 0
         self.accepted = 0
         self.dead_on_accept = 0
-        self.early_closed = 0
         self.backlog_peak = 0
 
     @property
@@ -523,21 +521,12 @@ class ListenSocket:
             return 0.0
         return self.sim.now - conn._backlog_since
 
-    def signals(self) -> Signals:
-        """Current :class:`~repro.overload.Signals` snapshot for policies."""
-        return Signals(
-            queue_depth=self.backlog_depth,
-            queue_capacity=self.backlog_capacity,
-            queue_delay=self._oldest_wait(),
-            pressure=self.machine.memory.pressure,
-        )
-
     def offer(self, conn: Connection) -> bool:
         """A SYN arrived; queue it or drop it (by policy or by the kernel)."""
         self.syns_received += 1
         ctl = self.overload
         if ctl is not None and not ctl.admission.on_arrival(
-            self.sim.now, self.signals()
+            self.sim.now, self._oldest_wait()
         ):
             self.syns_dropped += 1
             self.syns_shed += 1
@@ -583,8 +572,7 @@ class ListenSocket:
     def _hand_over(self, conn: Connection) -> bool:
         """Give a dequeued connection to the application, or discard it.
 
-        Discarded: killed by a client RST while queued, or early-closed
-        by the mounted overload control's dequeue-time check.
+        Discarded: killed by a client RST while queued.
         """
         if conn.dead:
             self.dead_on_accept += 1
@@ -595,16 +583,6 @@ class ListenSocket:
             since = conn._backlog_since
             sojourn = 0.0 if since is None else self.sim.now - since
             ctl.record_queue_delay(sojourn)
-            if not ctl.admission.on_dequeue(
-                self.sim.now, sojourn, self.signals()
-            ):
-                # Early close: refuse service to a connection that waited
-                # too long; the client observes a reset if it ever sends.
-                self.early_closed += 1
-                if conn.span is not None:
-                    conn.span.mark("early_close")
-                conn.server_close()
-                return False
         conn.accepted_by_app = True
         if conn.span is not None:
             conn.span.mark("accept")

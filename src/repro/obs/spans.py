@@ -20,17 +20,15 @@ tx_start        the first response chunk was queued onto the wire
 reply_done      the last response byte reached the client
 syn_drop        a SYN arrived at a full backlog and was dropped
 syn_shed        the overload control's admission policy refused a SYN
-early_close     the overload control closed the connection at dequeue
-idle_reap       the server reaped the idle connection (httpd's timeout or
-                nio's adaptive sweeper)
+idle_reap       the server reaped the idle connection (httpd's timeout)
 server_close    the server closed its end
 ==============  ============================================================
 
-The last five are connection events rather than phase boundaries:
+The last four are connection events rather than phase boundaries:
 :func:`phase_intervals` and the histograms ignore them.  ``syn_drop``
 and ``syn_shed`` are made once per dropped SYN, so a retransmitting
-client can carry several; ``early_close`` and ``idle_reap`` precede the
-``server_close`` they cause.
+client can carry several; ``idle_reap`` precedes the ``server_close`` it
+causes.
 
 Terminal statuses: ``closed`` (orderly), ``reset`` (client hit a
 server-reaped connection), ``connect_timeout``, ``client_timeout``,
@@ -89,7 +87,6 @@ MARKS = (
     "reply_done",
     "syn_drop",
     "syn_shed",
-    "early_close",
     "idle_reap",
     "server_close",
 )

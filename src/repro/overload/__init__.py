@@ -1,37 +1,25 @@
-"""Overload control: admission policies, queue disciplines, adaptive timeouts.
+"""Overload control: admission policies and accept-queue disciplines.
 
 The paper shows architecture determines *failure* behaviour under
 saturation — httpd2 sheds load accidentally (full backlogs, client
 timeouts, connection resets) while the event-driven server degrades
-gracefully.  This package makes overload handling a first-class,
-pluggable subsystem: build an :class:`OverloadControl` from an admission
-policy, a queue discipline and/or an adaptive idle timeout, and mount it
-on any server — the simulated models (via ``ServerSpec(overload=...)``)
-or the live socket servers (constructor argument) — without modification.
+gracefully.  This package makes the shedding decision deliberate: build
+an :class:`OverloadControl` from an admission policy and a queue
+discipline and mount it on any simulated server via
+``ServerSpec(overload=...)``.
 """
 
 from .control import OverloadControl
-from .policies import (
-    AdmissionPolicy,
-    AlwaysAdmit,
-    BacklogThreshold,
-    CoDelShedder,
-    Signals,
-    TokenBucket,
-)
+from .policies import AdmissionPolicy, AlwaysAdmit, CoDelShedder, TokenBucket
 from .queueing import FIFO, LIFO, QueueDiscipline
-from .timeouts import AdaptiveTimeout
 
 __all__ = [
     "OverloadControl",
     "AdmissionPolicy",
     "AlwaysAdmit",
-    "BacklogThreshold",
     "CoDelShedder",
-    "Signals",
     "TokenBucket",
     "FIFO",
     "LIFO",
     "QueueDiscipline",
-    "AdaptiveTimeout",
 ]

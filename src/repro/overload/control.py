@@ -1,12 +1,12 @@
-"""The mountable bundle: admission + queue discipline + adaptive timeout.
+"""The mountable bundle: admission policy + queue discipline.
 
 One :class:`OverloadControl` object is the unit servers mount.  It owns
-the pieces a host consults at each stage of a connection's life —
-admission at arrival, ordering and early-close at accept, idle-timeout at
-recv — plus the shared measurement (queue-delay histogram) every overload
-experiment needs.  The same object mounts on a simulated server and on a
-live socket server; hosts only differ in which clock and signals they
-feed it.
+the pieces the listen socket consults over a connection's wait —
+admission at arrival, ordering in the accept queue — plus the shared
+measurement (queue-delay histogram) every overload experiment needs.
+A ``ServerSpec`` holds the configured control; ``build_server`` mounts a
+deep copy of it, so every run starts from fresh policy state and the
+spec itself is never mutated.
 """
 
 from __future__ import annotations
@@ -16,37 +16,26 @@ from typing import Dict, Optional
 from ..metrics.collectors import StatAccumulator
 from .policies import AdmissionPolicy, AlwaysAdmit
 from .queueing import FIFO, QueueDiscipline
-from .timeouts import AdaptiveTimeout
 
 __all__ = ["OverloadControl"]
 
 
 class OverloadControl:
-    """Pluggable overload policy set, mountable on sim and live servers."""
+    """Pluggable overload policy set, mounted on a simulated server."""
 
     def __init__(
         self,
         admission: Optional[AdmissionPolicy] = None,
         discipline: QueueDiscipline = FIFO,
-        timeout: Optional[AdaptiveTimeout] = None,
     ) -> None:
         self.admission = admission if admission is not None else AlwaysAdmit()
         self.discipline = discipline
-        self.timeout = timeout
         self.queue_delay = StatAccumulator()
 
-    # -- consult points ------------------------------------------------------
     def record_queue_delay(self, delay: float) -> None:
         """One connection spent ``delay`` seconds in the accept queue."""
         self.queue_delay.add(delay)
 
-    def idle_timeout(self, default: float, pressure: float) -> float:
-        """Idle timeout to apply now: adaptive if mounted, else ``default``."""
-        if self.timeout is None:
-            return default
-        return self.timeout.value(pressure)
-
-    # -- reporting -----------------------------------------------------------
     @property
     def tag(self) -> str:
         """Short suffix for labels, e.g. ``codel+lifo``; '' when inert."""
@@ -55,34 +44,22 @@ class OverloadControl:
             parts.append(self.admission.name)
         if self.discipline.front_insert:
             parts.append(self.discipline.name)
-        if self.timeout is not None:
-            parts.append("adapt")
         return "+".join(parts)
 
     def stats(self) -> Dict[str, float]:
         """Flat counter dict merged into ``Server.stats()``."""
-        out: Dict[str, float] = {
+        return {
             "requests_admitted": self.admission.admitted,
             "requests_shed": self.admission.shed,
-            "early_closed": self.admission.early_closed,
+            # No policy closes a queued connection; the key stays because
+            # row digests hash every server-stats key.
+            "early_closed": 0,
             "queue_delay_mean": round(self.queue_delay.mean, 6),
             "queue_delay_p99": round(self.queue_delay.percentile(99), 6),
         }
-        if self.timeout is not None:
-            out["idle_timeout_last"] = round(self.timeout.last, 3)
-            out["idle_timeout_min"] = round(self.timeout.min_applied, 3)
-        return out
-
-    def reset(self) -> None:
-        """Zero all policy state and measurements (start of a run)."""
-        self.admission.reset()
-        if self.timeout is not None:
-            self.timeout.reset()
-        self.queue_delay = StatAccumulator()
 
     def __repr__(self) -> str:
         return (
             f"OverloadControl(admission={self.admission.name}, "
-            f"discipline={self.discipline.name}, "
-            f"timeout={self.timeout!r})"
+            f"discipline={self.discipline.name})"
         )

@@ -3,77 +3,38 @@
 The paper's httpd2 sheds load *accidentally*: the kernel backlog fills,
 SYNs are silently dropped, and clients burn whole 3 s/6 s/12 s
 retransmission periods before giving up.  The policies here make that
-decision deliberate and pluggable, so any server model — simulated or
-live — can choose *what* to refuse instead of letting the kernel decide.
+decision deliberate and pluggable, so any server model can choose *what*
+to refuse instead of letting the kernel decide.
 
-All policies are clock-agnostic: every decision takes an explicit ``now``
-(any monotonic seconds source — the simulator clock or
-``time.monotonic()``) plus a :class:`Signals` snapshot of the host's
-observable state.  The same policy object therefore mounts unchanged on a
-simulated :class:`~repro.net.tcp.ListenSocket` and on a live socket
-server, and — given the same clock and signal sequence — makes the same
-decisions, which keeps simulated experiments deterministic per seed.
-
-Two consult points mirror where real servers can act:
-
-* **arrival** (a SYN / a fresh accept): refuse before any state is built
-  — the cheap place to shed, producing client-side connect failures
-  rather than mid-session resets;
-* **dequeue** (the application accepts a queued connection): refuse work
-  that has already waited so long the client likely gave up — an "early
-  close", trading a possible reset for not serving a corpse.
+The one consult point is **arrival** (a SYN reaching the listen socket):
+refuse before any state is built — the cheap place to shed, producing
+client-side connect failures rather than mid-session resets.  Every
+decision takes an explicit ``now`` (the simulator clock) and the accept
+queue's standing delay, so given the same sequence of both a policy
+makes the same decisions, which keeps simulated experiments
+deterministic per seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 __all__ = [
-    "Signals",
     "AdmissionPolicy",
     "AlwaysAdmit",
-    "BacklogThreshold",
     "TokenBucket",
     "CoDelShedder",
 ]
 
 
-@dataclass
-class Signals:
-    """Snapshot of host state a policy may base a decision on.
-
-    Hosts fill in what they can observe; everything defaults to "no
-    pressure" so a policy mounted on a host with poorer instrumentation
-    (e.g. a live server that cannot see the kernel accept queue)
-    degrades to the signals it does get.
-    """
-
-    #: Connections waiting to be accepted (or, on live hosts, active).
-    queue_depth: int = 0
-    #: Capacity of that queue (0 = unknown/unbounded).
-    queue_capacity: int = 0
-    #: Age of the oldest waiting connection, seconds (0 = unknown).
-    queue_delay: float = 0.0
-    #: Composite resource pressure in [0, 1] (memory, pool occupancy...).
-    pressure: float = 0.0
-
-    @property
-    def fill(self) -> float:
-        """Queue occupancy fraction, 0.0 when capacity is unknown."""
-        if self.queue_capacity <= 0:
-            return 0.0
-        return self.queue_depth / self.queue_capacity
-
-
 class AdmissionPolicy:
     """Base class: counts decisions, subclasses supply the judgement.
 
-    Hosts call :meth:`on_arrival` / :meth:`on_dequeue`; subclasses
-    override the underscore hooks.  Counters (``admitted``, ``shed``,
-    ``early_closed``) accumulate on the policy object itself so the same
-    instance mounted on several hosts reports one combined tally.
+    Hosts call :meth:`on_arrival`; subclasses override :meth:`_arrival`.
+    The counters (``admitted``, ``shed``) accumulate on the policy
+    object, which ``build_server`` copies afresh for every server it
+    builds.
     """
 
     name = "policy"
@@ -81,53 +42,22 @@ class AdmissionPolicy:
     def __init__(self) -> None:
         self.admitted = 0
         self.shed = 0
-        self.early_closed = 0
 
-    # -- host-facing API ----------------------------------------------------
-    def on_arrival(self, now: float, signals: Signals) -> bool:
-        """Admit or shed a brand-new connection attempt."""
-        ok = self._arrival(now, signals)
+    def on_arrival(self, now: float, queue_delay: float) -> bool:
+        """Admit or shed a brand-new connection attempt.
+
+        ``queue_delay`` is how long the oldest connection in the accept
+        queue has been waiting (0.0 when the queue is empty).
+        """
+        ok = self._arrival(now, queue_delay)
         if ok:
             self.admitted += 1
         else:
             self.shed += 1
         return ok
 
-    def on_dequeue(self, now: float, sojourn: float, signals: Signals) -> bool:
-        """Keep or early-close a connection as the app accepts it.
-
-        ``sojourn`` is how long the connection waited in the accept
-        queue.  Returning False closes it without service.
-        """
-        ok = self._dequeue(now, sojourn, signals)
-        if not ok:
-            self.early_closed += 1
-        return ok
-
-    def stats(self) -> Dict[str, float]:
-        """Counter snapshot for reports."""
-        return {
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "early_closed": self.early_closed,
-        }
-
-    def reset(self) -> None:
-        """Zero the counters and any controller state (new run/mount)."""
-        self.admitted = 0
-        self.shed = 0
-        self.early_closed = 0
-        self._reset()
-
-    # -- subclass hooks -----------------------------------------------------
-    def _arrival(self, now: float, signals: Signals) -> bool:
+    def _arrival(self, now: float, queue_delay: float) -> bool:
         return True
-
-    def _dequeue(self, now: float, sojourn: float, signals: Signals) -> bool:
-        return True
-
-    def _reset(self) -> None:
-        pass
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} admitted={self.admitted} shed={self.shed}>"
@@ -137,27 +67,6 @@ class AlwaysAdmit(AdmissionPolicy):
     """No admission control — the baseline every comparison starts from."""
 
     name = "always"
-
-
-class BacklogThreshold(AdmissionPolicy):
-    """Shed arrivals once the accept queue reaches ``max_depth``.
-
-    A deliberate, lower-than-kernel SYN-drop threshold: instead of letting
-    the 511-entry listen backlog fill with connections that will wait
-    seconds to be accepted, refuse early and keep the queue short enough
-    that admitted clients still get timely service.
-    """
-
-    name = "backlog"
-
-    def __init__(self, max_depth: int = 128) -> None:
-        super().__init__()
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        self.max_depth = max_depth
-
-    def _arrival(self, now: float, signals: Signals) -> bool:
-        return signals.queue_depth < self.max_depth
 
 
 class TokenBucket(AdmissionPolicy):
@@ -180,7 +89,7 @@ class TokenBucket(AdmissionPolicy):
         self._tokens = float(burst)
         self._last: Optional[float] = None
 
-    def _arrival(self, now: float, signals: Signals) -> bool:
+    def _arrival(self, now: float, queue_delay: float) -> bool:
         if self._last is None:
             self._last = now
         elapsed = max(0.0, now - self._last)
@@ -190,10 +99,6 @@ class TokenBucket(AdmissionPolicy):
             self._tokens -= 1.0
             return True
         return False
-
-    def _reset(self) -> None:
-        self._tokens = self.burst
-        self._last = None
 
 
 class CoDelShedder(AdmissionPolicy):
@@ -206,33 +111,23 @@ class CoDelShedder(AdmissionPolicy):
     ``interval``, start shedding arrivals, at a frequency growing with
     the square root of the drop count (the CoDel control law) until the
     delay comes back under target.
-
-    With ``stale_cap`` set, connections whose own sojourn exceeded it are
-    also early-closed at accept time — don't serve clients that have
-    almost certainly timed out already.
     """
 
     name = "codel"
 
-    def __init__(
-        self,
-        target: float = 0.05,
-        interval: float = 0.5,
-        stale_cap: Optional[float] = None,
-    ) -> None:
+    def __init__(self, target: float = 0.05, interval: float = 0.5) -> None:
         super().__init__()
         if target <= 0 or interval <= 0:
             raise ValueError("need target > 0 and interval > 0")
         self.target = target
         self.interval = interval
-        self.stale_cap = stale_cap
         self._above_since: Optional[float] = None
         self._dropping = False
         self._drop_next = 0.0
         self._drop_count = 0
 
-    def _arrival(self, now: float, signals: Signals) -> bool:
-        if signals.queue_delay < self.target:
+    def _arrival(self, now: float, queue_delay: float) -> bool:
+        if queue_delay < self.target:
             # Delay back under target: leave dropping state entirely.
             self._above_since = None
             self._dropping = False
@@ -255,14 +150,3 @@ class CoDelShedder(AdmissionPolicy):
             )
             return False
         return True
-
-    def _dequeue(self, now: float, sojourn: float, signals: Signals) -> bool:
-        if self.stale_cap is None:
-            return True
-        return sojourn <= self.stale_cap
-
-    def _reset(self) -> None:
-        self._above_since = None
-        self._dropping = False
-        self._drop_next = 0.0
-        self._drop_count = 0

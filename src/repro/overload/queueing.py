@@ -7,8 +7,9 @@ FIFO accept queue does maximal work for minimal goodput.  LIFO serves the
 freshest connection first: recently-arrived clients get snappy service
 while the old ones (whose clients have likely given up anyway) starve at
 the bottom — the adaptive-LIFO trick production proxies use to survive
-overload.  Pair LIFO with a dequeue-time staleness check (see
-:class:`~repro.overload.policies.CoDelShedder`) to purge the starved tail.
+overload.  Under LIFO the oldest waiter sits at the back of the queue,
+which is where the listen socket reads the standing delay that
+:class:`~repro.overload.policies.CoDelShedder` sheds on.
 """
 
 from __future__ import annotations

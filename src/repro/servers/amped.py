@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..http.protocol import HttpSemantics
+from ..http.messages import CHUNK_BYTES
 from ..net.selector import READ, WRITE, Selector
 from ..net.tcp import EOF, Connection, ListenSocket
 from ..osmodel.costs import CostModel
@@ -57,11 +57,10 @@ class AmpedServer(Server):
         machine: Machine,
         listener: ListenSocket,
         helpers: int = 2,
-        semantics: Optional[HttpSemantics] = None,
         costs: Optional[CostModel] = None,
         overload=None,
     ) -> None:
-        super().__init__(sim, machine, listener, semantics, costs, overload)
+        super().__init__(sim, machine, listener, costs, overload)
         if helpers < 1:
             raise ValueError("need at least one helper")
         self.helpers = helpers
@@ -139,11 +138,11 @@ class AmpedServer(Server):
                 "parse", self.costs.read_syscall + self.costs.parse_request
             )
             self.io_queue.put(
-                (conn, self.semantics.response_wire_bytes(item))
+                (conn, item.total_response_wire_bytes)
             )
 
     def _pump_writes(self, conn: Connection, state: _ConnState):
-        chunk = self.semantics.chunk_bytes
+        chunk = CHUNK_BYTES
         while True:
             if state.remaining == 0:
                 if not state.queue:

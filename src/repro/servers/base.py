@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..http.protocol import HttpSemantics
 from ..net.tcp import ListenSocket
 from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
@@ -15,16 +14,16 @@ __all__ = ["Server"]
 
 
 class Server:
-    """Base class: owns the listener, machine and protocol semantics.
+    """Base class: owns the listener, machine and cost model.
 
     Subclasses implement :meth:`start` (spawn their threads/processes) and
     populate ``requests_served`` / ``connections_handled`` as they work.
 
     Every server carries an :class:`~repro.overload.OverloadControl`
-    (inert by default: always-admit, FIFO, fixed timeouts) and mounts it
-    on its listener, so admission, queue discipline and early-close
-    decisions are driven by the same policy objects on every
-    architecture.  Pass ``overload=`` to make the control active.
+    (inert by default: always-admit, FIFO) and mounts it on its
+    listener, so admission and queue discipline are driven by the same
+    policy objects on every architecture.  Pass ``overload=`` to make
+    the control active.
     """
 
     name = "server"
@@ -34,14 +33,12 @@ class Server:
         sim: Simulator,
         machine: Machine,
         listener: ListenSocket,
-        semantics: Optional[HttpSemantics] = None,
         costs: Optional[CostModel] = None,
         overload: Optional[OverloadControl] = None,
     ) -> None:
         self.sim = sim
         self.machine = machine
         self.listener = listener
-        self.semantics = semantics or HttpSemantics()
         self.costs = costs or CostModel()
         self.overload = overload if overload is not None else OverloadControl()
         if listener.overload is None:
@@ -56,30 +53,6 @@ class Server:
     def start(self) -> None:
         """Spawn the server's threads/processes onto the simulator."""
         raise NotImplementedError
-
-    # -- overload-control hooks ---------------------------------------------
-    def pressure(self) -> float:
-        """Composite resource pressure in [0, 1] for adaptive policies.
-
-        The maximum of memory pressure and accept-queue occupancy — the
-        two signals a 2004-era server can cheaply observe about itself.
-        """
-        mem = self.machine.memory.pressure
-        cap = self.listener.backlog_capacity
-        fill = self.listener.backlog_depth / cap if cap else 0.0
-        return min(1.0, max(mem, fill))
-
-    def effective_idle_timeout(self, default: float) -> float:
-        """Idle timeout to apply right now (adaptive when mounted).
-
-        The value (fixed or adaptive) flows into
-        :meth:`~repro.net.tcp.Connection.server_recv`, whose pause timer
-        rides the kernel's timing wheel: the overwhelmingly common case —
-        a request arriving before the reap deadline — cancels the timer
-        with an O(1) unlink, so idle reaping scales to thousands of
-        connections without growing the event heap.
-        """
-        return self.overload.idle_timeout(default, self.pressure())
 
     # -- reporting -----------------------------------------------------------
     def stats(self) -> Dict[str, float]:

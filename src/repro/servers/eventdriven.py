@@ -17,18 +17,16 @@ Architecture, following the paper's description of its NIO server core:
   ``CostModel.scaled``).
 
 Timer routing: with no per-connection reap timers, this architecture only
-touches the kernel timing wheel through the opt-in adaptive-timeout
-sweeper (its wake-up interval is >= one wheel tick, so the periodic
-timeout is wheel-staged) and through the shared TCP paths — client-side
-SYN-retransmit and response-timeout pauses, which true-cancel their
-losing timers when the race settles.
+touches the kernel timing wheel through the shared TCP paths —
+client-side SYN-retransmit and response-timeout pauses, which
+true-cancel their losing timers when the race settles.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..http.protocol import HttpSemantics
+from ..http.messages import CHUNK_BYTES
 from ..net.selector import READ, WRITE, Selector
 from ..net.tcp import EOF, Connection, ListenSocket
 from ..osmodel.costs import CostModel
@@ -45,17 +43,15 @@ DEFAULT_JVM_FACTOR = 1.05
 class _ConnState:
     """Per-channel write queue and reentrancy guard."""
 
-    __slots__ = ("queue", "remaining", "busy", "deferred", "closed",
-                 "last_activity")
+    __slots__ = ("queue", "remaining", "busy", "deferred", "closed")
 
-    def __init__(self, now: float = 0.0) -> None:
+    def __init__(self) -> None:
         # Response byte counts to write, at most a pipeline's worth.
         self.queue: List[int] = []
         self.remaining = 0  # bytes left of the in-progress response
         self.busy = False
         self.deferred = False
         self.closed = False
-        self.last_activity = now  # for the (optional) idle sweeper
 
 
 class EventDrivenServer(Server):
@@ -70,13 +66,12 @@ class EventDrivenServer(Server):
         listener: ListenSocket,
         workers: int = 1,
         jvm_factor: float = DEFAULT_JVM_FACTOR,
-        semantics: Optional[HttpSemantics] = None,
         costs: Optional[CostModel] = None,
         selector_strategy: str = "shared",
         overload=None,
     ) -> None:
         base_costs = (costs or CostModel()).scaled(jvm_factor)
-        super().__init__(sim, machine, listener, semantics, base_costs, overload)
+        super().__init__(sim, machine, listener, base_costs, overload)
         if workers < 1:
             raise ValueError("need at least one worker thread")
         if selector_strategy not in ("shared", "partitioned"):
@@ -94,7 +89,6 @@ class EventDrivenServer(Server):
         self.selectors = [Selector(sim) for _ in range(n_selectors)]
         self._assign_seq = 0
         self.events_processed = 0
-        self.idle_reaps = 0
         self._states: Dict[Connection, _ConnState] = {}
 
     @property
@@ -113,12 +107,6 @@ class EventDrivenServer(Server):
         self.sim.process(self._acceptor(), name=f"{self.name}-acceptor")
         for i in range(self.workers):
             self.sim.process(self._worker(i), name=f"{self.name}-worker-{i}")
-        if self.overload.timeout is not None:
-            # Adaptive-timeout mount turns on idle reaping: a sweeper
-            # closes channels idle past the (pressure-dependent) timeout.
-            # Without it the server keeps its zero-reset guarantee.
-            registry.spawn(f"{self.name}-sweeper")
-            self.sim.process(self._sweeper(), name=f"{self.name}-sweeper")
 
     # ------------------------------------------------------------------
     def _acceptor(self):
@@ -127,7 +115,7 @@ class EventDrivenServer(Server):
             conn = yield from self.listener.accept()
             yield self._exec("accept", self.costs.accept)
             self.connections_handled += 1
-            self._states[conn] = _ConnState(self.sim.now)
+            self._states[conn] = _ConnState()
             selector = self.selectors[self._assign_seq % len(self.selectors)]
             self._assign_seq += 1
             selector.register(conn, READ)
@@ -157,7 +145,6 @@ class EventDrivenServer(Server):
     # ------------------------------------------------------------------
     def _handle(self, conn: Connection, state: _ConnState, kind: int):
         """Drain readable data, then pump non-blocking writes."""
-        state.last_activity = self.sim.now
         if kind == READ:
             while True:
                 item = conn.try_recv()
@@ -168,12 +155,12 @@ class EventDrivenServer(Server):
                     self._close(conn, state)
                     return
                 yield from self._service_burst(conn)
-                state.queue.append(self.semantics.response_wire_bytes(item))
+                state.queue.append(item.total_response_wire_bytes)
         yield from self._pump_writes(conn, state)
 
     def _pump_writes(self, conn: Connection, state: _ConnState):
         """Write until done or EWOULDBLOCK; manage interest ops."""
-        chunk = self.semantics.chunk_bytes
+        chunk = CHUNK_BYTES
         while True:
             if state.remaining == 0:
                 if not state.queue:
@@ -201,37 +188,6 @@ class EventDrivenServer(Server):
         if conn.watcher is not None:
             conn.watcher.set_interest(conn, READ)
 
-    def _sweeper(self):
-        """Reap channels idle past the adaptive timeout (opt-in only).
-
-        Generalizes httpd2's fixed 15 s reaper: the cutoff comes from the
-        mounted :class:`~repro.overload.AdaptiveTimeout`, so at low
-        pressure idle clients are left alone (long cutoff, few resets)
-        and under pressure the selector sheds its idlest channels to
-        reclaim kernel memory.
-        """
-        interval = max(0.5, self.overload.timeout.floor / 2.0)
-        while True:
-            yield self.sim.timeout(interval)
-            cutoff = self.effective_idle_timeout(float("inf"))
-            now = self.sim.now
-            stale = [
-                (conn, state)
-                for conn, state in self._states.items()
-                if not state.busy
-                and state.remaining == 0
-                and not state.queue
-                and now - state.last_activity > cutoff
-            ]
-            for conn, state in stale:
-                if state.closed or state.busy:
-                    continue
-                self.idle_reaps += 1
-                if conn.span is not None:
-                    conn.span.mark("idle_reap")
-                yield self._exec("close", self.costs.close)
-                self._close(conn, state)
-
     def _close(self, conn: Connection, state: _ConnState) -> None:
         state.closed = True
         if conn.watcher is not None:
@@ -244,7 +200,9 @@ class EventDrivenServer(Server):
         out["workers"] = self.workers
         out["selector_strategy"] = self.selector_strategy
         out["events_processed"] = self.events_processed
-        out["idle_reaps"] = self.idle_reaps
+        # nio never reaps an idle channel; the key stays because row
+        # digests hash every server-stats key.
+        out["idle_reaps"] = 0
         out["channels_registered"] = sum(
             s.registered_count for s in self.selectors
         )

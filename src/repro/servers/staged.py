@@ -20,14 +20,14 @@ Timer routing: stages hand off through queues and never block on
 per-connection timers, so the wheel traffic this architecture generates
 comes entirely from the shared TCP client paths (connect retransmit and
 response-timeout races, both of which cancel their losing pause with an
-O(1) wheel unlink) and the opt-in adaptive sweeper in the selector loop.
+O(1) wheel unlink).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..http.protocol import HttpSemantics
+from ..http.messages import CHUNK_BYTES
 from ..net.selector import READ, Selector
 from ..net.tcp import EOF, Connection, ListenSocket
 from ..osmodel.costs import CostModel
@@ -64,12 +64,11 @@ class StagedServer(Server):
         listener: ListenSocket,
         threads_per_stage: int = 1,
         jvm_factor: float = DEFAULT_JVM_FACTOR,
-        semantics: Optional[HttpSemantics] = None,
         costs: Optional[CostModel] = None,
         overload=None,
     ) -> None:
         base_costs = (costs or CostModel()).scaled(jvm_factor)
-        super().__init__(sim, machine, listener, semantics, base_costs, overload)
+        super().__init__(sim, machine, listener, base_costs, overload)
         if threads_per_stage < 1:
             raise ValueError("need at least one thread per stage")
         self.threads_per_stage = threads_per_stage
@@ -120,14 +119,14 @@ class StagedServer(Server):
                     self._close(conn, state)
                     break
                 yield from self._service_burst(conn)
-                state.pending.append(self.semantics.response_wire_bytes(item))
+                state.pending.append(item.total_response_wire_bytes)
                 yield self._exec("handoff", self.costs.stage_handoff)
                 self.stage_handoffs += 1
                 self.send_queue.put(conn)
 
     # -- stage 3: send ----------------------------------------------------------
     def _send_stage(self, index: int):
-        chunk = self.semantics.chunk_bytes
+        chunk = CHUNK_BYTES
         while True:
             conn = yield self.send_queue.get()
             state = self._states.get(conn)

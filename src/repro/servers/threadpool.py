@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..http.protocol import HttpSemantics
+from ..http.messages import CHUNK_BYTES
 from ..net.tcp import EOF, Connection, ListenSocket
 from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
@@ -57,7 +57,6 @@ class ThreadPoolServer(Server):
         listener: ListenSocket,
         pool_size: int = 4096,
         idle_timeout: float = 15.0,
-        semantics: Optional[HttpSemantics] = None,
         costs: Optional[CostModel] = None,
         dynamic: bool = False,
         initial_threads: int = 64,
@@ -66,7 +65,7 @@ class ThreadPoolServer(Server):
         manager_interval: float = 1.0,
         overload=None,
     ) -> None:
-        super().__init__(sim, machine, listener, semantics, costs, overload)
+        super().__init__(sim, machine, listener, costs, overload)
         if pool_size < 1:
             raise ValueError("pool size must be >= 1")
         if dynamic and not (0 < min_spare <= max_spare):
@@ -166,10 +165,7 @@ class ThreadPoolServer(Server):
     def _serve_connection(self, conn: Connection):
         """Blocking request/response loop bound to one worker thread."""
         while True:
-            # Adaptive timeout (when mounted) tightens the fixed Apache
-            # Timeout/KeepAliveTimeout as resource pressure rises.
-            timeout = self.effective_idle_timeout(self.idle_timeout)
-            request = yield from conn.server_recv(timeout)
+            request = yield from conn.server_recv(self.idle_timeout)
             if request is None:
                 # Idle timeout: disconnect the client to free this thread.
                 self.idle_reaps += 1
@@ -194,8 +190,8 @@ class ThreadPoolServer(Server):
 
         Returns False if the client disappeared mid-response.
         """
-        chunk = self.semantics.chunk_bytes
-        remaining = self.semantics.response_wire_bytes(request)
+        chunk = CHUNK_BYTES
+        remaining = request.total_response_wire_bytes
         if conn.span is not None:
             conn.span.mark("tx_start")
         while remaining > 0:

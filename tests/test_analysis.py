@@ -26,10 +26,9 @@ from repro.analysis import (
 )
 from repro.analysis.stats import DEFAULT_GETTERS
 from repro.core import Experiment, ServerSpec, WorkloadSpec
-from repro.http import HttpSemantics
+from repro.http.messages import DEFAULT_RESPONSE_HEAD_BYTES
 from repro.osmodel import CostModel, MachineSpec
 
-SEM = HttpSemantics()
 COSTS = CostModel()
 
 
@@ -38,14 +37,14 @@ COSTS = CostModel()
 # ---------------------------------------------------------------------------
 
 def test_service_estimate_increases_with_bytes():
-    small = ServiceEstimate.for_threadpool(COSTS, SEM, 1_000)
-    large = ServiceEstimate.for_threadpool(COSTS, SEM, 1_000_000)
+    small = ServiceEstimate.for_threadpool(COSTS, 1_000)
+    large = ServiceEstimate.for_threadpool(COSTS, 1_000_000)
     assert large.cpu_seconds > small.cpu_seconds
 
 
 def test_event_driven_estimate_adds_selector_overhead():
-    tp = ServiceEstimate.for_threadpool(COSTS, SEM, 16_000)
-    ed = ServiceEstimate.for_event_driven(COSTS, SEM, 16_000)
+    tp = ServiceEstimate.for_threadpool(COSTS, 16_000)
+    ed = ServiceEstimate.for_event_driven(COSTS, 16_000)
     assert ed.cpu_seconds > tp.cpu_seconds
 
 
@@ -115,7 +114,7 @@ def test_simulated_capacity_matches_analytic_prediction():
     cpu_speed = 0.05
     m = run_nio(clients=400, cpu_speed=cpu_speed)  # deep overload
     costs = CostModel().scaled(1.0 / cpu_speed).scaled(1.05)  # + JVM
-    svc = ServiceEstimate.for_event_driven(costs, SEM, 16_000)
+    svc = ServiceEstimate.for_event_driven(costs, 16_000)
     predicted = capacity_replies_per_s(svc)
     assert m.throughput_rps == pytest.approx(predicted, rel=0.2)
 
@@ -124,7 +123,7 @@ def test_utilization_law_holds_on_simulated_run():
     cpu_speed = 0.05
     m = run_nio(clients=60, cpu_speed=cpu_speed)  # moderate load
     costs = CostModel().scaled(1.0 / cpu_speed).scaled(1.05)
-    svc = ServiceEstimate.for_event_driven(costs, SEM, 16_000)
+    svc = ServiceEstimate.for_event_driven(costs, 16_000)
     check = utilization_law(m, svc, capacity=1.0)
     assert check.holds(tolerance=0.30), str(check)
 
@@ -136,7 +135,7 @@ def test_bandwidth_law_holds_on_simulated_run():
     from repro.sim import RandomStreams
 
     pop = FilePopulation(RandomStreams(42).stream("files"), n_files=200)
-    mean_transfer = pop.mean_transfer_size() + SEM.response_head_bytes
+    mean_transfer = pop.mean_transfer_size() + DEFAULT_RESPONSE_HEAD_BYTES
     check = bandwidth_law(m, mean_transfer)
     assert check.holds(tolerance=0.25), str(check)
 

@@ -219,6 +219,28 @@ def test_figure_runner_distinguishes_idle_timeout():
     assert a is not b
 
 
+def test_figure_runner_distinguishes_overload_parameters():
+    # Two token buckets that differ only in rate share a repr; the cache
+    # must still key them apart, or the second sweep returns the first.
+    from repro.core import OVERLOAD_UP
+    from repro.overload import OverloadControl, TokenBucket
+
+    def bucket(rate, burst):
+        return ServerSpec(
+            "httpd", 256,
+            overload=OverloadControl(admission=TokenBucket(rate, burst)),
+        )
+
+    runner = FigureRunner(
+        profile=MeasurementProfile("tiny", (300,), 3.0, 4.0), seed=7
+    )
+    loose = runner.sweep(bucket(200.0, 8.0), OVERLOAD_UP)
+    tight = runner.sweep(bucket(5.0, 2.0), OVERLOAD_UP)
+    assert tight is not loose
+    assert loose.points[0].server_stats["requests_shed"] == 0
+    assert tight.points[0].server_stats["requests_shed"] == 580
+
+
 def test_figure_3_structure():
     runner = FigureRunner(profile=TINY)
     figs = runner.figure_3()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.http import FilePopulation, HttpSemantics, Request
+from repro.http import FilePopulation, Request
 from repro.http.messages import (
     DEFAULT_REQUEST_WIRE_BYTES,
     DEFAULT_RESPONSE_HEAD_BYTES,
@@ -73,7 +73,7 @@ def test_total_bytes_consistent():
 
 
 # ---------------------------------------------------------------------------
-# messages + semantics
+# messages
 # ---------------------------------------------------------------------------
 
 def test_request_defaults():
@@ -81,18 +81,3 @@ def test_request_defaults():
     assert req.method == "GET"
     assert req.wire_bytes == DEFAULT_REQUEST_WIRE_BYTES
     assert req.total_response_wire_bytes == 5000 + DEFAULT_RESPONSE_HEAD_BYTES
-
-
-def test_semantics_response_wire_bytes():
-    sem = HttpSemantics()
-    req = Request(path="/f", response_bytes=10_000)
-    assert sem.response_wire_bytes(req) == 10_000 + sem.response_head_bytes
-
-
-def test_semantics_chunk_count():
-    sem = HttpSemantics(chunk_bytes=4096)
-    small = Request(path="/s", response_bytes=100)
-    large = Request(path="/l", response_bytes=100_000)
-    assert sem.chunks_for(small) == 1
-    expected = -(-(100_000 + sem.response_head_bytes) // 4096)
-    assert sem.chunks_for(large) == expected

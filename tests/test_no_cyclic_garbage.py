@@ -24,7 +24,6 @@ from collections import Counter
 import pytest
 
 from repro import (
-    AdaptiveTimeout,
     CoDelShedder,
     Experiment,
     OverloadControl,
@@ -83,13 +82,9 @@ CASES = {
     "amped": lambda: _experiment(ServerSpec.amped(2)),
     "httpd-reaping": lambda: _experiment(_httpd(idle_timeout=0.5)),
     "httpd-dynamic-pool": lambda: _experiment(_httpd(dynamic_pool=True)),
-    "codel-lifo-adaptive": lambda: _experiment(
+    "codel-lifo": lambda: _experiment(
         _httpd(
-            overload=OverloadControl(
-                admission=CoDelShedder(),
-                discipline=LIFO,
-                timeout=AdaptiveTimeout(base=5.0, floor=0.5),
-            )
+            overload=OverloadControl(admission=CoDelShedder(), discipline=LIFO)
         )
     ),
     "token-bucket": lambda: _experiment(

@@ -1,12 +1,13 @@
-"""Integration tests: overload control mounted on simulated and live servers.
+"""Integration tests: overload control mounted on simulated servers.
 
 Covers the subsystem's three load-bearing promises:
 
 * policies actually change what the simulated TCP/server stack does
-  (shed SYNs, reorder accept queues, reap adaptively);
-* runs stay deterministic per seed with policies mounted;
-* the *same* policy object drives a simulated server and a live
-  socket server without modification.
+  (shed SYNs, reorder accept queues);
+* runs stay deterministic per seed with policies mounted, and every run
+  mounts its own copy of the spec's policy;
+* the overload-mounted paths produce the same whole RunMetrics on the
+  production and the reference kernel (pinned digests).
 """
 
 
@@ -14,15 +15,10 @@ from repro.core import Experiment, ServerSpec, WorkloadSpec
 from repro.net import Connection, ListenSocket
 from repro.net.link import DuplexLink
 from repro.osmodel import Machine, MachineSpec
-from repro.overload import (
-    LIFO,
-    AdaptiveTimeout,
-    BacklogThreshold,
-    OverloadControl,
-    TokenBucket,
-)
+from repro.overload import LIFO, CoDelShedder, OverloadControl, TokenBucket
 from repro.sim import Simulator
 from repro.workload import SurgeConfig
+from tests.test_fluid_equivalence import _metrics_digest
 
 #: Think times guaranteed to outlive a 15 s idle timeout (same as
 #: tests/test_servers.py): every keep-alive session risks an idle reap.
@@ -110,8 +106,8 @@ def test_fifo_discipline_accepts_oldest_first():
     assert accepted == conns
 
 
-def test_backlog_threshold_sheds_syns_before_kernel_limit():
-    policy = BacklogThreshold(max_depth=2)
+def test_admission_policy_sheds_syns_before_kernel_limit():
+    policy = TokenBucket(rate=0.001, burst=2.0)
     sim, listener, duplex = make_listener(
         overload=OverloadControl(admission=policy), backlog=511
     )
@@ -162,22 +158,6 @@ def test_eventdriven_with_shedding_still_never_resets():
     assert m.replies > 0
 
 
-def test_adaptive_timeout_makes_eventdriven_reap():
-    # Opt-in only: mounting an AdaptiveTimeout gives the event-driven
-    # server an idle sweeper it otherwise does not run.
-    m = run_mini(
-        ServerSpec(
-            "nio", 1,
-            overload=OverloadControl(
-                timeout=AdaptiveTimeout(base=5.0, floor=1.0)
-            ),
-        ),
-        surge=LONG_THINKS,
-    )
-    assert m.server_stats["idle_reaps"] > 0
-    assert m.connection_reset_rate > 0.0
-
-
 def test_stats_expose_overload_counters():
     m = run_mini(
         ServerSpec(
@@ -212,34 +192,70 @@ def test_label_carries_policy_tag():
     assert ServerSpec.httpd(64).label == "httpd-64t"
 
 
-def test_overload_scenario_backlog_threshold_caps_queue():
-    # The under-provisioned OVERLOAD_UP testbed surges its accept queue
-    # during ramp-up; a backlog threshold visibly caps that surge.
+# ---------------------------------------------------------------------------
+# pinned rows: the overload paths run identically on both kernels
+# ---------------------------------------------------------------------------
+
+def _overload_up(overload):
     from repro.core import OVERLOAD_UP
 
-    workload = WorkloadSpec(clients=400, duration=10.0, warmup=8.0)
+    return Experiment(
+        server=ServerSpec("httpd", 256, overload=overload),
+        workload=WorkloadSpec(clients=400, duration=6.0, warmup=6.0),
+        machine=OVERLOAD_UP.machine,
+        network=OVERLOAD_UP.network,
+        seed=7,
+    ).run()
 
-    def run(spec):
-        return Experiment(
-            server=spec,
-            workload=workload,
-            machine=OVERLOAD_UP.machine,
-            network=OVERLOAD_UP.network,
-            seed=7,
-        ).run()
 
-    plain = run(ServerSpec.httpd(256))
-    capped = run(
-        ServerSpec(
-            "httpd", 256,
-            overload=OverloadControl(admission=BacklogThreshold(max_depth=64)),
+def test_token_bucket_run_is_pinned(reference_oracle):
+    """No e2e workload mounts a policy, so these pins are what guard
+    the admission path: the whole RunMetrics, on both kernels."""
+    metrics = reference_oracle(
+        lambda: _overload_up(
+            OverloadControl(admission=TokenBucket(rate=40.0, burst=8.0))
         )
     )
-    assert plain.server_stats["accept_queue_peak"] > 64
-    assert capped.server_stats["accept_queue_peak"] <= 64
-    assert capped.server_stats["requests_shed"] > 0
-    # Shedding the surge costs almost nothing in goodput here.
-    assert capped.throughput_rps > 0.95 * plain.throughput_rps
+    assert metrics.server_stats["requests_shed"] == 819
+    assert _metrics_digest(metrics) == "582734c0595c7b43"
+
+
+def test_codel_lifo_run_is_pinned(reference_oracle):
+    """CoDel reads the standing delay of the oldest waiter, which sits
+    at the back of a LIFO backlog; reading the front sheds nothing."""
+    metrics = reference_oracle(
+        lambda: _overload_up(
+            OverloadControl(admission=CoDelShedder(), discipline=LIFO)
+        )
+    )
+    assert metrics.server_stats["requests_shed"] == 79
+    assert metrics.server_stats["accept_queue_peak"] == 77
+    assert _metrics_digest(metrics) == "cea58a769de1746e"
+
+
+def test_cluster_token_bucket_run_is_pinned(reference_oracle):
+    """Each replica sheds through its own copy of the spec's policy."""
+    from repro.cluster import ClusterExperiment, uniform_cluster
+
+    server = ServerSpec(
+        "httpd", 32,
+        overload=OverloadControl(admission=TokenBucket(rate=5.0, burst=4.0)),
+    )
+
+    def run():
+        exp = ClusterExperiment(
+            cluster=uniform_cluster(n=2, server=server),
+            workload=WorkloadSpec(clients=120, duration=6.0, warmup=6.0),
+            seed=7,
+        )
+        aggregate = exp.run()
+        return [aggregate] + [m for _, m in sorted(exp.replica_metrics.items())]
+
+    aggregate, r0, r1 = reference_oracle(run)
+    assert [
+        m.server_stats["requests_shed"] for m in (aggregate, r0, r1)
+    ] == [253, 127, 126]
+    assert _metrics_digest(aggregate) == "1795ab0dfef01b99"
 
 
 # ---------------------------------------------------------------------------
@@ -263,112 +279,18 @@ def test_shed_decisions_deterministic_per_seed():
 
 
 def test_policy_state_resets_between_runs():
-    # The same ServerSpec (and thus the same policy object) swept twice
-    # must not carry token-bucket debt across runs.
+    # The same ServerSpec run twice carries no token-bucket debt across
+    # runs: each run mounts its own copy and the spec's policy is never
+    # touched.
+    policy = TokenBucket(rate=0.5, burst=2.0)
     spec = ServerSpec(
-        "httpd", 64,
-        overload=OverloadControl(admission=TokenBucket(rate=0.5, burst=2.0)),
+        "httpd", 64, overload=OverloadControl(admission=policy)
     )
     first = run_mini(spec, surge=LONG_THINKS, seed=11)
     second = run_mini(spec, surge=LONG_THINKS, seed=11)
+    assert first.server_stats["requests_shed"] > 0
     assert (
         first.server_stats["requests_shed"]
         == second.server_stats["requests_shed"]
     )
-
-
-# ---------------------------------------------------------------------------
-# the same policy object on a sim server and a live server
-# ---------------------------------------------------------------------------
-
-def test_same_policy_object_mounts_on_sim_and_live_servers():
-    from repro.live import DocRoot, ThreadPoolHttpServer, run_load
-
-    policy = BacklogThreshold(max_depth=2)
-    control = OverloadControl(admission=policy)
-
-    # 1) Simulated httpd: the experiment consults the policy per SYN.
-    run_mini(
-        ServerSpec("httpd", 8, overload=control),
-        clients=10,
-        duration=20.0,
-        warmup=5.0,
-    )
-    sim_admitted = policy.admitted
-    assert sim_admitted > 0
-
-    # 2) The very same objects now drive a real socket server.
-    docroot = DocRoot.synthetic(n_files=8)
-    server = ThreadPoolHttpServer(docroot, pool_size=4, overload=control)
-    server.start()
-    try:
-        stats = run_load(
-            "127.0.0.1",
-            server.port,
-            docroot.paths()[:4],
-            clients=8,
-            requests_per_client=5,
-        )
-    finally:
-        server.stop()
-    # The live server admitted through the same policy instance: its
-    # combined tally kept growing past the simulated run's count.
-    assert policy.admitted > sim_admitted
-    assert server.requests_shed == policy.shed - 0  # one shared ledger
-    assert stats.replies > 0
-
-
-def test_live_event_server_sheds_with_same_policy_type():
-    from repro.live import AsyncioEventServer, DocRoot, run_load
-
-    policy = BacklogThreshold(max_depth=1)
-    docroot = DocRoot.synthetic(n_files=8)
-    server = AsyncioEventServer(
-        docroot, overload=OverloadControl(admission=policy), max_connections=4
-    )
-    server.start()
-    try:
-        stats = run_load(
-            "127.0.0.1",
-            server.port,
-            docroot.paths()[:4],
-            clients=8,
-            requests_per_client=5,
-            think_time=0.05,
-        )
-    finally:
-        server.stop()
-    assert server.requests_shed == policy.shed > 0
-    assert stats.replies > 0
-    # Shed connections surface as resets/EOF on the client, never hangs.
-    assert stats.errors == stats.resets + stats.other_errors
-
-
-def test_live_thread_server_adaptive_timeout_reaps_faster():
-    import socket
-    import time
-
-    from repro.live import DocRoot, ThreadPoolHttpServer
-
-    docroot = DocRoot.synthetic(n_files=4)
-    server = ThreadPoolHttpServer(
-        docroot,
-        pool_size=2,
-        idle_timeout=30.0,
-        overload=OverloadControl(
-            timeout=AdaptiveTimeout(base=0.5, floor=0.2, gain=1.0)
-        ),
-    )
-    server.start()
-    try:
-        with socket.create_connection(("127.0.0.1", server.port), 5.0) as s:
-            time.sleep(1.5)  # outlive the adaptive base, not the 30 s fixed
-            s.settimeout(2.0)
-            try:
-                data = s.recv(1024)
-                assert data == b""
-            except ConnectionResetError:
-                pass
-        assert server.idle_reaps >= 1
-    finally:
-        server.stop()
+    assert policy.admitted == policy.shed == 0

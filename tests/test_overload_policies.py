@@ -1,33 +1,26 @@
 """Unit tests for the overload-control policy objects.
 
 These exercise each policy in isolation with a hand-rolled clock and
-hand-built :class:`Signals` snapshots — no simulator, no sockets — which
-is exactly how the clock-agnostic interface is meant to be testable.
+hand-picked standing queue delays — no simulator, no sockets — which is
+exactly how the ``on_arrival(now, queue_delay)`` interface is meant to be
+testable.  The per-run tests at the end mount policies the way an
+experiment does, through ``build_server``, on an idle simulator.
 """
 
 import pytest
 
+from repro.core import ServerSpec, build_server
+from repro.net import ListenSocket
+from repro.osmodel import Machine, MachineSpec
 from repro.overload import (
     FIFO,
     LIFO,
-    AdaptiveTimeout,
     AlwaysAdmit,
-    BacklogThreshold,
     CoDelShedder,
     OverloadControl,
-    Signals,
     TokenBucket,
 )
-
-
-# ---------------------------------------------------------------------------
-# Signals
-# ---------------------------------------------------------------------------
-
-def test_signals_fill_fraction():
-    assert Signals(queue_depth=32, queue_capacity=128).fill == 0.25
-    assert Signals(queue_depth=5, queue_capacity=0).fill == 0.0  # unknown
-    assert Signals().fill == 0.0
+from repro.sim import Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -36,38 +29,10 @@ def test_signals_fill_fraction():
 
 def test_always_admit_admits_everything_and_counts():
     p = AlwaysAdmit()
-    full = Signals(queue_depth=10**6, queue_capacity=1, pressure=1.0)
     for t in range(50):
-        assert p.on_arrival(float(t), full)
+        assert p.on_arrival(float(t), 1e6)  # however stale the queue
     assert p.admitted == 50
     assert p.shed == 0
-    assert p.stats() == {"admitted": 50, "shed": 0, "early_closed": 0}
-
-
-def test_policy_reset_zeroes_counters():
-    p = AlwaysAdmit()
-    p.on_arrival(0.0, Signals())
-    p.on_dequeue(1.0, 0.5, Signals())
-    p.reset()
-    assert (p.admitted, p.shed, p.early_closed) == (0, 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# BacklogThreshold
-# ---------------------------------------------------------------------------
-
-def test_backlog_threshold_sheds_at_depth():
-    p = BacklogThreshold(max_depth=4)
-    assert p.on_arrival(0.0, Signals(queue_depth=3))
-    assert not p.on_arrival(0.0, Signals(queue_depth=4))
-    assert not p.on_arrival(0.0, Signals(queue_depth=400))
-    assert p.on_arrival(0.0, Signals(queue_depth=0))
-    assert p.shed == 2 and p.admitted == 2
-
-
-def test_backlog_threshold_validates():
-    with pytest.raises(ValueError):
-        BacklogThreshold(max_depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,36 +41,24 @@ def test_backlog_threshold_validates():
 
 def test_token_bucket_burst_then_starve():
     p = TokenBucket(rate=1.0, burst=3.0)
-    s = Signals()
     # Burst drains at t=0; fourth arrival in the same instant is shed.
-    results = [p.on_arrival(0.0, s) for _ in range(4)]
+    results = [p.on_arrival(0.0, 0.0) for _ in range(4)]
     assert results == [True, True, True, False]
 
 
 def test_token_bucket_refills_at_rate():
     p = TokenBucket(rate=2.0, burst=1.0)
-    s = Signals()
-    assert p.on_arrival(0.0, s)
-    assert not p.on_arrival(0.1, s)  # 0.2 tokens accrued, need 1
-    assert p.on_arrival(0.6, s)  # 1.2 accrued since t=0.1, capped at burst
+    assert p.on_arrival(0.0, 0.0)
+    assert not p.on_arrival(0.1, 0.0)  # 0.2 tokens accrued, need 1
+    assert p.on_arrival(0.6, 0.0)  # 1.2 accrued since t=0.1, capped at burst
 
 
 def test_token_bucket_is_deterministic_in_now():
     times = [0.0, 0.05, 0.4, 0.41, 1.0, 1.5, 1.6, 3.0]
     a, b = TokenBucket(rate=2.0, burst=2.0), TokenBucket(rate=2.0, burst=2.0)
-    s = Signals()
-    assert [a.on_arrival(t, s) for t in times] == [
-        b.on_arrival(t, s) for t in times
+    assert [a.on_arrival(t, 0.0) for t in times] == [
+        b.on_arrival(t, 0.0) for t in times
     ]
-
-
-def test_token_bucket_reset_restores_burst():
-    p = TokenBucket(rate=0.001, burst=2.0)
-    s = Signals()
-    assert [p.on_arrival(0.0, s) for _ in range(3)] == [True, True, False]
-    p.reset()
-    assert p.on_arrival(100.0, s)  # full burst again, history gone
-    assert p.admitted == 1  # counters were zeroed too
 
 
 def test_token_bucket_validates():
@@ -122,27 +75,25 @@ def test_token_bucket_validates():
 def test_codel_admits_while_delay_below_target():
     p = CoDelShedder(target=0.05, interval=0.5)
     for t in range(100):
-        assert p.on_arrival(t * 0.01, Signals(queue_delay=0.01))
+        assert p.on_arrival(t * 0.01, 0.01)
     assert p.shed == 0
 
 
 def test_codel_requires_standing_delay_before_dropping():
     p = CoDelShedder(target=0.05, interval=0.5)
-    over = Signals(queue_delay=0.2)
     # Delay above target, but not yet for a whole interval: still admits.
-    assert p.on_arrival(0.0, over)
-    assert p.on_arrival(0.3, over)
+    assert p.on_arrival(0.0, 0.2)
+    assert p.on_arrival(0.3, 0.2)
     # A whole interval above target: the first drop fires.
-    assert not p.on_arrival(0.6, over)
+    assert not p.on_arrival(0.6, 0.2)
     assert p.shed == 1
 
 
 def test_codel_drop_frequency_grows_with_standing_delay():
     p = CoDelShedder(target=0.05, interval=0.5)
-    over = Signals(queue_delay=0.2)
     t, sheds, gaps, last_shed = 0.0, 0, [], None
     while t < 20.0:
-        if not p.on_arrival(t, over):
+        if not p.on_arrival(t, 0.2):
             if last_shed is not None:
                 gaps.append(t - last_shed)
             last_shed = t
@@ -155,24 +106,14 @@ def test_codel_drop_frequency_grows_with_standing_delay():
 
 def test_codel_recovers_when_delay_subsides():
     p = CoDelShedder(target=0.05, interval=0.5)
-    over, under = Signals(queue_delay=0.2), Signals(queue_delay=0.0)
     for i in range(200):
-        p.on_arrival(i * 0.05, over)
+        p.on_arrival(i * 0.05, 0.2)
     assert p.shed > 0
     # One below-target arrival disarms the controller completely.
-    assert p.on_arrival(100.0, under)
+    assert p.on_arrival(100.0, 0.0)
     shed_before = p.shed
-    assert p.on_arrival(100.1, over)  # needs a fresh standing interval
+    assert p.on_arrival(100.1, 0.2)  # needs a fresh standing interval
     assert p.shed == shed_before
-
-
-def test_codel_stale_cap_early_closes_on_dequeue():
-    p = CoDelShedder(stale_cap=1.0)
-    assert p.on_dequeue(0.0, 0.5, Signals())
-    assert not p.on_dequeue(0.0, 1.5, Signals())
-    assert p.early_closed == 1
-    no_cap = CoDelShedder()
-    assert no_cap.on_dequeue(0.0, 99.0, Signals())  # no cap, never closes
 
 
 def test_codel_validates():
@@ -180,46 +121,6 @@ def test_codel_validates():
         CoDelShedder(target=0.0)
     with pytest.raises(ValueError):
         CoDelShedder(interval=-1.0)
-
-
-# ---------------------------------------------------------------------------
-# AdaptiveTimeout
-# ---------------------------------------------------------------------------
-
-def test_adaptive_timeout_base_at_zero_pressure():
-    t = AdaptiveTimeout(base=15.0, floor=2.0, gain=2.0)
-    assert t.value(0.0) == 15.0
-
-
-def test_adaptive_timeout_decreases_monotonically_to_floor():
-    t = AdaptiveTimeout(base=15.0, floor=2.0, gain=2.0)
-    values = [t.value(p / 10) for p in range(11)]
-    assert values == sorted(values, reverse=True)
-    assert values[-1] == 2.0  # floor at full pressure
-    assert t.min_applied == 2.0
-    assert t.last == 2.0
-
-
-def test_adaptive_timeout_gain_zero_is_fixed_timeout():
-    t = AdaptiveTimeout(base=15.0, floor=1.0, gain=0.0)
-    assert t.value(0.0) == t.value(0.5) == t.value(1.0) == 15.0
-
-
-def test_adaptive_timeout_clamps_pressure_and_resets():
-    t = AdaptiveTimeout(base=10.0, floor=1.0, gain=1.0)
-    assert t.value(2.0) == 1.0  # pressure clamped to 1 -> floor
-    assert t.value(-1.0) == 10.0  # clamped to 0 -> base
-    t.reset()
-    assert t.min_applied == 10.0 and t.last == 10.0
-
-
-def test_adaptive_timeout_validates():
-    with pytest.raises(ValueError):
-        AdaptiveTimeout(base=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveTimeout(base=5.0, floor=10.0)
-    with pytest.raises(ValueError):
-        AdaptiveTimeout(gain=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,55 +141,79 @@ def test_control_defaults_are_inert():
     ctl = OverloadControl()
     assert isinstance(ctl.admission, AlwaysAdmit)
     assert ctl.discipline is FIFO
-    assert ctl.timeout is None
     assert ctl.tag == ""
-    assert ctl.idle_timeout(15.0, 0.9) == 15.0  # no controller -> default
 
 
 def test_control_tag_composition():
-    ctl = OverloadControl(
-        admission=CoDelShedder(),
-        discipline=LIFO,
-        timeout=AdaptiveTimeout(),
-    )
-    assert ctl.tag == "codel+lifo+adapt"
+    ctl = OverloadControl(admission=CoDelShedder(), discipline=LIFO)
+    assert ctl.tag == "codel+lifo"
     assert OverloadControl(admission=TokenBucket(rate=100.0)).tag == "token-bucket"
 
 
 def test_control_stats_and_queue_delay_histogram():
-    ctl = OverloadControl(admission=BacklogThreshold(max_depth=1))
-    ctl.admission.on_arrival(0.0, Signals(queue_depth=0))
-    ctl.admission.on_arrival(0.0, Signals(queue_depth=5))
+    ctl = OverloadControl(admission=TokenBucket(rate=0.001, burst=1.0))
+    ctl.admission.on_arrival(0.0, 0.0)
+    ctl.admission.on_arrival(0.0, 0.0)
     for d in (0.1, 0.2, 0.3):
         ctl.record_queue_delay(d)
     stats = ctl.stats()
     assert stats["requests_admitted"] == 1
     assert stats["requests_shed"] == 1
+    assert stats["early_closed"] == 0
     assert stats["queue_delay_mean"] == pytest.approx(0.2)
     assert stats["queue_delay_p99"] >= stats["queue_delay_mean"]
-    assert "idle_timeout_last" not in stats  # no adaptive timeout mounted
 
 
-def test_control_stats_include_adaptive_timeout_when_mounted():
-    ctl = OverloadControl(timeout=AdaptiveTimeout(base=15.0, floor=2.0))
-    ctl.idle_timeout(15.0, 0.8)
-    stats = ctl.stats()
-    assert stats["idle_timeout_last"] < 15.0
-    assert stats["idle_timeout_min"] == stats["idle_timeout_last"]
+# ---------------------------------------------------------------------------
+# per-run state: every server mounts its own copy of the spec's control
+# ---------------------------------------------------------------------------
+
+def _mount(spec: ServerSpec) -> OverloadControl:
+    """The control one run of ``spec`` mounts, as ``Experiment`` builds it."""
+    sim = Simulator()
+    machine = Machine(sim, MachineSpec())
+    return build_server(spec, sim, machine, ListenSocket(sim, machine)).overload
+
+
+def test_policy_reset_zeroes_counters():
+    spec = ServerSpec("httpd", 8, overload=OverloadControl())
+    first = _mount(spec)
+    for t in range(5):
+        first.admission.on_arrival(float(t), 0.0)
+    assert first.admission.admitted == 5
+    second = _mount(spec)  # the next run starts from zeroed counters
+    assert (second.admission.admitted, second.admission.shed) == (0, 0)
+    assert spec.overload.admission.admitted == 0  # the spec is untouched
+
+
+def test_token_bucket_reset_restores_burst():
+    spec = ServerSpec(
+        "httpd", 8,
+        overload=OverloadControl(admission=TokenBucket(rate=0.001, burst=2.0)),
+    )
+    first = _mount(spec).admission
+    assert [first.on_arrival(0.0, 0.0) for _ in range(3)] == [True, True, False]
+    assert not first.on_arrival(100.0, 0.0)  # 0.1 token accrued, need 1
+    second = _mount(spec).admission
+    assert second.on_arrival(100.0, 0.0)  # full burst again, history gone
+    assert second.admitted == 1  # counters start from zero too
 
 
 def test_control_reset_clears_everything():
-    ctl = OverloadControl(
-        admission=TokenBucket(rate=0.001, burst=1.0),
-        timeout=AdaptiveTimeout(),
+    spec = ServerSpec(
+        "nio", 1,
+        overload=OverloadControl(
+            admission=TokenBucket(rate=0.001, burst=1.0), discipline=LIFO
+        ),
     )
-    s = Signals()
-    ctl.admission.on_arrival(0.0, s)
-    ctl.admission.on_arrival(0.0, s)
-    ctl.idle_timeout(15.0, 1.0)
-    ctl.record_queue_delay(1.0)
-    ctl.reset()
-    assert ctl.admission.admitted == 0 and ctl.admission.shed == 0
-    assert ctl.timeout.min_applied == ctl.timeout.base
-    assert ctl.queue_delay.count == 0
-    assert ctl.admission.on_arrival(0.0, s)  # bucket refilled
+    first = _mount(spec)
+    first.admission.on_arrival(0.0, 0.0)
+    first.admission.on_arrival(0.0, 0.0)
+    first.record_queue_delay(1.0)
+    second = _mount(spec)
+    assert second is not first and second.admission is not first.admission
+    assert second.admission.admitted == 0 and second.admission.shed == 0
+    assert second.queue_delay.count == 0
+    assert second.discipline == LIFO  # configuration carries over
+    assert second.admission.on_arrival(0.0, 0.0)  # bucket full
+    assert spec.overload.queue_delay.count == 0

@@ -26,13 +26,7 @@ from repro.core import (
 from repro.metrics.collectors import StatAccumulator
 from repro.net import NetworkSpec
 from repro.osmodel import MachineSpec
-from repro.overload import (
-    LIFO,
-    AdaptiveTimeout,
-    CoDelShedder,
-    OverloadControl,
-    TokenBucket,
-)
+from repro.overload import LIFO, CoDelShedder, OverloadControl, TokenBucket
 
 
 def roundtrip(obj):
@@ -55,7 +49,6 @@ def test_server_spec_with_overload_roundtrip():
     control = OverloadControl(
         admission=TokenBucket(rate=500.0, burst=16.0),
         discipline=LIFO,
-        timeout=AdaptiveTimeout(),
     )
     spec = dataclasses.replace(ServerSpec.httpd(128), overload=control)
     clone = roundtrip(spec)

@@ -4,7 +4,8 @@ injection (clients vanishing mid-response, memory exhaustion, huge files).
 
 import pytest
 
-from repro.http import HttpSemantics, Request
+from repro.http import Request
+from repro.http.messages import CHUNK_BYTES, DEFAULT_RESPONSE_HEAD_BYTES
 from repro.net import Connection, ListenSocket
 from repro.net.link import DuplexLink
 from repro.osmodel import Machine, MachineSpec, MemoryExhausted
@@ -48,7 +49,7 @@ def test_event_server_serves_huge_file_in_chunks():
     client_fetch(sim, duplex, listener, [big], results)
     sim.run(until=30.0)
     assert len(results) == 1
-    assert results[0][1] == big.response_bytes + server.semantics.response_head_bytes
+    assert results[0][1] == big.response_bytes + DEFAULT_RESPONSE_HEAD_BYTES
     assert server.requests_served == 1
 
 
@@ -78,7 +79,7 @@ def test_event_server_multiworker_single_connection_ordering():
     times = [t for t, _b in results]
     assert times == sorted(times)
     for (_t, nbytes), request in zip(results, reqs):
-        assert nbytes == request.response_bytes + server.semantics.response_head_bytes
+        assert nbytes == request.response_bytes + DEFAULT_RESPONSE_HEAD_BYTES
 
 
 def test_event_server_handles_client_vanishing_mid_response():
@@ -138,7 +139,7 @@ def test_event_server_partial_writes_with_tiny_sndbuf():
 
     sim.process(proc())
     sim.run(until=60.0)
-    assert results == [100_000 + server.semantics.response_head_bytes]
+    assert results == [100_000 + DEFAULT_RESPONSE_HEAD_BYTES]
 
 
 def test_thread_server_pool_memory_exhaustion_raises():
@@ -170,20 +171,28 @@ def test_server_start_twice_rejected():
         server.start()
 
 
-def test_thread_server_custom_semantics_chunking():
+def test_thread_server_writes_in_default_chunks(monkeypatch):
+    sizes = []
+    send = Connection.server_send_chunk
+
+    def recording(self, nbytes, last=False):
+        sizes.append(nbytes)
+        send(self, nbytes, last)
+
+    monkeypatch.setattr(Connection, "server_send_chunk", recording)
     sim, machine, listener, duplex = make_stack()
-    sem = HttpSemantics(chunk_bytes=1024)
-    server = ThreadPoolServer(
-        sim, machine, listener, pool_size=2, semantics=sem
-    )
+    server = ThreadPoolServer(sim, machine, listener, pool_size=2)
     server.start()
     results = []
     client_fetch(
         sim, duplex, listener,
-        [Request(path="/f", response_bytes=10_000)], results,
+        [Request(path="/f", response_bytes=100_000)], results,
     )
     sim.run(until=30.0)
-    assert results[0][1] == 10_000 + sem.response_head_bytes
+    wire = 100_000 + DEFAULT_RESPONSE_HEAD_BYTES
+    assert results[0][1] == wire
+    # Six full 16 KiB writes and the remainder: seven write(2) calls.
+    assert sizes == [CHUNK_BYTES] * 6 + [wire - 6 * CHUNK_BYTES]
 
 
 def test_stats_shape_consistency():
