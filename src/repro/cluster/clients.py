@@ -8,12 +8,11 @@ LoadBalancer` for a replica (consuming a routing key from a dedicated
 when a cache tier is mounted, requests whose file is resident are served
 at the cache box without touching any replica.
 
-:class:`FanoutMetrics` keeps the per-replica/cluster-aggregate metrics
-invariant by construction: every recorded reply lands in the aggregate
-hub *and* the hub of the tier (replica or cache) that served it, and the
-aggregate ``response_time_s`` histogram receives exactly the samples the
-per-tier histograms receive — so the aggregate equals the exact merge of
-the tiers (pinned in ``tests/test_cluster_experiment.py``).
+:class:`FanoutMetrics` keeps the per-replica and cluster-aggregate rows
+consistent by construction: every recorded reply, error and connection
+lands in the aggregate hub *and* the hub of the tier (replica or cache)
+that served it, and, with telemetry mounted, in the aggregate and
+per-tier time series.
 
 :class:`SlowlorisClient` is the hostile class: connect, then hold the
 connection silently (never sending a request) until the server reaps it,
@@ -29,7 +28,6 @@ from typing import List, Optional
 from ..metrics.collectors import CLIENT_TIMEOUT, CONNECTION_RESET, MetricsHub
 from ..net.link import DuplexLink
 from ..net.tcp import ConnectTimeout, Connection, ResetByServer
-from ..obs.hist import Registry
 from ..sim.core import Simulator
 from ..sim.rng import RandomStreams, StreamHandle
 from ..workload.httperf import EmulatedClient, HttperfConfig
@@ -53,14 +51,13 @@ _FIRST_SEGMENT_BYTES = 1460
 
 
 class TierMetrics:
-    """One serving tier's metrics: a hub plus a mergeable registry."""
+    """One serving tier's metrics: its name and its hub."""
 
-    __slots__ = ("name", "hub", "registry")
+    __slots__ = ("name", "hub")
 
-    def __init__(self, name: str, hub: MetricsHub, registry: Registry) -> None:
+    def __init__(self, name: str, hub: MetricsHub) -> None:
         self.name = name
         self.hub = hub
-        self.registry = registry
 
 
 class FanoutMetrics:
@@ -73,11 +70,10 @@ class FanoutMetrics:
     tier, sessions are an aggregate-only concept.
     """
 
-    __slots__ = ("aggregate", "registry", "tier", "telemetry")
+    __slots__ = ("aggregate", "tier", "telemetry")
 
-    def __init__(self, aggregate: MetricsHub, registry: Registry) -> None:
+    def __init__(self, aggregate: MetricsHub) -> None:
         self.aggregate = aggregate
-        self.registry = registry
         self.tier: Optional[TierMetrics] = None
         #: Optional :class:`~repro.cluster.telemetry.ClusterTelemetry`:
         #: replies/errors/connections also feed the time-series and SLO
@@ -87,18 +83,10 @@ class FanoutMetrics:
     def record_reply(
         self, response_time: float, ttfb: float, nbytes: int
     ) -> None:
-        """One successful reply: aggregate + serving tier + histograms."""
+        """One successful reply, mirrored into the serving tier."""
         self.aggregate.record_reply(response_time, ttfb, nbytes)
         if self.tier is not None:
             self.tier.hub.record_reply(response_time, ttfb, nbytes)
-        if self.aggregate.in_window():
-            # Same sample into the aggregate and the tier histogram, so
-            # aggregate == exact merge of tiers by construction.
-            self.registry.histogram("response_time_s").observe(response_time)
-            if self.tier is not None:
-                self.tier.registry.histogram("response_time_s").observe(
-                    response_time
-                )
         if self.telemetry is not None:
             self.telemetry.on_reply(
                 self.aggregate.sim.now,

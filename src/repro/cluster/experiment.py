@@ -4,10 +4,9 @@ One run builds, inside a single deterministic :class:`~repro.sim.core.
 Simulator`, a full front end: every replica gets its own
 :class:`~repro.osmodel.machine.Machine`, :class:`~repro.net.tcp.
 ListenSocket`, server instance (its own copy of the overload-control
-state, made by ``build_server``), per-replica
-:class:`~repro.metrics.collectors.MetricsHub` and
-:class:`~repro.obs.hist.Registry`; the client side gets one shared
-:class:`~repro.cluster.balancer.LoadBalancer`, an optional
+state, made by ``build_server``) and
+:class:`~repro.metrics.collectors.MetricsHub`; the client side gets one
+shared :class:`~repro.cluster.balancer.LoadBalancer`, an optional
 :class:`~repro.cluster.cache.LruCache` tier, and one
 :class:`~repro.net.link.DuplexLink` per WAN client class (bandwidth,
 RTT, loss from the class spec).
@@ -20,10 +19,11 @@ Determinism contract (pinned in ``tests/test_cluster_experiment.py``):
   replica order, so reordering replicas in user code changes nothing;
 * routing keys come from dedicated ``route`` streams, workload sampling
   from ``cluster-client`` streams, so policies that ignore keys consume
-  zero extra randomness;
-* the aggregate ``response_time_s`` histogram equals the exact merge of
-  the per-tier histograms by construction (see
-  :class:`~repro.cluster.clients.FanoutMetrics`).
+  zero extra randomness.
+
+Every reply, error and connection lands in the aggregate hub and in
+the hub of the tier that served it (see
+:class:`~repro.cluster.clients.FanoutMetrics`).
 
 The rolling-restart driver runs in simulated time via ``call_later``:
 drain (stop new routes), down (reset every connection still open on the
@@ -42,7 +42,6 @@ from ..metrics.report import RunMetrics
 from ..net.link import DuplexLink
 from ..net.tcp import ListenSocket
 from ..net.topology import WIRE_EFFICIENCY
-from ..obs.hist import Registry
 from ..osmodel.machine import Machine
 from ..sim.core import Simulator
 from ..sim.rng import RandomStreams
@@ -113,10 +112,8 @@ class ClusterExperiment:
 
     def __post_init__(self) -> None:
         #: Populated by run(): per-replica RunMetrics in rid order, the
-        #: registries (for merge tests), the balancer and the recorder.
+        #: balancer and the recorder.
         self.replica_metrics: Dict[str, RunMetrics] = {}
-        self.replica_registries: Dict[str, Registry] = {}
-        self.aggregate_registry: Optional[Registry] = None
         self.balancer: Optional[LoadBalancer] = None
         self.recorder = None
         #: The :class:`~repro.cluster.telemetry.ClusterTelemetry` when
@@ -156,7 +153,7 @@ class ClusterExperiment:
             duration=self.workload.duration,
             stat_seed=int(rep_rng.integers(1 << 31)),
         )
-        tier = TierMetrics(rspec.rid, hub, Registry())
+        tier = TierMetrics(rspec.rid, hub)
         return ReplicaRuntime(
             rspec.rid, rspec, machine, listener, server, tier
         )
@@ -219,7 +216,6 @@ class ClusterExperiment:
                     duration=self.workload.duration,
                     stat_seed=int(cache_rng.integers(1 << 31)),
                 ),
-                Registry(),
             )
 
         # One shared duplex per WAN class (the class's access pipe).
@@ -244,9 +240,7 @@ class ClusterExperiment:
         aggregate_hub = MetricsHub(
             sim, warmup=self.workload.warmup, duration=self.workload.duration
         )
-        aggregate_registry = Registry()
-        self.aggregate_registry = aggregate_registry
-        metrics = FanoutMetrics(aggregate_hub, aggregate_registry)
+        metrics = FanoutMetrics(aggregate_hub)
         metrics.telemetry = self.telemetry
 
         for runtime in runtimes:
@@ -288,7 +282,6 @@ class ClusterExperiment:
 
         # -- per-replica rows -------------------------------------------------
         self.replica_metrics = {}
-        self.replica_registries = {}
         total_busy = 0.0
         total_capacity = 0.0
         aggregate_stats: Dict[str, object] = {}
@@ -314,7 +307,6 @@ class ClusterExperiment:
                 server_stats=server_stats,
             )
             self.replica_metrics[rt.rid] = row
-            self.replica_registries[rt.rid] = rt.metrics.registry
             prefix = f"replica.{rt.rid}."
             aggregate_stats[prefix + "replies"] = row.replies
             aggregate_stats[prefix + "throughput_rps"] = row.throughput_rps

@@ -59,23 +59,15 @@ class ListenerProbe:
 class ClusterTelemetry:
     """The cluster's observability bundle (see module docstring)."""
 
-    def __init__(
-        self,
-        sim,
-        seed: int,
-        slos: Tuple[SloSpec, ...] = (),
-        bin_width: float = 0.5,
-        costs: Optional[CostModel] = None,
-        trace_capacity: int = 4096,
-    ) -> None:
+    def __init__(self, sim, seed: int, slos: Tuple[SloSpec, ...] = ()) -> None:
         self.sim = sim
-        self.tracer = ClusterTracer(seed, capacity=trace_capacity)
+        self.tracer = ClusterTracer(seed)
         self.recorder = TracingSpanRecorder(
             clock=lambda: sim.now, tracer=self.tracer
         )
         self.profiler = PhaseProfiler()
-        self.costs = costs if costs is not None else CostModel()
-        self.series = SeriesRecorder(bin_width=bin_width)
+        self.costs = CostModel()
+        self.series = SeriesRecorder()
         self.tier_series: Dict[str, SeriesRecorder] = {}
         self.monitors: Tuple[SloMonitor, ...] = tuple(
             SloMonitor(spec) for spec in slos
@@ -87,11 +79,7 @@ class ClusterTelemetry:
         """The (lazily created) series recorder for one tier."""
         rec = self.tier_series.get(name)
         if rec is None:
-            rec = self.tier_series[name] = SeriesRecorder(
-                bin_width=self.series.bin_width,
-                lo=self.series.lo,
-                growth=self.series.growth,
-            )
+            rec = self.tier_series[name] = SeriesRecorder()
         return rec
 
     def probe(self, rid: str) -> ListenerProbe:
@@ -186,11 +174,7 @@ class ClusterTelemetry:
         """Exact merge of every per-tier recorder (the merge invariant:
         its ``replies`` counters and ``response_time_s`` quantile series
         equal the aggregate recorder's bit for bit)."""
-        merged = SeriesRecorder(
-            bin_width=self.series.bin_width,
-            lo=self.series.lo,
-            growth=self.series.growth,
-        )
+        merged = SeriesRecorder()
         for rec in self.tier_series.values():
             merged.merge(rec)
         return merged

@@ -85,21 +85,21 @@ def kernel_runner(name: str):
 
         return run
     if name == "cpu_bursts":
-        # Completion goes through CPU.execute_call, which runs a bare
-        # callback, so the bench measures the station's own cost, not
-        # Event allocation + kernel dispatch on top of it.  No model
-        # code calls execute_call: the TCP reject and the fluid
-        # boundary bill the CPU with CPU.charge.
+        # Each burst completes through CPU.execute's event, the path
+        # every server's _exec takes.
         def run(n: int) -> int:
             sim = Simulator()
             cpu = CPU(sim, nproc=2, smp_efficiency=1.0)
             done = [0]
 
-            def fin() -> None:
+            def fin(_ev) -> None:
                 done[0] += 1
 
+            def burst() -> None:
+                cpu.execute(5e-4).callbacks.append(fin)
+
             for i in range(n):
-                sim.call_later(i * 1e-4, cpu.execute_call, 5e-4, fin)
+                sim.call_later(i * 1e-4, burst)
             sim.run()
             return done[0]
 

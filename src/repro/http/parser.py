@@ -130,21 +130,14 @@ class RequestParser:
 
 
 def render_response_head(
-    status: int,
-    reason: str,
-    body_bytes: int,
-    keep_alive: bool = True,
-    content_type: str = "application/octet-stream",
-    extra_headers: Optional[Dict[str, str]] = None,
+    status: int, reason: str, body_bytes: int, keep_alive: bool = True
 ) -> bytes:
     """Serialise an HTTP/1.1 response head."""
     lines = [
         f"HTTP/1.1 {status} {reason}",
         "Server: repro/1.0",
         f"Content-Length: {body_bytes}",
-        f"Content-Type: {content_type}",
+        "Content-Type: application/octet-stream",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
     ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")

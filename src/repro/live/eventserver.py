@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from typing import Optional
 
 from ..http.parser import ParseError, RequestParser, render_response_head
-from ..obs import Registry, SeriesRecorder, SpanRecorder, derive_trace_id
 from .docroot import DocRoot
 
-__all__ = ["AsyncioEventServer", "METRICS_PATH"]
-
-#: Reserved target serving Prometheus-style text exposition.
-METRICS_PATH = "/-/metrics"
+__all__ = ["AsyncioEventServer"]
 
 
 class AsyncioEventServer:
@@ -34,25 +29,12 @@ class AsyncioEventServer:
         docroot: DocRoot,
         host: str = "127.0.0.1",
         port: int = 0,
-        registry: Optional[Registry] = None,
-        recorder: Optional[SpanRecorder] = None,
-        series: Optional[SeriesRecorder] = None,
     ):
         self.docroot = docroot
         self.host = host
         self.port = port
         self.requests_served = 0
         self.connections_accepted = 0
-        #: Metrics registry backing the /-/metrics endpoint; shares the
-        #: histogram/counter implementation with the simulation.
-        self.registry = registry if registry is not None else Registry()
-        #: Optional span recorder (wall-clock spans per connection).
-        self.recorder = recorder
-        #: Optional windowed time series (binned on seconds since
-        #: start); its exposition is appended to /-/metrics, so a live
-        #: scrape yields the same series the cluster figures plot.
-        self.series = series
-        self._t0 = time.monotonic()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -126,15 +108,6 @@ class AsyncioEventServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections_accepted += 1
-        # Deterministic causal trace id per connection ordinal — the
-        # same derivation the cluster tracer uses for simulated runs.
-        trace_id = derive_trace_id(0, "live", self.connections_accepted)
-        self.registry.counter("connections_accepted").inc()
-        self.registry.gauge("open_connections").add(1)
-        span = self.recorder.open() if self.recorder is not None else None
-        if span is not None:
-            span.mark("accept")
-        status = "closed"
         parser = RequestParser()
         try:
             while True:
@@ -149,75 +122,26 @@ class AsyncioEventServer:
                     )
                     break
                 for request in requests:
-                    keep = await self._respond(
-                        writer, request, span, trace_id
-                    )
-                    if not keep:
+                    if not await self._respond(writer, request):
                         return
         except (ConnectionResetError, BrokenPipeError):
-            status = "reset"
+            pass  # the client went away; close our end below
         finally:
-            self.registry.gauge("open_connections").add(-1)
-            if self.recorder is not None:
-                self.recorder.finish(span, status)
             writer.close()
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        request,
-        span=None,
-        trace_id: str = "",
-    ) -> bool:
-        headers = {"X-Trace-Id": trace_id} if trace_id else None
-        if request.target == METRICS_PATH:
-            text = self.registry.prometheus_text()
-            if self.series is not None:
-                text += self.series.exposition_text()
-            body = text.encode()
-            writer.write(
-                render_response_head(
-                    200, "OK", len(body), request.keep_alive,
-                    extra_headers=headers,
-                )
-            )
-            writer.write(body)
-            await writer.drain()
-            return request.keep_alive
-        t0 = time.monotonic()
-        if span is not None:
-            span.mark("svc_start")
+    async def _respond(self, writer: asyncio.StreamWriter, request) -> bool:
         body = self.docroot.lookup(request.target)
-        if span is not None:
-            span.mark("svc_end")
-            span.mark("tx_start")
         if body is None:
             writer.write(
-                render_response_head(
-                    404, "Not Found", 0, request.keep_alive,
-                    extra_headers=headers,
-                )
+                render_response_head(404, "Not Found", 0, request.keep_alive)
             )
-            self.registry.counter("requests_not_found").inc()
         else:
             writer.write(
-                render_response_head(
-                    200, "OK", len(body), request.keep_alive,
-                    extra_headers=headers,
-                )
+                render_response_head(200, "OK", len(body), request.keep_alive)
             )
             writer.write(body)
         # Non-blocking write + drain: backpressure returns control to the
         # loop, exactly like re-registering for writability in NIO.
         await writer.drain()
-        if span is not None:
-            span.mark("reply_done")
-        elapsed = time.monotonic() - t0
         self.requests_served += 1
-        self.registry.counter("requests_served").inc()
-        self.registry.histogram("request_latency").observe(elapsed)
-        if self.series is not None:
-            t = time.monotonic() - self._t0
-            self.series.inc("replies", t)
-            self.series.observe("response_time_s", t, elapsed)
         return request.keep_alive

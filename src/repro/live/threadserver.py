@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from typing import List, Optional, Set
 
 from ..http.parser import ParseError, RequestParser, render_response_head
-from ..obs import Registry, SpanRecorder
 from .docroot import DocRoot
-from .eventserver import METRICS_PATH
 
 __all__ = ["ThreadPoolHttpServer"]
 
@@ -33,8 +30,6 @@ class ThreadPoolHttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         backlog: int = 128,
-        registry: Optional[Registry] = None,
-        recorder: Optional[SpanRecorder] = None,
     ):
         if pool_size < 1:
             raise ValueError("pool size must be >= 1")
@@ -47,11 +42,6 @@ class ThreadPoolHttpServer:
         self.requests_served = 0
         self.connections_accepted = 0
         self.idle_reaps = 0
-        #: Metrics registry backing the /-/metrics endpoint; shares the
-        #: histogram/counter implementation with the simulation.
-        self.registry = registry if registry is not None else Registry()
-        #: Optional span recorder (wall-clock spans per connection).
-        self.recorder = recorder
         self._sock: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         #: Connections being served, so stop() can wake their workers.
@@ -114,15 +104,12 @@ class ThreadPoolHttpServer:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 self.connections_accepted += 1
-                self.registry.counter("connections_accepted").inc()
                 self._conns.add(conn)
-            self.registry.gauge("open_connections").add(1)
             try:
                 self._serve_connection(conn)
             finally:
                 with self._lock:
                     self._conns.discard(conn)
-                self.registry.gauge("open_connections").add(-1)
                 try:
                     conn.close()
                 except OSError:
@@ -130,68 +117,37 @@ class ThreadPoolHttpServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """One thread bound to one connection, blocking I/O throughout."""
-        span = self.recorder.open() if self.recorder is not None else None
-        if span is not None:
-            span.mark("accept")
-        status = "closed"
-        try:
-            parser = RequestParser()
-            conn.settimeout(self.idle_timeout)
-            while not self._stopping.is_set():
-                try:
-                    data = conn.recv(64 * 1024)
-                except socket.timeout:
-                    # Idle reap: disconnect to free this thread (the client
-                    # will observe a reset if it sends later).
-                    with self._lock:
-                        self.idle_reaps += 1
-                    status = "idle_reap"
-                    return
-                except OSError:
-                    status = "reset"
-                    return
-                if not data:
-                    return
-                try:
-                    requests = parser.feed(data)
-                except ParseError:
-                    conn.sendall(
-                        render_response_head(400, "Bad Request", 0, False)
-                    )
-                    return
-                for request in requests:
-                    if not self._respond(conn, request, span):
-                        return
-        finally:
-            if self.recorder is not None:
-                self.recorder.finish(span, status)
-
-    def _respond(self, conn: socket.socket, request, span=None) -> bool:
-        if request.target == METRICS_PATH:
-            body = self.registry.prometheus_text().encode()
+        parser = RequestParser()
+        conn.settimeout(self.idle_timeout)
+        while not self._stopping.is_set():
             try:
-                conn.sendall(
-                    render_response_head(
-                        200, "OK", len(body), request.keep_alive
-                    )
-                )
-                conn.sendall(body)
+                data = conn.recv(64 * 1024)
+            except socket.timeout:
+                # Idle reap: disconnect to free this thread (the client
+                # will observe a reset if it sends later).
+                with self._lock:
+                    self.idle_reaps += 1
+                return
             except OSError:
-                return False
-            return request.keep_alive
-        t0 = time.monotonic()
-        if span is not None:
-            span.mark("svc_start")
+                return
+            if not data:
+                return
+            try:
+                requests = parser.feed(data)
+            except ParseError:
+                conn.sendall(render_response_head(400, "Bad Request", 0, False))
+                return
+            for request in requests:
+                if not self._respond(conn, request):
+                    return
+
+    def _respond(self, conn: socket.socket, request) -> bool:
         body = self.docroot.lookup(request.target)
-        if span is not None:
-            span.mark("svc_end")
-            span.mark("tx_start")
         try:
             if body is None:
                 conn.sendall(
                     render_response_head(404, "Not Found", 0, request.keep_alive)
                 )
-                self.registry.counter("requests_not_found").inc()
             else:
                 conn.sendall(
                     render_response_head(
@@ -201,12 +157,6 @@ class ThreadPoolHttpServer:
                 conn.sendall(body)  # blocking write of the full response
         except OSError:
             return False
-        if span is not None:
-            span.mark("reply_done")
         with self._lock:
             self.requests_served += 1
-        self.registry.counter("requests_served").inc()
-        self.registry.histogram("request_latency").observe(
-            time.monotonic() - t0
-        )
         return request.keep_alive

@@ -9,18 +9,17 @@ connection*.  Window-level means cannot show it; this package can:
 * :class:`SpanRecorder` stamps every connection with a lifecycle span
   timeline (SYN -> backlog wait -> accept -> parse -> service queue ->
   CPU service -> transmit -> close/reset/timeout), mounted on the
-  simulated servers via ``ServerSpec(observe=True)`` and on the live
-  socket servers via their ``recorder`` argument (the recorder is
-  clock-agnostic: simulated seconds or ``time.monotonic``);
-* :class:`Registry` holds counters, gauges and log-bucketed
-  :class:`LogHistogram` metrics with mergeable buckets, shared by the
-  sim and live code paths, renderable as Prometheus text exposition;
+  simulated servers via ``ServerSpec(observe=True)``;
+* :class:`Registry` holds the recorder's counters and log-bucketed
+  :class:`LogHistogram` metrics, which ``repro observe`` prints;
 * :class:`PhaseProfiler` attributes every CPU-second a simulated server
   burns to a phase (accept/select/parse/service/transmit/...), so
   architectures can be compared by where their cycles go;
-* exporters turn recorded spans into JSONL, Chrome ``trace_event``
-  JSON (flamegraph-viewable per-connection timelines) and the registry
-  into Prometheus text.
+* exporters turn recorded spans into JSONL and Chrome ``trace_event``
+  JSON (flamegraph-viewable per-connection timelines);
+* the cluster tier's :class:`ClusterTracer`, :class:`SeriesRecorder`
+  and :class:`SloMonitor` feed ``repro trace``, ``repro cluster
+  --stats`` and the cluster timeline figure.
 
 Everything is opt-in and pay-for-use: with no recorder/profiler mounted
 the instrumentation sites cost one attribute load and an ``is None``
@@ -32,7 +31,7 @@ from .export import (
     spans_to_chrome_trace,
     spans_to_jsonl,
 )
-from .hist import CounterMetric, GaugeMetric, LogHistogram, Registry
+from .hist import CounterMetric, LogHistogram, Registry
 from .profiler import PhaseProfiler
 from .report import format_phase_table, format_registry_table, render_timeline
 from .series import SeriesRecorder
@@ -62,7 +61,6 @@ __all__ = [
     "SpanRecorder",
     "phase_intervals",
     "CounterMetric",
-    "GaugeMetric",
     "LogHistogram",
     "Registry",
     "PhaseProfiler",

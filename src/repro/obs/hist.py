@@ -1,24 +1,30 @@
-"""Counters, gauges and log-bucketed histograms with mergeable buckets.
+"""Counters and log-bucketed histograms with mergeable buckets.
 
 The histogram uses geometric (log-spaced) buckets: bucket ``k`` covers
-``(lo * growth**k, lo * growth**(k+1)]``, stored sparsely in a dict, so
+``(LO * GROWTH**k, LO * GROWTH**(k+1)]``, stored sparsely in a dict, so
 a latency distribution spanning microseconds to tens of seconds costs a
-few dozen integers.  Two histograms built with the same ``(lo, growth)``
-merge exactly: the merged bucket counts equal the counts of a histogram
-fed the concatenated samples (asserted by a property test).
+few dozen integers.  Every histogram shares that one bucketing, so any
+two merge exactly: the merged bucket counts equal the counts of a
+histogram fed the concatenated samples (asserted by a property test).
 
-A :class:`Registry` names metrics so the simulated servers, the live
-socket servers and the exporters share one metric surface; it renders
-the Prometheus text exposition format for the live ``/-/metrics``
-endpoint.
+A :class:`Registry` names the metrics of one observed run: the span
+recorder's lifecycle-phase histograms and ``spans_<status>`` counters,
+which ``repro observe`` prints.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional
 
-__all__ = ["CounterMetric", "GaugeMetric", "LogHistogram", "Registry"]
+__all__ = ["CounterMetric", "LogHistogram", "Registry"]
+
+#: Upper bound of the first bucket; zero and smaller values underflow.
+LO = 1e-6
+#: Bucket width ratio: 20 buckets per decade, ~12% worst-case quantile
+#: error — plenty for latency attribution.
+GROWTH = 10 ** 0.05
+_INV_LOG_GROWTH = 1.0 / math.log(GROWTH)
 
 
 class CounterMetric:
@@ -36,75 +42,33 @@ class CounterMetric:
             raise ValueError("counters only go up")
         self.value += amount
 
-    def merge(self, other: "CounterMetric") -> None:
-        """Add another counter's value into this one."""
-        self.value += other.value
-
-
-class GaugeMetric:
-    """A value that goes up and down (pool depth, open connections)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the gauge's value."""
-        self.value = value
-
-    def add(self, amount: float) -> None:
-        """Shift the gauge by ``amount`` (may be negative)."""
-        self.value += amount
-
 
 class LogHistogram:
     """Sparse geometric-bucket histogram of non-negative values.
 
-    ``lo`` is the upper bound of the first bucket; ``growth`` the bucket
-    width ratio.  The default (``growth = 10 ** 0.05``) gives 20 buckets
-    per decade, ~12% worst-case quantile error — plenty for latency
-    attribution.  Zero (and sub-``lo``) values land in the underflow
-    bucket whose upper bound is ``lo``.
+    Buckets follow the module's :data:`LO` and :data:`GROWTH`.  Zero
+    (and sub-``LO``) values land in the underflow bucket whose upper
+    bound is ``LO``.
     """
 
-    __slots__ = (
-        "name",
-        "lo",
-        "growth",
-        "buckets",
-        "underflow",
-        "count",
-        "total",
-        "min",
-        "max",
-        "_inv_log_growth",
-    )
+    __slots__ = ("name", "buckets", "underflow", "count", "total", "min", "max")
 
-    def __init__(
-        self, name: str, lo: float = 1e-6, growth: float = 10 ** 0.05
-    ) -> None:
-        if lo <= 0 or growth <= 1.0:
-            raise ValueError("need lo > 0 and growth > 1")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.lo = lo
-        self.growth = growth
         self.buckets: Dict[int, int] = {}
         self.underflow = 0
         self.count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._inv_log_growth = 1.0 / math.log(growth)
 
     # -- recording -------------------------------------------------------
     def bucket_index(self, value: float) -> Optional[int]:
         """Bucket holding ``value``; ``None`` means the underflow bucket."""
-        if value <= self.lo:
+        if value <= LO:
             return None
-        # value in (lo * g**k, lo * g**(k+1)]  =>  k = ceil(log_g(v/lo)) - 1
-        k = math.ceil(math.log(value / self.lo) * self._inv_log_growth) - 1
+        # value in (LO * g**k, LO * g**(k+1)]  =>  k = ceil(log_g(v/LO)) - 1
+        k = math.ceil(math.log(value / LO) * _INV_LOG_GROWTH) - 1
         return max(0, k)
 
     def observe(self, value: float) -> None:
@@ -131,8 +95,8 @@ class LogHistogram:
     def bucket_upper_bound(self, idx: Optional[int]) -> float:
         """Inclusive upper bound of bucket ``idx`` (None = underflow)."""
         if idx is None:
-            return self.lo
-        return self.lo * self.growth ** (idx + 1)
+            return LO
+        return LO * GROWTH ** (idx + 1)
 
     def percentile(self, q: float) -> float:
         """Approximate q-th percentile (bucket upper bound, clamped)."""
@@ -141,36 +105,16 @@ class LogHistogram:
         rank = q / 100.0 * self.count
         seen = self.underflow
         if seen >= rank:
-            return min(self.lo, self.max)
+            return min(LO, self.max)
         for idx in sorted(self.buckets):
             seen += self.buckets[idx]
             if seen >= rank:
                 return min(self.bucket_upper_bound(idx), self.max)
         return self.max
 
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """(upper_bound, cumulative_count) pairs, Prometheus-style."""
-        out: List[Tuple[float, int]] = []
-        running = self.underflow
-        if self.underflow:
-            out.append((self.lo, running))
-        for idx in sorted(self.buckets):
-            running += self.buckets[idx]
-            out.append((self.bucket_upper_bound(idx), running))
-        return out
-
     # -- merging ---------------------------------------------------------
-    def compatible(self, other: "LogHistogram") -> bool:
-        """True when both share (lo, growth), so merge is exact."""
-        return self.lo == other.lo and self.growth == other.growth
-
     def merge(self, other: "LogHistogram") -> None:
         """Fold ``other``'s buckets into this histogram (exact)."""
-        if not self.compatible(other):
-            raise ValueError(
-                f"cannot merge histograms with different bucketing: "
-                f"({self.lo}, {self.growth}) vs ({other.lo}, {other.growth})"
-            )
         for idx, n in other.buckets.items():
             self.buckets[idx] = self.buckets.get(idx, 0) + n
         self.underflow += other.underflow
@@ -194,11 +138,10 @@ class LogHistogram:
 
 
 class Registry:
-    """Named metrics shared by one server/run; mergeable across runs."""
+    """Named counters and histograms of one observed run."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, CounterMetric] = {}
-        self.gauges: Dict[str, GaugeMetric] = {}
         self.histograms: Dict[str, LogHistogram] = {}
 
     # -- accessors (create on first use) ---------------------------------
@@ -209,73 +152,14 @@ class Registry:
             metric = self.counters[name] = CounterMetric(name)
         return metric
 
-    def gauge(self, name: str) -> GaugeMetric:
-        """The gauge called ``name``, created on first use."""
-        metric = self.gauges.get(name)
-        if metric is None:
-            metric = self.gauges[name] = GaugeMetric(name)
-        return metric
-
-    def histogram(
-        self, name: str, lo: float = 1e-6, growth: float = 10 ** 0.05
-    ) -> LogHistogram:
-        """The histogram called ``name``, created on first use.
-
-        ``lo``/``growth`` apply only at creation; later calls return the
-        existing histogram unchanged.
-        """
+    def histogram(self, name: str) -> LogHistogram:
+        """The histogram called ``name``, created on first use."""
         metric = self.histograms.get(name)
         if metric is None:
-            metric = self.histograms[name] = LogHistogram(
-                name, lo=lo, growth=growth
-            )
+            metric = self.histograms[name] = LogHistogram(name)
         return metric
 
     def hist_total(self, name: str) -> float:
         """Sum of all samples of histogram ``name`` (0 if absent)."""
         metric = self.histograms.get(name)
         return metric.total if metric is not None else 0.0
-
-    # -- merging ---------------------------------------------------------
-    def merge(self, other: "Registry") -> None:
-        """Fold another registry's metrics into this one."""
-        for name, counter in other.counters.items():
-            self.counter(name).merge(counter)
-        for name, gauge in other.gauges.items():
-            self.gauge(name).set(gauge.value)
-        for name, hist in other.histograms.items():
-            self.histogram(name, lo=hist.lo, growth=hist.growth).merge(hist)
-
-    # -- export ----------------------------------------------------------
-    def prometheus_text(self, prefix: str = "repro_") -> str:
-        """Prometheus text exposition of every metric."""
-        lines: List[str] = []
-
-        def emit(kind: str, name: str, body: Iterable[str]) -> None:
-            lines.append(f"# TYPE {prefix}{name} {kind}")
-            lines.extend(body)
-
-        for name in sorted(self.counters):
-            value = self.counters[name].value
-            emit("counter", name, [f"{prefix}{name} {_fmt(value)}"])
-        for name in sorted(self.gauges):
-            value = self.gauges[name].value
-            emit("gauge", name, [f"{prefix}{name} {_fmt(value)}"])
-        for name in sorted(self.histograms):
-            hist = self.histograms[name]
-            body = [
-                f'{prefix}{name}_bucket{{le="{_fmt(ub)}"}} {n}'
-                for ub, n in hist.cumulative()
-            ]
-            body.append(f'{prefix}{name}_bucket{{le="+Inf"}} {hist.count}')
-            body.append(f"{prefix}{name}_sum {_fmt(hist.total)}")
-            body.append(f"{prefix}{name}_count {hist.count}")
-            emit("histogram", name, body)
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(value: float) -> str:
-    """Compact number formatting for the exposition format."""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)

@@ -13,7 +13,7 @@ profiler adds one dict update per burst and nothing to the event loop.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["PhaseProfiler"]
 
@@ -28,40 +28,14 @@ class PhaseProfiler:
         """Attribute ``cost`` CPU-seconds to ``phase``."""
         self.cpu_seconds[phase] = self.cpu_seconds.get(phase, 0.0) + cost
 
-    @property
-    def attributed(self) -> float:
-        """Total CPU-seconds attributed to any phase."""
-        return sum(self.cpu_seconds.values())
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's attribution into this one."""
-        for phase, cost in other.cpu_seconds.items():
-            self.add(phase, cost)
-
-    def snapshot(self, total: Optional[float] = None) -> Dict[str, float]:
-        """Per-phase CPU-seconds, plus ``unattributed`` when ``total``
-        (e.g. ``cpu.total_cost``) is supplied."""
-        out = dict(sorted(self.cpu_seconds.items()))
-        if total is not None:
-            out["unattributed"] = max(0.0, total - self.attributed)
-        return out
-
-    def shares(self, total: Optional[float] = None) -> Dict[str, float]:
-        """Fractions of the attributed (or supplied) total per phase."""
-        snap = self.snapshot(total)
-        denom = sum(snap.values())
-        if denom <= 0.0:
-            return {phase: 0.0 for phase in snap}
-        return {phase: cost / denom for phase, cost in snap.items()}
-
-    def table(self, total: Optional[float] = None) -> str:
+    def table(self) -> str:
         """Aligned plain-text phase table (CPU-seconds and share)."""
-        snap = self.snapshot(total)
-        denom = sum(snap.values()) or 1.0
-        width = max((len(p) for p in snap), default=5)
+        phases = sorted(self.cpu_seconds.items())
+        denom = sum(cost for _phase, cost in phases) or 1.0
+        width = max((len(phase) for phase, _cost in phases), default=5)
         lines = [
             f"{phase.rjust(width)}  {cost * 1e3:10.3f} ms  "
             f"{100.0 * cost / denom:5.1f}%"
-            for phase, cost in snap.items()
+            for phase, cost in phases
         ]
         return "\n".join(lines) or "(no CPU attributed)"

@@ -38,14 +38,10 @@ def format_phase_table(registry: Registry) -> str:
 
 
 def format_registry_table(registry: Registry) -> str:
-    """Counters and gauges as aligned name/value lines."""
+    """Counters as aligned name/value lines."""
     lines = [
         f"{name:>24s}: {registry.counters[name].value:g}"
         for name in sorted(registry.counters)
-    ]
-    lines += [
-        f"{name:>24s}: {registry.gauges[name].value:g}"
-        for name in sorted(registry.gauges)
     ]
     return "\n".join(lines) or "(no counters)"
 

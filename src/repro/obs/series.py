@@ -15,11 +15,12 @@ has, which is what keeps ``observe=True`` runs byte-identical to
 unobserved ones.
 
 **Exact merge.**  :meth:`SeriesRecorder.merge` adds counter bins and
-merges histogram buckets bin by bin.  Histogram bucket counts, totals
-of integer-valued counters, ``count``/``min``/``max`` — and therefore
-every quantile series — are *exactly* equal between one aggregate
-recorder and the merge of per-tier recorders fed the same events
-(pinned in tests).  Only a histogram's float ``total`` can differ in
+merges histogram buckets bin by bin; every histogram shares
+:mod:`~repro.obs.hist`'s one bucketing, so only the bin widths must
+match.  Histogram bucket counts, totals of integer-valued counters,
+``count``/``min``/``max`` — and therefore every quantile series — are
+*exactly* equal between one aggregate recorder and the merge of
+per-tier recorders fed the same events (pinned in tests).  Only a histogram's float ``total`` can differ in
 the last ulp, because float addition is order-sensitive; quantiles
 never read it.
 """
@@ -37,19 +38,12 @@ __all__ = ["SeriesRecorder"]
 class SeriesRecorder:
     """Fixed-interval time series of counters and distributions."""
 
-    __slots__ = ("bin_width", "lo", "growth", "counters", "hists")
+    __slots__ = ("bin_width", "counters", "hists")
 
-    def __init__(
-        self,
-        bin_width: float = 0.5,
-        lo: float = 1e-6,
-        growth: float = 10 ** 0.05,
-    ) -> None:
+    def __init__(self, bin_width: float = 0.5) -> None:
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
         self.bin_width = bin_width
-        self.lo = lo
-        self.growth = growth
         self.counters: Dict[str, Dict[int, float]] = {}
         self.hists: Dict[str, Dict[int, LogHistogram]] = {}
 
@@ -73,7 +67,7 @@ class SeriesRecorder:
         b = self._bin(t)
         hist = bins.get(b)
         if hist is None:
-            hist = bins[b] = LogHistogram(name, lo=self.lo, growth=self.growth)
+            hist = bins[b] = LogHistogram(name)
         hist.observe(value)
 
     # -- reading ---------------------------------------------------------
@@ -156,23 +150,15 @@ class SeriesRecorder:
         lo, hi = span
         times = [i * self.bin_width for i in range(lo, hi + 1)]
         counts = [
-            float(bins[i].count + bins[i].underflow) if i in bins else 0.0
+            float(bins[i].count) if i in bins else 0.0
             for i in range(lo, hi + 1)
         ]
         return times, counts
 
     # -- merge -----------------------------------------------------------
-    def compatible(self, other: "SeriesRecorder") -> bool:
-        """Whether ``other`` shares this recorder's binning (mergeable)."""
-        return (
-            self.bin_width == other.bin_width
-            and self.lo == other.lo
-            and self.growth == other.growth
-        )
-
     def merge(self, other: "SeriesRecorder") -> None:
         """Fold ``other`` in: exact bin-by-bin counter and bucket adds."""
-        if not self.compatible(other):
+        if self.bin_width != other.bin_width:
             raise ValueError("cannot merge series with different binning")
         for name, bins in other.counters.items():
             mine = self.counters.setdefault(name, {})
@@ -183,30 +169,5 @@ class SeriesRecorder:
             for b, hist in bins.items():
                 target = mine.get(b)
                 if target is None:
-                    target = mine[b] = LogHistogram(
-                        name, lo=self.lo, growth=self.growth
-                    )
+                    target = mine[b] = LogHistogram(name)
                 target.merge(hist)
-
-    # -- exposition ------------------------------------------------------
-    def exposition_text(self, prefix: str = "repro_series_") -> str:
-        """Prometheus-style text with a ``bin`` label per sample.
-
-        Served by the live servers under ``/-/metrics`` alongside the
-        registry exposition, so scraping a running server yields the
-        same windowed series the simulation figures plot.
-        """
-        lines: List[str] = []
-        for name in sorted(self.counters):
-            metric = f"{prefix}{name}".replace(".", "_").replace("-", "_")
-            lines.append(f"# TYPE {metric} counter")
-            for b in sorted(self.counters[name]):
-                lines.append(f'{metric}{{bin="{b}"}} {self.counters[name][b]:g}')
-        for name in sorted(self.hists):
-            metric = f"{prefix}{name}_p99".replace(".", "_").replace("-", "_")
-            lines.append(f"# TYPE {metric} gauge")
-            for b in sorted(self.hists[name]):
-                lines.append(
-                    f'{metric}{{bin="{b}"}} {self.hists[name][b].percentile(99):g}'
-                )
-        return "\n".join(lines) + ("\n" if lines else "")

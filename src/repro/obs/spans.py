@@ -41,8 +41,8 @@ intervals into the recorder's histogram registry, so the full-fidelity
 spans (bounded ring) and the lossless aggregates (histograms) always
 agree.
 
-The recorder is clock-agnostic: pass ``lambda: sim.now`` for the
-simulation or ``time.monotonic`` for the live servers.
+The recorder reads time from the clock it is given; a simulated run
+passes ``lambda: sim.now``.
 
 Storage: a span keeps its marks as two flat typed arrays, a
 ``bytearray`` of codes (each an index into :data:`MARKS`, the table
@@ -50,9 +50,8 @@ above in order) and an ``array('d')`` of times, about 9 bytes a mark
 instead of an 83-byte ``(name, t)`` tuple.  :meth:`ConnSpan.mark`
 appends to both and rejects a name outside :data:`MARKS`;
 :attr:`ConnSpan.events` is a read-only list of ``(name, t)`` pairs built
-on each read.  A span has one writer (its simulated connection, a live
-server's connection thread, or the asyncio loop), so the two arrays
-stay aligned.
+on each read.  A span has one writer, its simulated connection, so the
+two arrays stay aligned.
 """
 
 from __future__ import annotations
@@ -259,23 +258,18 @@ class SpanRecorder:
     spans.  ``dropped`` counts ring evictions.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        capacity: int = 4096,
-        registry: Optional[Registry] = None,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float], capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._clock = clock
-        self.registry = registry if registry is not None else Registry()
+        self.registry = Registry()
         self.spans: Deque[ConnSpan] = deque(maxlen=capacity)
         self.dropped = 0
         self._open: Dict[int, ConnSpan] = {}
         self._next_cid = 0
 
     def now(self) -> float:
-        """Current time on the recorder's clock (sim or wall)."""
+        """Current time on the recorder's clock."""
         return self._clock()
 
     # -- lifecycle -------------------------------------------------------

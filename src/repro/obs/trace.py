@@ -520,8 +520,8 @@ class TracingSpanRecorder(SpanRecorder):
     a span is harvested exactly once, on the finish that counted.
     """
 
-    def __init__(self, clock, tracer: ClusterTracer, **kwargs) -> None:
-        super().__init__(clock, **kwargs)
+    def __init__(self, clock, tracer: ClusterTracer) -> None:
+        super().__init__(clock)
         self.tracer = tracer
 
     def finish(self, span: Optional[ConnSpan], status: str) -> None:

@@ -91,8 +91,7 @@ class CPU:
         self._vtime = 0.0
         self._last_sync = sim.now
         # Entries: (virtual finish, seq, payload) where payload is an
-        # Event (execute), a (fn, args) pair (execute_call) or None
-        # (charge) — see _on_timer for the completion protocols.
+        # Event (execute) or None (charge) — see _on_timer.
         self._heap: List[Tuple[float, int, object]] = []
         self._seq = 0
         self._timer_gen = 0
@@ -153,23 +152,6 @@ class CPU:
             return ev
         self._submit(cost, ev)
         return ev
-
-    def execute_call(self, cost: float, fn, *args) -> None:
-        """Submit a burst and run ``fn(*args)`` directly on completion.
-
-        Same PS-station model as :meth:`execute`, but completion goes
-        through the bare-callback fast path — no :class:`Event` is
-        allocated and no kernel dispatch round trip is paid: ``fn`` runs
-        inside the station's completion timer.  The callback-side twin of
-        :meth:`~repro.net.link.Link.transmit_call`; use :meth:`execute`
-        when the caller needs an event to yield on or compose.
-        """
-        if cost < 0:
-            raise SimulationError(f"negative CPU cost {cost!r}")
-        if cost == 0.0:
-            self.sim.call_later(0.0, fn, *args)
-            return
-        self._submit(cost, (fn, args))
 
     def charge(self, cost: float) -> None:
         """Occupy the station for ``cost`` CPU-seconds, fire and forget.
@@ -257,16 +239,9 @@ class CPU:
         heap = self._heap
         while heap and heap[0][0] <= vnow + tol:
             payload = heapq.heappop(heap)[2]
-            # Three completion protocols, cheapest check first: a bare
-            # (fn, args) pair from execute_call runs in place, an Event
-            # from execute goes through kernel dispatch, None (charge)
-            # needs nothing.
-            if payload is None:
-                continue
-            if payload.__class__ is tuple:
-                fn, args = payload
-                fn(*args)
-            else:
+            # An Event from execute goes through kernel dispatch; None
+            # (charge) needs nothing.
+            if payload is not None:
                 payload.succeed()
         self._arm_timer()
 

@@ -22,7 +22,6 @@ from repro.cluster import (
 )
 from repro.core import RunStore, WorkloadSpec, spec_digest
 from repro.core.store import canonical, metrics_to_dict
-from repro.obs.hist import Registry
 
 
 def _workload(clients=16, duration=3.0, warmup=2.0):
@@ -159,36 +158,6 @@ def test_kernel_and_shed_counters_surface_in_aggregate():
     assert stats["lb.policy"] == "round_robin"
     assert stats["lb.routed_unavailable"] == 0
     assert "wan.wan.bytes_down" in stats
-
-
-# -- satellite: histogram merge ----------------------------------------------
-
-def test_aggregate_histogram_is_exact_merge_of_replicas():
-    exp = _experiment()
-    metrics = exp.run()
-    assert metrics.replies > 0
-    aggregate = exp.aggregate_registry.histogram("response_time_s")
-    merged = Registry()
-    for registry in exp.replica_registries.values():
-        merged.merge(registry)
-    merged_hist = merged.histogram("response_time_s")
-    assert merged_hist.summary() == aggregate.summary()
-    assert merged_hist.cumulative() == aggregate.cumulative()
-
-
-def test_histogram_merge_is_union_of_samples():
-    # The pure property the cluster invariant rests on: merging two
-    # histograms equals observing the concatenated sample stream.
-    split_a, split_b, union = Registry(), Registry(), Registry()
-    samples = [0.001 * (i + 1) for i in range(200)]
-    for i, s in enumerate(samples):
-        (split_a if i % 2 else split_b).histogram("h").observe(s)
-        union.histogram("h").observe(s)
-    split_a.merge(split_b)
-    assert (
-        split_a.histogram("h").cumulative()
-        == union.histogram("h").cumulative()
-    )
 
 
 def test_cache_tier_serves_hits_without_replicas():

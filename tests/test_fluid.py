@@ -150,34 +150,14 @@ def test_sample_gaps_matches_the_think_law():
     assert not off.sample_gaps(rng, 4).any()
 
 
-# -- CPU fast-path completions ----------------------------------------------
-
-def test_cpu_execute_call_completes_like_execute():
-    sim = Simulator()
-    cpu = CPU(sim, nproc=1)
-    done = []
-    cpu.execute_call(0.25, done.append, "a")
-    sim.run()
-    assert done == ["a"]
-    assert sim.now == pytest.approx(0.25)
-
-
-def test_cpu_execute_call_zero_cost_fires_this_instant():
-    sim = Simulator()
-    cpu = CPU(sim, nproc=1)
-    done = []
-    cpu.execute_call(0.0, done.append, "now")
-    sim.run()
-    assert done == ["now"]
-    assert sim.now == 0.0
-
+# -- CPU charge --------------------------------------------------------------
 
 def test_cpu_charge_burns_capacity_without_a_callback():
     sim = Simulator()
     cpu = CPU(sim, nproc=1)
     cpu.charge(0.5)
     done = []
-    cpu.execute_call(0.5, done.append, 1)
+    cpu.execute(0.5).callbacks.append(lambda _ev: done.append(1))
     sim.run()
     # Two equal bursts share the processor: both finish at 1.0.
     assert done == [1]

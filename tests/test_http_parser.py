@@ -122,12 +122,5 @@ def test_render_response_head_roundtrip_fields():
     assert "Content-Length: 1234" in text
     assert "Connection: keep-alive" in text
     assert text.endswith("\r\n\r\n")
-
-
-def test_render_response_head_extra_headers():
-    head = render_response_head(
-        404, "Not Found", 0, keep_alive=False,
-        extra_headers={"X-Custom": "yes"},
-    )
-    assert b"X-Custom: yes" in head
+    head = render_response_head(404, "Not Found", 0, keep_alive=False)
     assert b"Connection: close" in head

@@ -49,6 +49,14 @@ def _span_outputs(recorder):
     }
 
 
+def _series_outputs(series):
+    return {
+        "rates": {name: series.rate_series(name) for name in series.counters},
+        "p50": {name: series.quantile_series(name, 50) for name in series.hists},
+        "p99": {name: series.quantile_series(name, 99) for name in series.hists},
+    }
+
+
 def _sut_outputs():
     # A 4-slot backlog drops SYNs; a 2 s idle timeout reaps keep-alive
     # connections, and clients that send on one are reset.
@@ -62,7 +70,9 @@ def _sut_outputs():
     )
     stats = experiment.run().server_stats
     assert stats["syns_dropped"] > 0 and stats["idle_reaps"] > 0
-    return _span_outputs(experiment.recorder)
+    out = _span_outputs(experiment.recorder)
+    out["profile"] = experiment.profiler.table()
+    return out
 
 
 def _cluster_outputs():
@@ -78,7 +88,8 @@ def _cluster_outputs():
         duration=3.0, warmup=1.5, seed=7,
     ).experiment()
     experiment.run()
-    tracer = experiment.telemetry.tracer
+    telemetry = experiment.telemetry
+    tracer = telemetry.tracer
     assert {t.rid for t in tracer.traces} >= {"cache", "r0", "r1", "r2"}
     out = _span_outputs(experiment.recorder)
     out.update(
@@ -90,6 +101,17 @@ def _cluster_outputs():
         attribution=json.dumps(
             attribution_summary(tracer.traces), sort_keys=True
         ),
+        telemetry_stats=json.dumps(telemetry.stats(), sort_keys=True),
+        series=json.dumps(
+            {
+                "cluster": _series_outputs(telemetry.series),
+                "tiers": {
+                    name: _series_outputs(series)
+                    for name, series in telemetry.tier_series.items()
+                },
+            },
+            sort_keys=True,
+        ),
     )
     return out
 
@@ -97,6 +119,7 @@ def _cluster_outputs():
 PINNED = {
     "sut": (_sut_outputs, {
         "phases": "3a8489220b6554d554b5c8591f2aeda7cd16cfd9a5851d493164ada2ba577dcc",
+        "profile": "1af4a1ee1c76d05d29783e30aca573a3825da1e6918b4ea58767cde9f9b9f252",
         "registry": "4a644602e342944c5beade9929ebfed80add7b3139e8a9791782059a12b68fa5",
         "slowest": "e770016ade122d2abbdb38e1a0d0923ff229e2d1a4f83597976dc2559d5adcec",
         "spans_chrome": "fd43cd77df4c03749e1a36f2064604e046084f8947f6f8243bd5f52bc1594d60",
@@ -106,9 +129,11 @@ PINNED = {
         "attribution": "9ee417e76c5bf603025424102a20b9650828a10e7b8b3175d90f8e30078bc1db",
         "phases": "cd03e44a0d4ab6dec0e2ae82751e6f15a6d0f57b603b029b8bbf4a2fa1496a93",
         "registry": "48c3fc3ad6f391a0d308b724fb4b2fb79e219cee41e05312f84de345d19493de",
+        "series": "9d6edff6706ae64ec5bb189dfeef96932e05a905077284e49d4c1488aa4b652c",
         "slowest": "bc0e88c5a25c9c62c21a7541d77a5f1ea20db8a964e6a087e25d3d67a53d492c",
         "spans_chrome": "29b7aca9e6d6fda0076d6daf3cb376c31de13e1f71b7d3108a887f4c4284be87",
         "spans_jsonl": "ea6da35914fb3f7fa9ea244520b291b2d3d57eee7f74373f94c7883ce339d58f",
+        "telemetry_stats": "322d57962dc920eb584130f47b763b6d48611f69655dfbeb9e88ad9f158d9ff8",
         "traces_chrome": "195a5fedcaf5ec89a0201702d78b7357b098a025daef177f41c1d5e3289721c9",
         "traces_jsonl": "233198bd509bdf4aef0c4bed8edaa2c0e9dea6582aa9f8c56381a0cc4ce84f04",
         "waterfall": "6e3f57fec6eff6a23e5ebf55358d9c5dbfe040aece347576759bd689f8b29609",
