@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..metrics.report import RunMetrics, format_table
 from ..osmodel.machine import MachineSpec
@@ -37,6 +37,9 @@ from .scenarios import (
 )
 from .store import RunStore, canonical
 from .sweep import SweepResult, sweep_clients
+
+if TYPE_CHECKING:  # the cluster package imports this one
+    from ..cluster.spec import ClusterSpec, FlashCrowdSpec
 
 __all__ = ["Series", "FigureData", "FigureRunner", "PAPER_FIGURES"]
 
@@ -179,8 +182,8 @@ class FigureRunner:
         #: already-stored points are not re-run, so an interrupted
         #: regeneration resumes and a warm one costs only file reads.
         self.store = store
-        #: Sweeps by content key (:meth:`sweep`) or by cluster label.
-        self._cache: Dict[object, SweepResult] = {}
+        #: Sweeps by content key (:meth:`sweep`, :meth:`cluster_sweep`).
+        self._cache: Dict[str, SweepResult] = {}
 
     # -- sweep plumbing ------------------------------------------------------
     def sweep(self, server: ServerSpec, scenario: Scenario) -> SweepResult:
@@ -207,6 +210,47 @@ class FigureRunner:
             point_hook=self._progress if self.verbose else None,
             jobs=self.jobs,
             store=self.store,
+        )
+        self._cache[key] = result
+        return result
+
+    def cluster_sweep(
+        self, cluster: ClusterSpec, flash: Optional[FlashCrowdSpec] = None
+    ) -> SweepResult:
+        """Cached client sweep of ``cluster``, with an optional flash crowd.
+
+        Clusters get a quarter of the profile's client counts (at least
+        30 each), so three modest replicas are driven past saturation.
+        """
+        from ..cluster import sweep_cluster
+
+        # Keyed like :meth:`sweep`: a cluster's label omits replica CPU
+        # speeds, client classes and the flash spec.
+        key = json.dumps(canonical((cluster, flash)), sort_keys=True)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        clients: List[int] = []
+        for c in self.profile.clients:
+            scaled = max(30, c // 4)
+            if scaled not in clients:
+                clients.append(scaled)
+        if self.verbose:
+            print(
+                f"[figures] sweeping cluster {cluster.label} "
+                f"({len(clients)} points)...",
+                file=sys.stderr,
+            )
+        result = sweep_cluster(
+            cluster,
+            clients,
+            duration=self.profile.duration,
+            warmup=self.profile.warmup,
+            seed=self.seed,
+            flash=flash,
+            jobs=self.jobs,
+            store=self.store,
+            point_hook=self._progress if self.verbose else None,
         )
         self._cache[key] = result
         return result
@@ -667,43 +711,7 @@ class FigureRunner:
         measured policy gap in its notes — the ISSUE's acceptance
         check.
         """
-        from ..cluster import (
-            CacheSpec,
-            FlashCrowdSpec,
-            straggler_cluster,
-            sweep_cluster,
-        )
-
-        clients = []
-        for c in self.profile.clients:
-            scaled = max(30, c // 4)
-            if scaled not in clients:
-                clients.append(scaled)
-
-        def cluster_sweep(cluster, flash=None):
-            key = (cluster.label, "flash" if flash else "steady")
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            if self.verbose:
-                print(
-                    f"[figures] sweeping cluster {cluster.label} "
-                    f"({len(clients)} points)...",
-                    file=sys.stderr,
-                )
-            result = sweep_cluster(
-                cluster,
-                clients,
-                duration=self.profile.duration,
-                warmup=self.profile.warmup,
-                seed=self.seed,
-                flash=flash,
-                jobs=self.jobs,
-                store=self.store,
-                point_hook=self._progress if self.verbose else None,
-            )
-            self._cache[key] = result
-            return result
+        from ..cluster import CacheSpec, FlashCrowdSpec, straggler_cluster
 
         speed, straggler = 0.12, 0.3
         cache = CacheSpec(capacity_bytes=64 * 1024 * 1024)
@@ -714,7 +722,7 @@ class FigureRunner:
             ("least_connections", "lc+cache", cache),
         ]
         sweeps = {
-            label: cluster_sweep(
+            label: self.cluster_sweep(
                 straggler_cluster(
                     policy=policy,
                     cpu_speed=speed,
@@ -739,7 +747,7 @@ class FigureRunner:
             decay=1.5,
         )
         flash_sweeps = {
-            label: cluster_sweep(
+            label: self.cluster_sweep(
                 straggler_cluster(
                     policy=policy, cpu_speed=speed,
                     straggler_factor=straggler,

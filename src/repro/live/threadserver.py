@@ -135,7 +135,10 @@ class ThreadPoolHttpServer:
             try:
                 requests = parser.feed(data)
             except ParseError:
-                conn.sendall(render_response_head(400, "Bad Request", 0, False))
+                try:
+                    conn.sendall(render_response_head(400, "Bad Request", 0, False))
+                except OSError:
+                    pass  # the client already reset the connection
                 return
             for request in requests:
                 if not self._respond(conn, request):

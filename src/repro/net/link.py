@@ -12,8 +12,8 @@ A :class:`DuplexLink` pairs an uplink (clients → SUT) and a downlink
 used in the paper's testbed.
 
 Timer routing: delivery timers always fire, so they use the kernel's
-non-cancellable fast paths — :meth:`Link.transmit` a pooled Timeout,
-:meth:`Link.transmit_call` a pooled bare callback.  Sub-tick delays (the
+non-cancellable fast paths — :meth:`Link.transmit` a Timeout,
+:meth:`Link.transmit_call` a bare callback.  Sub-tick delays (the
 uncongested common case) stay on the heap; under congestion, delivery
 times stretch past the wheel tick and :meth:`Link.transmit`'s timeout is
 staged on the timing wheel automatically (a bare callback always takes

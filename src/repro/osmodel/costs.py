@@ -16,7 +16,7 @@ scenario-level knobs layered on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["CostModel"]
 
@@ -43,8 +43,6 @@ class CostModel:
     close: float = 18e-6
     #: Keep-alive bookkeeping between requests on a persistent connection.
     keepalive_check: float = 8e-6
-    #: One select()/poll() style readiness query (event-driven servers).
-    select_call: float = 18e-6
     #: Per ready-event cost inside a select() result scan.
     select_per_event: float = 6e-6
     #: Dispatch one ready event to handler code (event-driven servers).
@@ -68,18 +66,3 @@ class CostModel:
             for name in self.__dataclass_fields__
         }
         return CostModel(**fields)
-
-    def with_overrides(self, **overrides: float) -> "CostModel":
-        """A copy with selected fields replaced."""
-        return replace(self, **overrides)
-
-    # -- composite helpers ---------------------------------------------------
-    def request_service(self, response_bytes: int, nchunks: int) -> float:
-        """Total CPU to serve one request excluding accept/close/selector."""
-        return (
-            self.read_syscall
-            + self.parse_request
-            + self.file_lookup
-            + self.per_byte * response_bytes
-            + self.write_syscall * max(1, nchunks)
-        )

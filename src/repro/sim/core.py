@@ -30,22 +30,11 @@ Design notes
     dispatch order is exactly the heap's ``(time, seq)`` order.  A
     :class:`Timeout` has a cancel handle, so it keeps its heap or wheel
     route even at zero delay.
-  - :meth:`Simulator.call_later` schedules a pooled bare-callback entry
-    instead of a :class:`Timeout` + lambda + callbacks list; the entry is
-    recycled through a free list after it fires.
-  - :meth:`Simulator.timeout` recycles :class:`Timeout` objects through a
-    free list.  A timeout is recycled only when, at processing time, its
-    sole callback is the :meth:`Process._resume` that was appended when a
-    process yielded it — i.e. the single-use ``yield sim.timeout(d)``
-    pattern — or the check of the :class:`TimedWait` that owns it.
-    Timeouts with user callbacks or multiple waiters are never recycled.
-    Corollary: a timeout a process has *yielded* must not be stored and
-    re-inspected after a later resume — create an :class:`Event` for
-    that.
+  - :meth:`Simulator.call_later` schedules a bare-callback entry instead
+    of a :class:`Timeout` + lambda + callbacks list.
   - :meth:`Simulator.within` is the one timed wait ("this event, or a
-    timeout after ``d``"): one :class:`TimedWait` and one pooled timeout,
-    no child lists or value dict, and it cancels its losing timeout
-    itself.
+    timeout after ``d``"): one :class:`TimedWait` and one timeout, no
+    child lists or value dict, and it cancels its losing timeout itself.
   - Timeouts at least one wheel tick out (:data:`WHEEL_TICK`, 0.5 s) are
     staged on a hierarchical timing wheel (:mod:`repro.sim.wheel`)
     instead of the heap: O(1) schedule and — via :meth:`Timeout.cancel`,
@@ -68,6 +57,9 @@ Design notes
 * Delays must be finite numbers >= 0: a NaN or infinite delay would
   corrupt the heap order or the wheel's slot arithmetic, so every entry
   point raises :class:`SimulationError` for one.
+* The kernel reuses no object: each ``timeout()``, ``call_later()`` and
+  wheel schedule builds a fresh one, which reference counting frees, so
+  a processed timeout keeps its value for as long as anything holds it.
 * ``run()`` pauses automatic cyclic garbage collection while it
   dispatches and restores the caller's setting on every exit path: the
   kernel and the model build no per-event reference cycles (DESIGN.md §8,
@@ -111,10 +103,6 @@ class SimulationError(RuntimeError):
 #: Sentinel marking an event that has not triggered yet.
 _PENDING = object()
 
-#: Cap on the per-simulator free lists (steady-state working sets are
-#: tiny; the cap only bounds pathological churn).
-_POOL_MAX = 1024
-
 #: Marks a cancelled timeout (``Timeout._node``).  Distinct from None,
 #: which means "heap-resident and live".
 _DEAD = object()
@@ -139,11 +127,10 @@ class _Callback:
     """Internal heap entry: a bare scheduled callback.
 
     Scheduled by :meth:`Simulator.call_later`; carries no Event
-    bookkeeping (no callbacks list, no value, no failure state) and is
-    recycled through ``Simulator._cbpool`` after it fires.  The dispatch
-    loop recognises it by ``callbacks is None``, which can never be true
-    of a heap-resident :class:`Event` (events enter the heap only when
-    triggered and leave it processed).
+    bookkeeping (no callbacks list, no value, no failure state).  The
+    dispatch loop recognises it by ``callbacks is None``, which can never
+    be true of a heap-resident :class:`Event` (events enter the heap only
+    when triggered and leave it processed).
     """
 
     __slots__ = ("fn", "args")
@@ -155,19 +142,6 @@ class _Callback:
     _node = None
 
 
-def _route_timeout(sim: "Simulator", ev: "Timeout", when: float, seq: int) -> None:
-    """Stage a wheel-eligible Timeout, falling back to the heap.
-
-    Takes the ``(when, seq)`` key already assigned, so routing never
-    perturbs tie-breaking.  ``ev._node`` is the wheel node while staged,
-    ``None`` when the wheel declined (due within the current slot or
-    beyond the horizon).
-    """
-    ev._node = node = sim._wheel.schedule(when, seq, ev)
-    if node is None:
-        heappush(sim._heap, (when, seq, ev))
-
-
 class Event:
     """A one-shot occurrence at a point in simulated time.
 
@@ -177,7 +151,7 @@ class Event:
     is invoked with the event as its sole argument.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "_pooled")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -186,7 +160,6 @@ class Event:
         self._value: Any = _PENDING
         self._ok = True
         self._defused = False
-        self._pooled = False
 
     # -- inspection ------------------------------------------------------
     @property
@@ -280,14 +253,18 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self._pooled = False
         sim._seq = seq = sim._seq + 1
         when = sim.now + delay
         if delay < WHEEL_TICK:
             self._node = None
             heappush(sim._heap, (when, seq, self))
         else:
-            _route_timeout(sim, self, when, seq)
+            # The wheel takes the key already assigned, so routing never
+            # perturbs tie-breaking; it declines (None) an entry due
+            # within the current slot or beyond its horizon.
+            self._node = node = sim._wheel.schedule(when, seq, self)
+            if node is None:
+                heappush(sim._heap, (when, seq, self))
 
     def cancel(self) -> bool:
         """Cancel a timeout that is guaranteed not to be observed firing.
@@ -390,10 +367,6 @@ class Process(Event):
             return
         callbacks = nxt.callbacks
         if callbacks is not None:
-            if not callbacks and type(nxt) is Timeout:
-                # Sole waiter of a plain timeout: recyclable after it
-                # fires (the dispatch loop re-checks the waiter count).
-                nxt._pooled = True
             callbacks.append(self._resume)
         else:
             # Already processed: relay its outcome one push later.
@@ -417,9 +390,8 @@ class TimedWait(Event):
     The wait owns its timeout.  The timeout takes its sequence number when
     the wait is built; the wait pushes its own entry, which resumes the
     waiter, when the first child is processed.  A losing timeout is
-    cancelled: unlinked from the wheel and returned to the free list with
-    no callbacks, or left on the heap as a tombstone.  A winning timeout
-    is recycled after it fires.
+    cancelled: unlinked from the wheel, or left on the heap as a
+    tombstone.
 
     Once settled, the wait references neither child.  A losing ``event``
     still holds the wait's ``_check``, so a reference back would close a
@@ -440,13 +412,7 @@ class TimedWait(Event):
         if child is timer:
             self.succeed(False)
             return
-        wheel_resident = timer._node is not None
         timer.cancel()
-        if wheel_resident:
-            timer.callbacks = None
-            pool = self.sim._tpool
-            if len(pool) < _POOL_MAX:
-                pool.append(timer)
         self._take(child)
 
     def _take(self, event: Event) -> None:
@@ -473,8 +439,6 @@ class Simulator:
         "_heap",
         "_lane",
         "_seq",
-        "_tpool",
-        "_cbpool",
         "_wheel",
         "_tombstones",
         "tombstones_compacted",
@@ -494,9 +458,6 @@ class Simulator:
         self._heap: list = []
         self._lane: deque = deque()
         self._seq = 0
-        #: Free lists: recycled Timeouts / bare-callback entries.
-        self._tpool: list = []
-        self._cbpool: list = []
         #: Timing wheel for timeouts at least one tick out.
         self._wheel = TimingWheel(WHEEL_TICK)
         #: Tombstones made since the last compaction (cancelled entries
@@ -528,8 +489,7 @@ class Simulator:
         return when
 
     def timer_stats(self) -> dict:
-        """Kernel timer counters (wheel and lane traffic, tombstones, pool
-        sizes)."""
+        """Kernel timer counters (wheel and lane traffic, tombstones)."""
         wheel = self._wheel
         return {
             "wheel_enabled": True,
@@ -553,32 +513,7 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event triggering ``delay`` from now.
-
-        Recycles processed single-waiter timeouts from the free list (see
-        the module docstring for the exact recycling rule).
-        """
-        # One check for both branches: the pooled and non-pooled paths
-        # must reject a bad delay at the same point, with the same
-        # error, regardless of the free list's state.
-        if not 0.0 <= delay < _INF:
-            raise _bad_delay(delay)
-        pool = self._tpool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev._defused = False
-            ev._pooled = False
-            self._seq = seq = self._seq + 1
-            when = self.now + delay
-            if delay < WHEEL_TICK:
-                ev._node = None
-                heappush(self._heap, (when, seq, ev))
-            else:
-                _route_timeout(self, ev, when, seq)
-            return ev
+        """An event triggering ``delay`` from now."""
         return Timeout(self, delay, value)
 
     def within(self, event: Event, delay: float) -> TimedWait:
@@ -604,10 +539,7 @@ class Simulator:
             self._seq += 1
             wait._take(event)
             return wait
-        timer = self.timeout(delay)
-        # The wait's check is the timer's sole callback and nothing else
-        # holds the timer, so it is recyclable once it fires.
-        timer._pooled = True
+        timer = Timeout(self, delay)
         wait._timer = timer
         check = wait._check
         callbacks.append(check)
@@ -625,18 +557,13 @@ class Simulator:
 
         This is the kernel's cheapest way to schedule work: no
         :class:`Event` is allocated (no callbacks list, no value/failure
-        bookkeeping) and the internal entry is recycled after it fires.
-        A zero delay takes the same-instant lane instead of the heap.  Use
-        :meth:`timeout` plus ``callbacks.append`` when the caller needs an
-        event handle to wait on or compose.
+        bookkeeping).  A zero delay takes the same-instant lane instead of
+        the heap.  Use :meth:`timeout` plus ``callbacks.append`` when the
+        caller needs an event handle to wait on or compose.
         """
         if not 0.0 <= delay < _INF:
             raise _bad_delay(delay)
-        pool = self._cbpool
-        if pool:
-            cb = pool.pop()
-        else:
-            cb = _Callback()
+        cb = _Callback()
         cb.fn = fn
         cb.args = args
         self._seq = seq = self._seq + 1
@@ -690,8 +617,6 @@ class Simulator:
         lane = self._lane
         take = lane.popleft
         wheel = self._wheel
-        tpool = self._tpool
-        cbpool = self._cbpool
         pop = heappop
         dead = _DEAD
         now = self.now
@@ -739,29 +664,14 @@ class Simulator:
                     break
                 callbacks = event.callbacks
                 if callbacks is None:
-                    # Bare-callback entry: recycle it before invoking
-                    # (fn/args are captured locally) so the callback
-                    # itself can reuse the slot for follow-up work.
-                    fn = event.fn
-                    args = event.args
-                    if len(cbpool) < _POOL_MAX:
-                        event.fn = event.args = None
-                        cbpool.append(event)
-                    fn(*args)
+                    # Bare-callback entry.
+                    event.fn(*event.args)
                     continue
                 event.callbacks = None
                 for cb in callbacks:
                     cb(event)
                 if not event._ok and not event._defused:
                     raise event._value
-                if (
-                    event._pooled
-                    and len(callbacks) == 1
-                    and len(tpool) < _POOL_MAX
-                ):
-                    # Single-use awaited timeout: nothing can reference
-                    # it any more (its sole waiter has moved on).
-                    tpool.append(event)
         finally:
             # One attribute write per run() call, not one per event.
             self.lane_dispatched += from_lane

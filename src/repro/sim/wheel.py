@@ -18,8 +18,7 @@ of ``tick * _SLOTS**j`` (0.5 s, 32 s, 2048 s at the default tick), so
 the wheel spans ~36 hours of simulated time; anything beyond that — or
 anything due within one tick — stays on the heap.  Each slot is a ring:
 a doubly-linked list headed by a pre-allocated sentinel node, so unlink
-is four pointer writes with no branches.  Nodes carry ``__slots__`` and
-recycle through a free list.
+is four pointer writes with no branches.  Nodes carry ``__slots__``.
 
 The schedule/cancel pair is the hot path (it runs once per timed wait),
 so the wheel keeps *no* per-slot occupancy counts: rings answer "empty?"
@@ -65,10 +64,6 @@ _SLOTS = 64
 _MASK = _SLOTS - 1
 _LEVELS = 3
 
-#: Cap on the node free list (bounds pathological churn, like the
-#: kernel's _POOL_MAX for Timeouts and callback entries).
-_NODE_POOL_MAX = 4096
-
 _INF = float("inf")
 
 
@@ -98,7 +93,6 @@ class TimingWheel:
         "_cursor",
         "_count",
         "_next",
-        "_pool",
         "scheduled",
         "cancelled",
         "flushed",
@@ -126,7 +120,6 @@ class TimingWheel:
         self._count = 0
         #: Start time of the earliest (possibly stale-low) nonempty slot.
         self._next = _INF
-        self._pool: List[_WheelNode] = []
         # Lifetime counters (exposed via Simulator.timer_stats()).
         self.scheduled = 0
         self.cancelled = 0
@@ -154,8 +147,7 @@ class TimingWheel:
             if s < c:
                 return None
             if s - c < _SLOTS:
-                pool = self._pool
-                node = pool.pop() if pool else _WheelNode()
+                node = _WheelNode()
                 node.time = time
                 node.seq = seq
                 node.ev = ev
@@ -174,15 +166,11 @@ class TimingWheel:
         return None
 
     def unlink(self, node: _WheelNode) -> None:
-        """True cancel: splice the node out and recycle it.  O(1)."""
+        """True cancel: splice the node out.  O(1)."""
         node.prev.nxt = node.nxt
         node.nxt.prev = node.prev
         self._count -= 1
         self.cancelled += 1
-        node.prev = node.nxt = node.ev = None
-        pool = self._pool
-        if len(pool) < _NODE_POOL_MAX:
-            pool.append(node)
         # _next may now point at an emptied slot; advance() self-corrects.
 
     # -- flushing --------------------------------------------------------
@@ -251,10 +239,9 @@ class TimingWheel:
         heappush(heap, (node.time, node.seq, ev))
         self.flushed += 1
         self._count -= 1
-        node.prev = node.nxt = node.ev = None
-        pool = self._pool
-        if len(pool) < _NODE_POOL_MAX:
-            pool.append(node)
+        # A flushed ring's nodes still point at each other; break the
+        # links so reference counting frees each node.
+        node.prev = node.nxt = None
 
     def _place(self, node: _WheelNode, heap: list) -> None:
         """Re-link a cascading node at the finest level that fits it."""

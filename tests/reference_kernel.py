@@ -2,8 +2,8 @@
 
 It keeps one heap of ``[time, id, action]`` entries ordered by
 ``(time, id)`` and removes cancelled entries lazily: a cancel blanks the
-entry's action, and dispatch skips blank entries.  It has no free lists,
-no same-instant lane, no timing wheel and no compaction, and it shares no
+entry's action, and dispatch skips blank entries.  It has no
+same-instant lane, no timing wheel and no compaction, and it shares no
 code with the production kernel apart from its exception class, so a bug
 in a production fast path cannot hide in both.
 

@@ -241,6 +241,29 @@ def test_figure_runner_distinguishes_overload_parameters():
     assert tight.points[0].server_stats["requests_shed"] == 580
 
 
+def test_figure_runner_distinguishes_clusters_that_share_a_label():
+    # A cluster's label omits replica CPU speeds: two straggler factors
+    # label alike, and the cache must still key them apart.
+    from repro.cluster import straggler_cluster
+
+    def cluster(factor):
+        return straggler_cluster(
+            policy="least_connections", cpu_speed=0.12, straggler_factor=factor
+        )
+
+    assert cluster(0.3).label == cluster(0.5).label
+    runner = FigureRunner(
+        profile=MeasurementProfile("tiny", (120,), 3.0, 4.0), seed=7
+    )
+    slow = runner.cluster_sweep(cluster(0.3))
+    fast = runner.cluster_sweep(cluster(0.5))
+    assert fast is not slow
+    assert runner.cluster_sweep(cluster(0.3)) is slow
+    # The slower straggler is the busier one.
+    busy = "replica.r2.cpu_utilization"
+    assert slow.points[0].server_stats[busy] > fast.points[0].server_stats[busy]
+
+
 def test_figure_3_structure():
     runner = FigureRunner(profile=TINY)
     figs = runner.figure_3()

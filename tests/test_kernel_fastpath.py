@@ -1,9 +1,8 @@
-"""Kernel fast paths: free lists and bare callbacks.
+"""Kernel fast paths: bare callbacks and timeouts.
 
 The fast paths (see the :mod:`repro.sim.core` docstring and DESIGN.md)
 must be invisible to model code: same scheduling order, same values, same
-failure propagation — just fewer allocations.  These tests pin the
-recycling rules directly.
+failure propagation — just less bookkeeping.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.core import SimulationError, Timeout
+from repro.sim.core import SimulationError
 
 
 # -- call_later bare-callback path ------------------------------------------
@@ -50,25 +49,9 @@ def test_call_later_rejects_negative_delay():
         sim.call_later(-0.1, lambda: None)
 
 
-def test_callback_entries_are_recycled():
-    sim = Simulator()
-    fired = [0]
-
-    def tick():
-        fired[0] += 1
-        if fired[0] < 100:
-            sim.call_later(0.1, tick)
-
-    sim.call_later(0.1, tick)
-    sim.run()
-    assert fired[0] == 100
-    # A self-rescheduling callback reuses one pooled entry, not 100.
-    assert len(sim._cbpool) == 1
-
-
 def test_callback_may_schedule_from_within_itself():
-    # The entry is recycled *before* fn runs; scheduling inside fn must
-    # not clobber the in-flight invocation's fn/args.
+    # Scheduling inside fn must not clobber the in-flight invocation's
+    # fn/args.
     sim = Simulator()
     seen = []
 
@@ -82,60 +65,23 @@ def test_callback_may_schedule_from_within_itself():
     assert seen == ["a", "a-child", "b", "b-child"]
 
 
-# -- timeout free list -------------------------------------------------------
+# -- timeouts ----------------------------------------------------------------
 
-def test_yielded_timeouts_are_recycled():
-    sim = Simulator()
-
-    def proc():
-        for _ in range(50):
-            yield sim.timeout(0.01)
-
-    sim.process(proc())
-    sim.run()
-    # The single-use `yield sim.timeout(d)` pattern cycles one pooled
-    # object (plus the generation in flight), never 50 live Timeouts.
-    assert 1 <= len(sim._tpool) <= 2
-
-
-def test_recycled_timeout_object_is_reused():
-    sim = Simulator()
-    identities = []
-
-    def proc():
-        for _ in range(4):
-            t = sim.timeout(0.01)
-            identities.append(id(t))
-            yield t
-
-    sim.process(proc())
-    sim.run()
-    # A processed timeout enters the pool right *after* the waiter has
-    # asked for its next one, so reuse skips one generation: timeout N+2
-    # is timeout N's object coming back from the free list.
-    assert identities[2] == identities[0]
-    assert identities[3] == identities[1]
-
-
-def test_timeout_with_user_callback_is_not_pooled():
+def test_timeout_with_user_callback_keeps_its_value():
     sim = Simulator()
     got = []
     t = sim.timeout(1.0, value="v")
     t.callbacks.append(lambda ev: got.append(ev.value))
     sim.run()
     assert got == ["v"]
-    assert sim._tpool == []
-    # Still safe to inspect after processing: it was never recycled.
     assert t.processed and t.value == "v"
 
 
-def test_timed_wait_event_is_not_pooled():
+def test_timed_wait_event_keeps_its_value():
     sim = Simulator()
     results = []
-    # within() registers the wait's check on the caller's event, so that
-    # timeout stays off the free list even though it won and fired: only
-    # Process._resume and the wait mark a timeout poolable, and only one
-    # nobody else holds.  The wait's own losing timeout is recycled.
+    # within() registers the wait's check on the caller's event; the
+    # event stays readable after it won and fired.
     winner = sim.timeout(0.1, value="fast")
 
     def proc():
@@ -145,31 +91,17 @@ def test_timed_wait_event_is_not_pooled():
     sim.process(proc())
     sim.run()
     assert results == [True]
-    assert len(sim._tpool) == 1 and sim._tpool[0] is not winner
     assert winner.processed and winner.value == "fast"
 
 
-def test_pool_respects_negative_delay_check():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(0.01)  # populate the free list
-
-    sim.process(proc())
-    sim.run()
-    assert sim._tpool
-    with pytest.raises(SimulationError):
-        sim.timeout(-1.0)
-
-
-def test_pooled_timeout_resets_value_and_state():
+def test_successive_timeouts_carry_their_own_values():
     sim = Simulator()
     values = []
 
     def proc():
         got = yield sim.timeout(0.01, value="first")
         values.append(got)
-        got = yield sim.timeout(0.01)  # recycled object, default value
+        got = yield sim.timeout(0.01)  # default value
         values.append(got)
         got = yield sim.timeout(0.01, value="third")
         values.append(got)
@@ -177,6 +109,24 @@ def test_pooled_timeout_resets_value_and_state():
     sim.process(proc())
     sim.run()
     assert values == ["first", None, "third"]
+
+
+def test_a_yielded_timeout_can_be_kept_and_read_later():
+    # A process keeps a timeout it yielded and reads it after later
+    # resumes: no later timeout may take over its object.
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        first = sim.timeout(0.01, value="first")
+        yield first
+        for i in range(1, 4):
+            yield sim.timeout(0.01, value=f"later{i}")
+        seen.append((first.processed, first.value))
+
+    sim.process(proc())
+    sim.run()
+    assert seen == [(True, "first")]
 
 
 # -- workload caching (rides along with the perf work) -----------------------
@@ -222,19 +172,3 @@ def test_shared_workload_is_memoized_per_population():
     assert w1 is w2
     assert w1.files is files
     clear_population_cache()
-
-
-def test_yielded_timeout_type_check_is_exact():
-    # Subclasses of Timeout must not enter the free list: the pool
-    # resets only Timeout's own slots.
-    sim = Simulator()
-
-    class TracedTimeout(Timeout):
-        pass
-
-    def proc():
-        yield TracedTimeout(sim, 0.01)
-
-    sim.process(proc())
-    sim.run()
-    assert sim._tpool == []

@@ -2,6 +2,7 @@
 
 import gc
 import socket
+import struct
 import sys
 import time
 import warnings
@@ -162,6 +163,46 @@ def test_thread_server_idle_reap_resets_connection(docroot):
             except ConnectionResetError:
                 pass
         assert server.idle_reaps >= 1
+    finally:
+        server.stop()
+
+
+class _ResetAfterGarbage:
+    """A connection that delivers a malformed request, then resets."""
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, size):
+        return b"BOGUS\r\n\r\n"
+
+    def sendall(self, data):
+        raise ConnectionResetError("reset by peer")
+
+
+def test_thread_server_survives_reset_while_rejecting_garbage(docroot):
+    server = ThreadPoolHttpServer(docroot)  # never started: no socket
+    server._serve_connection(_ResetAfterGarbage())  # returns, no raise
+
+
+def test_thread_server_keeps_its_workers_after_garbage_and_resets(docroot):
+    server = ThreadPoolHttpServer(docroot, pool_size=2, idle_timeout=5.0)
+    server.start()
+    try:
+        for _ in range(20):
+            with socket.create_connection(("127.0.0.1", server.port), 5.0) as s:
+                # A zero linger makes close() send a reset, not a FIN.
+                s.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                s.sendall(b"BOGUS\r\n\r\n")
+        path = docroot.paths()[0]
+        resp = raw_request(
+            server.port,
+            f"GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".encode(),
+        )
+        assert resp.startswith(b"HTTP/1.1 200 OK")
+        assert all(t.is_alive() for t in server._threads)
     finally:
         server.stop()
 

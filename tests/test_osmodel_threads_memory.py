@@ -162,21 +162,6 @@ def test_cost_model_scaled_rejects_nonpositive():
         CostModel().scaled(0.0)
 
 
-def test_cost_model_overrides():
-    tweaked = CostModel().with_overrides(parse_request=1e-3)
-    assert tweaked.parse_request == 1e-3
-    assert tweaked.accept == CostModel().accept
-
-
-def test_request_service_includes_per_byte_and_chunks():
-    cm = CostModel()
-    small = cm.request_service(1024, nchunks=1)
-    large = cm.request_service(1024 * 1024, nchunks=128)
-    assert large > small
-    expected_delta = cm.per_byte * (1024 * 1024 - 1024) + cm.write_syscall * 127
-    assert large - small == pytest.approx(expected_delta)
-
-
 # ---------------------------------------------------------------------------
 # Machine
 # ---------------------------------------------------------------------------

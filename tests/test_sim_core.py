@@ -252,28 +252,18 @@ def test_within_takes_one_sequence_number_then_one_to_settle():
     assert wait.processed and wait.value is True
 
 
-def test_within_wheel_loser_goes_back_to_the_free_list():
+def test_within_wheel_loser_is_unlinked():
     sim = Simulator()
     reply = sim.event()
     wait = sim.within(reply, 4 * WHEEL_TICK)
-    timer = wait._timer
-    assert timer._node is not None  # wheel-resident
+    assert wait._timer._node is not None  # wheel-resident
     reply.succeed()
     sim.run()
     assert wait.value is True
     assert wait._timer is None
-    assert sim.timer_stats()["wheel_cancelled"] == 1
-    assert timer.callbacks is None  # holds no reference to the wait
-    assert sim.timeout(1.0) is timer
-
-
-def test_within_winning_timeout_is_recycled():
-    sim = Simulator()
-    wait = sim.within(sim.event(), 0.1)
-    timer = wait._timer
-    sim.run()
-    assert wait.value is False
-    assert sim._tpool == [timer]
+    stats = sim.timer_stats()
+    assert stats["wheel_cancelled"] == 1
+    assert stats["wheel_pending"] == 0
 
 
 def test_within_heap_resident_loser_becomes_a_tombstone():
@@ -287,7 +277,6 @@ def test_within_heap_resident_loser_becomes_a_tombstone():
     assert sim.timer_stats()["tombstones"] == 1
     assert timer.callbacks == []
     sim.run()
-    assert sim._tpool == []  # a tombstone is never recycled
 
 
 def test_within_tie_event_triggered_after_timeout_fired():
@@ -405,15 +394,13 @@ def test_within_on_processed_event_settles_at_once(collector_off):
     got = []
     done = sim.timeout(0.0, value="now")
     sim.run(until=1.0)  # done is processed
-    pooled = len(sim._tpool)
 
     def proc():
         seq = sim._seq
         wait = sim.within(done, 5.0)
-        # Settled inside within(): no timeout left scheduled or taken
-        # from the free list, but its sequence number is used.
+        # Settled inside within(): no timeout left scheduled, but its
+        # sequence number is used.
         assert wait.triggered and sim._seq == seq + 2
-        assert len(sim._tpool) == pooled
         stats = sim.timer_stats()
         assert stats["heap_pending"] == stats["wheel_pending"] == 0
         won = yield wait

@@ -220,8 +220,8 @@ def _interleaving_trace(sim, ops):
     of one, 3 a two-timeout process, 4 a process parked in
     ``sim.within(event, delay)`` at least one wheel tick out, whose event
     is triggered at ``b * delay``.  On the production kernel a wait that
-    the event wins unlinks its timeout from the wheel and recycles it (or
-    tombstones it once flushed).
+    the event wins unlinks its timeout from the wheel (or tombstones it
+    once flushed).
     """
     trace = []
     timeouts = []
@@ -237,7 +237,7 @@ def _interleaving_trace(sim, ops):
     def parked(pid, ev, delay):
         won = yield sim.within(ev, delay)
         fire(("woke", pid, won, ev.triggered))
-        # Re-park: on the wheel path this reuses the recycled Timeout.
+        # Re-park on a fresh wheel timeout.
         yield sim.timeout(delay)
         fire(("resumed", pid))
 
