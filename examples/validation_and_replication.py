@@ -22,14 +22,19 @@ from repro.analysis import (
     ServiceEstimate,
     capacity_replies_per_s,
     knee_client_count,
-    replicate,
-    summarize_replications,
     validate_run,
 )
-from repro.analysis.stats import DEFAULT_GETTERS
-from repro.core import Experiment, ServerSpec, WorkloadSpec
+from repro.core import (
+    PointSpec,
+    ReplicationPolicy,
+    ServerSpec,
+    WorkloadSpec,
+    replicated_table,
+    run_replicated,
+)
 from repro.http import FilePopulation
 from repro.http.messages import DEFAULT_RESPONSE_HEAD_BYTES
+from repro.net import NetworkSpec
 from repro.osmodel import CostModel, MachineSpec
 from repro.sim import RandomStreams
 from repro.workload import SurgeConfig
@@ -37,15 +42,15 @@ from repro.workload import SurgeConfig
 CPU_SPEED = 0.05  # 5% of the calibrated CPU: saturates at ~150 replies/s
 
 
-def run(clients: int, seed: int = 42):
-    return Experiment(
+def point(clients: int) -> PointSpec:
+    return PointSpec(
         server=ServerSpec.nio(1),
         workload=WorkloadSpec(
             clients=clients, duration=12.0, warmup=16.0, n_files=200
         ),
         machine=MachineSpec(cpus=1, cpu_speed=CPU_SPEED),
-        seed=seed,
-    ).run()
+        network=NetworkSpec.gigabit(),
+    )
 
 
 def main() -> None:
@@ -62,7 +67,7 @@ def main() -> None:
     print(f"  saturation knee   N*  ~ {knee:.0f} clients (Z={think:.2f}s)\n")
 
     for clients in (40, 120, 320):
-        metrics = run(clients)
+        metrics = point(clients).experiment().run()
         print(
             f"clients={clients:4d}: X={metrics.throughput_rps:7.1f} r/s "
             f"U={metrics.cpu_utilization * 100:5.1f}% "
@@ -72,11 +77,9 @@ def main() -> None:
             print(f"    {check}")
     print()
 
-    print("replication across 4 seeds (120 clients):")
-    reps = replicate(
-        lambda seed: run(120, seed=seed), seeds=range(4), getters=DEFAULT_GETTERS
-    )
-    print(summarize_replications(reps))
+    policy = ReplicationPolicy(min_replicates=4, max_replicates=4)
+    points = run_replicated([point(120)], policy=policy)
+    print(replicated_table(points, title="replication across 4 seeds"))
 
 
 if __name__ == "__main__":

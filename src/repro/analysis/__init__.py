@@ -1,4 +1,4 @@
-"""Analysis substrate: queueing models, replication stats, law validation."""
+"""Analysis substrate: queueing models, warm-up detection, law validation."""
 
 from .queueing import (
     ServiceEstimate,
@@ -12,13 +12,7 @@ from .queueing import (
     saturation_clients,
     utilization,
 )
-from .stats import (
-    DEFAULT_GETTERS,
-    Replication,
-    mser_truncation,
-    replicate,
-    summarize_replications,
-)
+from .stats import mser_truncation
 from .validation import (
     LawCheck,
     bandwidth_law,
@@ -38,11 +32,7 @@ __all__ = [
     "ps_response_time",
     "saturation_clients",
     "utilization",
-    "DEFAULT_GETTERS",
-    "Replication",
     "mser_truncation",
-    "replicate",
-    "summarize_replications",
     "LawCheck",
     "bandwidth_law",
     "littles_law",

@@ -1,110 +1,18 @@
-"""Replication statistics and steady-state detection.
+"""Steady-state detection.
 
-The paper reports single 5-minute runs; a simulation study should do
-better.  This module runs an experiment across independent seeds and
-reports confidence intervals (Student-t), plus MSER-based warmup
-truncation for validating that the default measurement window starts in
-steady state.
+MSER-based warm-up truncation, for validating that the default
+measurement window starts in steady state.  Confidence intervals across
+seeds come from :func:`repro.core.replication.run_replicated` (``repro
+sweep --reps``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..metrics.report import RunMetrics
-
-__all__ = ["Replication", "replicate", "summarize_replications", "mser_truncation"]
-
-#: Two-sided Student-t 97.5% quantiles for small sample sizes (df 1..30);
-#: beyond 30 the normal approximation is used.  Hard-coded so the core
-#: analysis works without scipy installed.
-_T975 = (
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-)
-
-
-def _t975(df: int) -> float:
-    if df < 1:
-        raise ValueError("need at least two samples for a CI")
-    return _T975[df - 1] if df <= len(_T975) else 1.96
-
-
-@dataclass
-class Replication:
-    """Sample statistics of one metric across seeds."""
-
-    name: str
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    @property
-    def std(self) -> float:
-        return float(self.values.std(ddof=1)) if self.n > 1 else 0.0
-
-    @property
-    def sem(self) -> float:
-        return self.std / np.sqrt(self.n) if self.n > 1 else 0.0
-
-    def ci_halfwidth(self) -> float:
-        """Half-width of the 95% Student-t confidence interval."""
-        if self.n < 2:
-            return 0.0
-        return _t975(self.n - 1) * self.sem
-
-    def relative_halfwidth(self) -> float:
-        """CI half-width / mean (0 when mean is 0)."""
-        return self.ci_halfwidth() / self.mean if self.mean else 0.0
-
-    def summary(self) -> str:
-        """One-line mean +/- CI text."""
-        return (
-            f"{self.name}: {self.mean:.2f} +/- {self.ci_halfwidth():.2f} "
-            f"(n={self.n}, 95% CI)"
-        )
-
-
-def replicate(
-    run: Callable[[int], RunMetrics],
-    seeds: Iterable[int],
-    getters: Dict[str, Callable[[RunMetrics], float]],
-) -> Dict[str, Replication]:
-    """Run ``run(seed)`` per seed; collect each metric across runs."""
-    collected: Dict[str, List[float]] = {name: [] for name in getters}
-    for seed in seeds:
-        metrics = run(seed)
-        for name, getter in getters.items():
-            collected[name].append(getter(metrics))
-    return {
-        name: Replication(name, np.asarray(values))
-        for name, values in collected.items()
-    }
-
-
-#: Default metric getters for replication studies.
-DEFAULT_GETTERS: Dict[str, Callable[[RunMetrics], float]] = {
-    "throughput_rps": lambda m: m.throughput_rps,
-    "response_time_ms": lambda m: m.response_time_mean * 1e3,
-    "connection_time_ms": lambda m: m.connection_time_mean * 1e3,
-    "timeout_rate": lambda m: m.client_timeout_rate,
-    "reset_rate": lambda m: m.connection_reset_rate,
-}
-
-
-def summarize_replications(reps: Dict[str, Replication]) -> str:
-    """Multi-line text summary of a replication study."""
-    return "\n".join(rep.summary() for rep in reps.values())
+__all__ = ["mser_truncation"]
 
 
 def mser_truncation(series: Sequence[float], min_tail: int = 5) -> int:

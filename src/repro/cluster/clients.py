@@ -1,18 +1,20 @@
 """Cluster-aware WAN clients: routed sessions, cache hits, adversaries.
 
-:class:`ClusterClient` extends the httperf-semantics
-:class:`~repro.workload.httperf.EmulatedClient` with the front-end hops:
-every new connection first asks the :class:`~repro.cluster.balancer.
-LoadBalancer` for a replica (consuming a routing key from a dedicated
-``route`` RNG stream, so routing never perturbs workload sampling), and
-when a cache tier is mounted, requests whose file is resident are served
-at the cache box without touching any replica.
+:class:`ClusterClient` runs the session loop of the httperf-semantics
+:class:`~repro.workload.httperf.EmulatedClient` and adds only the
+front-end hops, through the loop's hooks: every new connection first
+asks the :class:`~repro.cluster.balancer.LoadBalancer` for a replica
+(consuming a routing key from a dedicated ``route`` RNG stream, so
+routing never perturbs workload sampling) and holds a lease on it until
+it ends, and when a cache tier is mounted, requests whose file is
+resident are served at the cache box without touching any replica.
 
-:class:`FanoutMetrics` keeps the per-replica and cluster-aggregate rows
-consistent by construction: every recorded reply, error and connection
-lands in the aggregate hub *and* the hub of the tier (replica or cache)
-that served it, and, with telemetry mounted, in the aggregate and
-per-tier time series.
+:class:`FanoutMetrics` records every reply, error and connection in the
+aggregate hub *and* the hub of its current ``tier``, and, with telemetry
+mounted, in the aggregate and per-tier time series.  One instance is
+shared by every client, so ``tier`` is the replica whichever client
+routed last: the aggregate and the cache tier are right, but a reply
+may be credited to another replica than the one that served it.
 
 :class:`SlowlorisClient` is the hostile class: connect, then hold the
 connection silently (never sending a request) until the server reaps it,
@@ -25,13 +27,13 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from ..metrics.collectors import CLIENT_TIMEOUT, CONNECTION_RESET, MetricsHub
+from ..metrics.collectors import CLIENT_TIMEOUT, MetricsHub
 from ..net.link import DuplexLink
-from ..net.tcp import ConnectTimeout, Connection, ResetByServer
+from ..net.tcp import ConnectTimeout, Connection
 from ..sim.core import Simulator
 from ..sim.rng import RandomStreams, StreamHandle
 from ..workload.httperf import EmulatedClient, HttperfConfig
-from ..workload.surge import SessionPlan, SurgeWorkload
+from ..workload.surge import SurgeWorkload
 from .balancer import LoadBalancer
 from .cache import LruCache
 from .spec import ClientClassSpec, ClusterSpec, FlashCrowdSpec
@@ -64,10 +66,12 @@ class FanoutMetrics:
     """MetricsHub facade that mirrors records into the serving tier.
 
     Quacks like a :class:`~repro.metrics.collectors.MetricsHub` for the
-    recording methods the client calls.  ``tier`` is set by the client
-    around each serve (the replica that got the connection, or the cache
-    tier); replies/errors/connections land in the aggregate *and* the
-    tier, sessions are an aggregate-only concept.
+    recording methods the client calls.  A client sets ``tier`` when it
+    routes a connection (the replica it picked) and around each cache
+    hit (the cache tier); replies/errors/connections land in the
+    aggregate *and* the tier, sessions are an aggregate-only concept.
+    Every client of a run shares one instance, so a reply lands in the
+    tier of the latest route by any client.
     """
 
     __slots__ = ("aggregate", "tier", "telemetry")
@@ -121,19 +125,16 @@ class FanoutMetrics:
         """One completed session (an aggregate-only concept)."""
         self.aggregate.record_session()
 
-    def in_window(self, t: Optional[float] = None) -> bool:
-        """Whether ``t`` (default now) is inside the measurement window."""
-        return self.aggregate.in_window(t)
-
 
 class ClusterClient(EmulatedClient):
     """An emulated WAN client whose connections go through the balancer.
 
-    The base class drives sessions against ``self.listener``; here the
-    listener is chosen per connection by the balancer, and the serving
-    replica keeps a lease on the connection (``replica.live_conns``) so
-    the rolling-restart driver can reset in-flight connections when a
-    replica goes down.
+    It runs the base session loop and overrides its three hooks: the
+    connection hook asks the balancer for a replica (the listener is
+    chosen per connection), the finish hook returns the connection's
+    balancer slot and its lease on the replica (``replica.live_conns``,
+    which the rolling-restart driver resets when a replica goes down),
+    and cache hits are answered at the cache box.
     """
 
     def __init__(
@@ -149,7 +150,6 @@ class ClusterClient(EmulatedClient):
         config: Optional[HttperfConfig] = None,
         cache: Optional[LruCache] = None,
         cache_tier: Optional[TierMetrics] = None,
-        sessions_limit: Optional[int] = None,
         telemetry=None,
         wan_class: str = "",
     ) -> None:
@@ -160,43 +160,29 @@ class ClusterClient(EmulatedClient):
         self.route_rng = route_rng
         self.cache = cache
         self.cache_tier = cache_tier
-        self.sessions_limit = sessions_limit
         #: Optional :class:`~repro.cluster.telemetry.ClusterTelemetry`;
         #: its tracer learns each connection's route and cache hits.
         self.telemetry = telemetry
         self.tracer = telemetry.tracer if telemetry is not None else None
         self.wan_class = wan_class
+        #: The replica serving the open connection (one at a time).
+        self.replica = None
 
     # ------------------------------------------------------------------
-    def run(self, start_delay: float = 0.0):
-        """Generator: session loop, finite when ``sessions_limit`` set."""
-        if start_delay > 0.0:
-            yield self.sim.timeout(start_delay)
-        while (
-            self.sessions_limit is None
-            or self.sessions_attempted < self.sessions_limit
-        ):
-            with self.rng as rng:
-                plan = self.workload.sample_session(rng)
-            self.sessions_attempted += 1
-            completed = yield from self._run_session(plan)
-            if completed:
-                self.metrics.record_session()
-            yield self.sim.timeout(plan.inter_session_gap)
-
-    # ------------------------------------------------------------------
-    def _route_and_connect(self) -> object:
-        """Generator: pick a replica and connect; (conn, replica) or Nones."""
-        self.metrics.tier = None
+    def _connect(self) -> object:
+        """Generator: pick a replica and connect; the connection or None."""
+        metrics = self.metrics
+        metrics.tier = None
         key = self.balancer.make_key(self.route_rng)
         replica = self.balancer.pick(key)
         if replica is None:
             # Whole cluster unroutable: the front end cannot even open a
             # backend connection — the client sees a connect timeout.
             yield self.sim.timeout(self.config.client_timeout)
-            self.metrics.record_error(CLIENT_TIMEOUT)
-            return None, None
-        self.metrics.tier = replica.metrics
+            metrics.record_error(CLIENT_TIMEOUT)
+            return None
+        metrics.tier = replica.metrics
+        self.replica = replica
         conn = Connection(self.sim, self.duplex, replica.listener)
         if conn.span is not None:
             conn.span.mark("routed")
@@ -205,44 +191,37 @@ class ClusterClient(EmulatedClient):
         try:
             conn_time = yield from conn.connect(self.config.client_timeout)
         except ConnectTimeout:
-            self.metrics.record_error(CLIENT_TIMEOUT)
+            metrics.record_error(CLIENT_TIMEOUT)
             self._finish_span(conn, "connect_timeout")
-            self.balancer.release(replica)
-            self.metrics.tier = None
-            return None, None
-        self.metrics.record_connection(conn_time)
+            metrics.tier = None
+            return None
+        metrics.record_connection(conn_time)
         replica.live_conns[conn] = None
-        return conn, replica
+        return conn
 
-    def _end_lease(self, conn: Connection, replica) -> None:
-        """Return the connection's balancer slot and replica lease."""
+    def _finish_span(self, conn: Optional[Connection], status: str) -> None:
+        """End the span, then return the balancer slot and the lease."""
+        super()._finish_span(conn, status)
+        replica = self.replica
         self.balancer.release(replica)
         replica.live_conns.pop(conn, None)
 
-    def _send_group_routed(self, conn, replica, group: List) -> object:
-        """Generator: pipeline one group, re-routing on server reset.
-
-        Mirrors the base ``_send_group`` but a reconnect goes back
-        through the balancer (the front end does not pin a session to a
-        dead replica).  Returns ``(conn, replica, pendings)``; pendings
-        is None when retries ran out, conn is None when reconnection
-        failed.
-        """
-        for _attempt in range(self.config.max_reset_retries + 1):
-            pendings = []
-            try:
-                for request in group:
-                    pending = yield from conn.send_request(request)
-                    pendings.append(pending)
-                return conn, replica, pendings
-            except ResetByServer:
-                self.metrics.record_error(CONNECTION_RESET)
-                self._finish_span(conn, "reset")
-                self._end_lease(conn, replica)
-                conn, replica = yield from self._route_and_connect()
-                if conn is None:
-                    return None, None, None
-        return conn, replica, None
+    def _serve_locally(self, group: List) -> object:
+        """Generator: answer cache hits at the cache box; returns the misses."""
+        cache = self.cache
+        if cache is None:
+            return group
+        misses = []
+        for request in group:
+            cacheable = request.file_id is not None
+            hit = cacheable and cache.lookup(request.file_id)
+            if cacheable and self.telemetry is not None:
+                self.telemetry.on_cache_lookup(self.sim.now, hit)
+            if hit:
+                yield from self._serve_from_cache(request)
+            else:
+                misses.append(request)
+        return misses
 
     def _serve_from_cache(self, request) -> object:
         """Generator: answer ``request`` at the cache box (it is a hit)."""
@@ -268,52 +247,6 @@ class ClusterClient(EmulatedClient):
             )
         self.metrics.record_reply(self.sim.now - t0, ttfb, total)
         self.metrics.tier = saved
-
-    def _run_session(self, plan: SessionPlan) -> object:
-        """Generator: one session through cache + balancer."""
-        conn = None
-        replica = None
-        ok = True
-        for group_index, group in enumerate(plan.groups):
-            misses = []
-            for request in group:
-                cacheable = (
-                    self.cache is not None and request.file_id is not None
-                )
-                hit = cacheable and self.cache.lookup(request.file_id)
-                if cacheable and self.telemetry is not None:
-                    self.telemetry.on_cache_lookup(self.sim.now, hit)
-                if hit:
-                    yield from self._serve_from_cache(request)
-                else:
-                    misses.append(request)
-            if misses:
-                if conn is None:
-                    conn, replica = yield from self._route_and_connect()
-                    if conn is None:
-                        return False
-                conn, replica, pendings = yield from self._send_group_routed(
-                    conn, replica, misses
-                )
-                if pendings is None:
-                    if conn is not None:
-                        conn.client_close()
-                        self._finish_span(conn, "closed")
-                        self._end_lease(conn, replica)
-                    return False
-                failed = yield from self._collect_replies(conn, pendings)
-                if failed:
-                    self._end_lease(conn, replica)
-                    conn = None
-                    ok = False
-                    break
-            if group_index < len(plan.groups) - 1:
-                yield self.sim.timeout(plan.think_times[group_index])
-        if conn is not None:
-            conn.client_close()
-            self._finish_span(conn, "closed")
-            self._end_lease(conn, replica)
-        return ok
 
     def _collect_replies(self, conn: Connection, pendings: List) -> object:
         """Generator: base collection, plus cache fill on success."""
@@ -486,7 +419,7 @@ class ClusterLoadGenerator:
 
     def _spawn_legit(
         self, i: int, spec: ClientClassSpec, offset: float,
-        sessions_limit: Optional[int],
+        sessions: Optional[int],
     ) -> ClusterClient:
         client = ClusterClient(
             self.sim,
@@ -500,12 +433,14 @@ class ClusterLoadGenerator:
             self.config,
             cache=self.cache,
             cache_tier=self.cache_tier,
-            sessions_limit=sessions_limit,
             telemetry=self.telemetry,
             wan_class=spec.name,
         )
         self.clients.append(client)
-        self.sim.process(client.run(start_delay=offset), name=f"client-{i}")
+        self.sim.process(
+            client.run(start_delay=offset, sessions=sessions),
+            name=f"client-{i}",
+        )
         return client
 
     def _spawn_attacker(

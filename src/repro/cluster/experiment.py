@@ -1,10 +1,12 @@
 """ClusterExperiment: N replicas + balancer + cache + WAN classes.
 
 One run builds, inside a single deterministic :class:`~repro.sim.core.
-Simulator`, a full front end: every replica gets its own
+Simulator`, a full front end: every replica is a
+:class:`~repro.core.experiment.SystemUnderTest` — its own
 :class:`~repro.osmodel.machine.Machine`, :class:`~repro.net.tcp.
-ListenSocket`, server instance (its own copy of the overload-control
-state, made by ``build_server``) and
+ListenSocket` and server instance (its own copy of the overload-control
+state, made by ``build_server``), built and measured as a single-server
+:class:`~repro.core.experiment.Experiment` builds its one — plus a tier
 :class:`~repro.metrics.collectors.MetricsHub`; the client side gets one
 shared :class:`~repro.cluster.balancer.LoadBalancer`, an optional
 :class:`~repro.cluster.cache.LruCache` tier, and one
@@ -22,8 +24,9 @@ Determinism contract (pinned in ``tests/test_cluster_experiment.py``):
   zero extra randomness.
 
 Every reply, error and connection lands in the aggregate hub and in
-the hub of the tier that served it (see
-:class:`~repro.cluster.clients.FanoutMetrics`).
+the hub of one tier (see :class:`~repro.cluster.clients.FanoutMetrics`,
+whose shared ``tier`` can credit a reply to another replica than the
+one that served it).
 
 The rolling-restart driver runs in simulated time via ``call_later``:
 drain (stop new routes), down (reset every connection still open on the
@@ -40,13 +43,11 @@ from ..http.files import FilePopulation
 from ..metrics.collectors import MetricsHub
 from ..metrics.report import RunMetrics
 from ..net.link import DuplexLink
-from ..net.tcp import ListenSocket
 from ..net.topology import WIRE_EFFICIENCY
-from ..osmodel.machine import Machine
 from ..sim.core import Simulator
 from ..sim.rng import RandomStreams
 from ..workload.surge import SurgeWorkload
-from ..core.experiment import build_server
+from ..core.experiment import SystemUnderTest
 from ..core.params import WorkloadSpec
 from ..core.runner import run_points
 from ..core.sweep import SweepResult
@@ -64,29 +65,35 @@ from .spec import (
 __all__ = ["ReplicaRuntime", "ClusterExperiment", "sweep_cluster"]
 
 
-class ReplicaRuntime:
-    """Everything one live replica owns inside a cluster run."""
+class ReplicaRuntime(SystemUnderTest):
+    """One live replica of a cluster run: its system under test, its tier
+    hub and the connections leased to it."""
 
-    __slots__ = (
-        "rid", "spec", "machine", "listener", "server", "metrics",
-        "live_conns",
-    )
+    __slots__ = ("rid", "metrics", "live_conns")
 
     def __init__(
         self,
-        rid: str,
-        spec: ReplicaSpec,
-        machine: Machine,
-        listener: ListenSocket,
-        server,
-        metrics: TierMetrics,
+        sim: Simulator,
+        rspec: ReplicaSpec,
+        streams: RandomStreams,
+        workload: WorkloadSpec,
+        recorder=None,
+        probe=None,
     ) -> None:
-        self.rid = rid
-        self.spec = spec
-        self.machine = machine
-        self.listener = listener
-        self.server = server
-        self.metrics = metrics
+        super().__init__(
+            sim, rspec.machine, rspec.server, recorder=recorder, probe=probe
+        )
+        self.rid = rspec.rid
+        # Replica streams key off (seed, rid), so a replica's reservoir
+        # seed survives any reordering of the spec.
+        rng = streams.stream(f"replica[{rspec.rid}]")
+        hub = MetricsHub(
+            sim,
+            warmup=workload.warmup,
+            duration=workload.duration,
+            stat_seed=int(rng.integers(1 << 31)),
+        )
+        self.metrics = TierMetrics(rspec.rid, hub)
         #: Connections currently leased to this replica (insertion-
         #: ordered dict as an ordered set) — reset wholesale on kill.
         self.live_conns: Dict = {}
@@ -121,43 +128,6 @@ class ClusterExperiment:
         self.telemetry = None
 
     # ------------------------------------------------------------------
-    def _build_replica(
-        self,
-        sim: Simulator,
-        rspec: ReplicaSpec,
-        streams: RandomStreams,
-        recorder,
-    ) -> ReplicaRuntime:
-        machine = Machine(sim, rspec.machine)
-        listener = ListenSocket(
-            sim,
-            machine,
-            costs=rspec.machine.base_costs(),
-            backlog=rspec.server.backlog,
-            recorder=recorder,
-            probe=(
-                self.telemetry.probe(rspec.rid)
-                if self.telemetry is not None
-                else None
-            ),
-        )
-        # build_server mounts a deep copy of the spec's overload control,
-        # so shed decisions never couple replicas or leak across points.
-        server = build_server(rspec.server, sim, machine, listener)
-        # Satellite: replica streams key off (seed, rid), so a replica's
-        # reservoir seed survives any reordering of the spec.
-        rep_rng = streams.stream(f"replica[{rspec.rid}]")
-        hub = MetricsHub(
-            sim,
-            warmup=self.workload.warmup,
-            duration=self.workload.duration,
-            stat_seed=int(rep_rng.integers(1 << 31)),
-        )
-        tier = TierMetrics(rspec.rid, hub)
-        return ReplicaRuntime(
-            rspec.rid, rspec, machine, listener, server, tier
-        )
-
     def _schedule_restart(
         self, sim: Simulator, balancer: LoadBalancer, runtime: ReplicaRuntime
     ) -> List[int]:
@@ -189,8 +159,20 @@ class ClusterExperiment:
             )
             self.recorder = self.telemetry.recorder
 
+        telemetry = self.telemetry
         runtimes = [
-            self._build_replica(sim, rspec, streams, self.recorder)
+            ReplicaRuntime(
+                sim,
+                rspec,
+                streams,
+                self.workload,
+                recorder=self.recorder,
+                probe=(
+                    telemetry.probe(rspec.rid)
+                    if telemetry is not None
+                    else None
+                ),
+            )
             for rspec in self.cluster.replicas
         ]
         by_rid = {rt.rid: rt for rt in runtimes}
@@ -269,14 +251,11 @@ class ClusterExperiment:
                 sim, balancer, by_rid[self.restart.rid]
             )
 
-        busy_at_start = {rt.rid: 0.0 for rt in runtimes}
-
-        def snap() -> None:
+        def snapshot() -> None:
             for rt in runtimes:
-                rt.machine.cpu._sync()
-                busy_at_start[rt.rid] = rt.machine.cpu.busy_time
+                rt.snapshot()
 
-        sim.call_later(self.workload.warmup, snap)
+        sim.call_later(self.workload.warmup, snapshot)
         end = self.workload.warmup + self.workload.duration
         sim.run(until=end)
 
@@ -292,10 +271,7 @@ class ClusterExperiment:
             "connections_handled": 0,
         }
         for rt in runtimes:
-            cpu = rt.machine.cpu
-            cpu._sync()
-            busy = cpu.busy_time - busy_at_start[rt.rid]
-            capacity = self.workload.duration * cpu.base_capacity
+            busy, capacity = rt.window_busy(self.workload.duration)
             total_busy += busy
             total_capacity += capacity
             util = min(1.0, busy / capacity if capacity else 0.0)
@@ -378,14 +354,6 @@ class ClusterExperiment:
             clients=self.workload.clients,
             cpu_utilization=cluster_util,
             server_stats=aggregate_stats,
-        )
-
-    # -- convenience ---------------------------------------------------------
-    def describe(self) -> str:
-        """One-line human-readable summary of the configuration."""
-        return (
-            f"{self.cluster.label} | {len(self.cluster.replicas)} replicas | "
-            f"{self.workload.clients} clients"
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..http.files import FilePopulation
 from ..metrics.collectors import MetricsHub
@@ -24,7 +25,7 @@ from ..workload.httperf import LoadGenerator
 from ..workload.surge import SurgeWorkload
 from .params import ServerSpec, WorkloadSpec
 
-__all__ = ["Experiment", "build_server"]
+__all__ = ["Experiment", "SystemUnderTest", "build_server"]
 
 
 def build_server(
@@ -43,19 +44,18 @@ def build_server(
     from ..servers.eventdriven import EventDrivenServer
     from ..servers.threadpool import ThreadPoolServer
 
-    costs = machine.spec.base_costs()
     overload = copy.deepcopy(spec.overload)
     if spec.kind == "nio":
         return EventDrivenServer(
             sim, machine, listener,
-            workers=spec.threads, jvm_factor=spec.jvm_factor, costs=costs,
+            workers=spec.threads, jvm_factor=spec.jvm_factor,
             selector_strategy=spec.selector_strategy, overload=overload,
         )
     if spec.kind == "httpd":
         return ThreadPoolServer(
             sim, machine, listener,
             pool_size=spec.threads, idle_timeout=spec.idle_timeout,
-            costs=costs, dynamic=spec.dynamic_pool, overload=overload,
+            dynamic=spec.dynamic_pool, overload=overload,
         )
     if spec.kind == "staged":
         from ..servers.staged import StagedServer
@@ -63,16 +63,62 @@ def build_server(
         return StagedServer(
             sim, machine, listener,
             threads_per_stage=spec.threads, jvm_factor=spec.jvm_factor,
-            costs=costs, overload=overload,
+            overload=overload,
         )
     if spec.kind == "amped":
         from ..servers.amped import AmpedServer
 
         return AmpedServer(
-            sim, machine, listener, helpers=spec.helpers, costs=costs,
-            overload=overload,
+            sim, machine, listener, helpers=spec.helpers, overload=overload,
         )
     raise ValueError(f"unknown server kind {spec.kind!r}")
+
+
+class SystemUnderTest:
+    """One server's machine, listen socket and server.
+
+    Both :class:`Experiment` and each cluster replica build their server
+    here.  The caller starts the server and schedules :meth:`snapshot`
+    at the end of warm-up; :meth:`window_busy` then gives the busy time
+    and capacity behind the measurement window's CPU utilisation.
+    """
+
+    __slots__ = ("machine", "listener", "server", "_busy_at_warmup")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        machine: MachineSpec,
+        server: ServerSpec,
+        recorder=None,
+        profiler=None,
+        probe=None,
+    ) -> None:
+        self.machine = Machine(sim, machine)
+        self.listener = ListenSocket(
+            sim,
+            self.machine,
+            backlog=server.backlog,
+            recorder=recorder,
+            profiler=profiler,
+            probe=probe,
+        )
+        self.server = build_server(server, sim, self.machine, self.listener)
+        self._busy_at_warmup = 0.0
+
+    def snapshot(self) -> None:
+        """Record the CPU busy time at the start of the window."""
+        cpu = self.machine.cpu
+        cpu._sync()
+        self._busy_at_warmup = cpu.busy_time
+
+    def window_busy(self, duration: float) -> Tuple[float, float]:
+        """CPU busy seconds since :meth:`snapshot`, and the CPU capacity
+        of a ``duration``-second window."""
+        cpu = self.machine.cpu
+        cpu._sync()
+        busy = cpu.busy_time - self._busy_at_warmup
+        return busy, duration * cpu.base_capacity
 
 
 @dataclass
@@ -96,7 +142,6 @@ class Experiment:
         """Build the testbed, run to steady state, return the measurements."""
         sim = Simulator()
         streams = RandomStreams(self.seed)
-        machine = Machine(sim, self.machine)
         if self.server.observe:
             # Fresh per run: spans and phase attribution never leak
             # between sweep points, and determinism is preserved (the
@@ -105,14 +150,14 @@ class Experiment:
 
             self.recorder = SpanRecorder(clock=lambda: sim.now)
             self.profiler = PhaseProfiler()
-        listener = ListenSocket(
+        sut = SystemUnderTest(
             sim,
-            machine,
-            costs=self.machine.base_costs(),
-            backlog=self.server.backlog,
+            self.machine,
+            self.server,
             recorder=self.recorder,
             profiler=self.profiler,
         )
+        listener = sut.listener
         network = Network(sim, self.network)
 
         # Memoized per (seed, n_files): every point of a sweep shares one
@@ -127,9 +172,7 @@ class Experiment:
         metrics = MetricsHub(
             sim, warmup=self.workload.warmup, duration=self.workload.duration
         )
-
-        server = build_server(self.server, sim, machine, listener)
-        server.start()
+        sut.server.start()
 
         fluid = self.workload.fluid
         if fluid is not None:
@@ -159,23 +202,12 @@ class Experiment:
             )
         generator.start(ramp=self.workload.effective_ramp)
 
-        # Snapshot CPU busy-time at the window edges for utilisation.
-        busy_at_start = [0.0]
-
-        def snap() -> None:
-            machine.cpu._sync()
-            busy_at_start[0] = machine.cpu.busy_time
-
-        sim.call_later(self.workload.warmup, snap)
+        sim.call_later(self.workload.warmup, sut.snapshot)
         end = self.workload.warmup + self.workload.duration
         sim.run(until=end)
 
-        machine.cpu._sync()
-        busy = machine.cpu.busy_time - busy_at_start[0]
-        cpu_util = busy / (
-            self.workload.duration * machine.cpu.base_capacity
-        )
-        stats = server.stats()
+        busy, capacity = sut.window_busy(self.workload.duration)
+        stats = sut.server.stats()
         stats["downlink_utilization"] = round(
             network.downlink_utilization(end), 4
         )
@@ -194,7 +226,7 @@ class Experiment:
             # Scheduler loss is capacity the CPU could not sell because
             # of thread overhead — estimated from the final degradation
             # factor over the measurement window (not a CPU burst).
-            cpu = machine.cpu
+            cpu = sut.machine.cpu
             loss = (
                 self.workload.duration
                 * cpu.base_capacity
@@ -205,7 +237,7 @@ class Experiment:
         return RunMetrics.from_hub(
             metrics,
             clients=self.workload.clients,
-            cpu_utilization=min(1.0, cpu_util),
+            cpu_utilization=min(1.0, busy / capacity),
             server_stats=stats,
         )
 

@@ -32,6 +32,21 @@ __all__ = [
     "replicated_table",
 ]
 
+#: Two-sided Student-t 97.5% quantiles for small sample sizes (df 1..30);
+#: beyond 30 the normal approximation is used.  Hard-coded so that no
+#: statistics package is needed.
+_T975 = (
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+)
+
+
+def _t975(df: int) -> float:
+    if df < 1:
+        raise ValueError("need at least two samples for a CI")
+    return _T975[df - 1] if df <= len(_T975) else 1.96
+
 
 @dataclass(frozen=True)
 class ReplicationPolicy:
@@ -95,10 +110,6 @@ class ReplicatedPoint:
         """Absolute Student-t 95% CI half-width of the mean throughput."""
         if self.n < 2:
             return float("inf")
-        # Imported here so that ``import repro`` does not load
-        # repro.analysis (about 10 ms of import time).
-        from ..analysis.stats import _t975
-
         return _t975(self.n - 1) * self.stdev_throughput / math.sqrt(self.n)
 
     def rel_halfwidth(self) -> float:

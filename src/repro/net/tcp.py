@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..osmodel.memory import MemoryExhausted
 from ..sim.core import Event, SimulationError, Simulator
@@ -433,13 +432,14 @@ class ListenSocket:
     :class:`~repro.servers.base.Server`.
     """
 
+    #: Kernel memory each accepted connection holds on the machine.
+    kernel_bytes_per_conn = 32 * 1024
+
     def __init__(
         self,
         sim: Simulator,
         machine: Machine,
-        costs: Optional[CostModel] = None,
         backlog: int = 511,
-        kernel_bytes_per_conn: int = 32 * 1024,
         overload=None,
         recorder=None,
         profiler=None,
@@ -447,8 +447,7 @@ class ListenSocket:
     ) -> None:
         self.sim = sim
         self.machine = machine
-        self.costs = costs or CostModel()
-        self.kernel_bytes_per_conn = kernel_bytes_per_conn
+        self.costs = machine.spec.base_costs()
         self.overload = overload
         #: Optional :class:`~repro.obs.SpanRecorder`: connections open a
         #: lifecycle span at creation and mark backlog entry/accept here.

@@ -18,12 +18,11 @@ timeouts), which are true-cancelled when their race settles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..http.messages import CHUNK_BYTES
 from ..net.selector import READ, WRITE, Selector
 from ..net.tcp import EOF, Connection, ListenSocket
-from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..sim.core import Simulator
 from ..sim.resources import Store
@@ -57,10 +56,9 @@ class AmpedServer(Server):
         machine: Machine,
         listener: ListenSocket,
         helpers: int = 2,
-        costs: Optional[CostModel] = None,
         overload=None,
     ) -> None:
-        super().__init__(sim, machine, listener, costs, overload)
+        super().__init__(sim, machine, listener, overload)
         if helpers < 1:
             raise ValueError("need at least one helper")
         self.helpers = helpers

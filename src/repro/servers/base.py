@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..net.tcp import ListenSocket
-from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..overload import OverloadControl
 from ..sim.core import Simulator
@@ -33,13 +32,12 @@ class Server:
         sim: Simulator,
         machine: Machine,
         listener: ListenSocket,
-        costs: Optional[CostModel] = None,
         overload: Optional[OverloadControl] = None,
     ) -> None:
         self.sim = sim
         self.machine = machine
         self.listener = listener
-        self.costs = costs or CostModel()
+        self.costs = machine.spec.base_costs()
         self.overload = overload if overload is not None else OverloadControl()
         if listener.overload is None:
             listener.overload = self.overload

@@ -24,12 +24,11 @@ true-cancel their losing timers when the race settles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..http.messages import CHUNK_BYTES
 from ..net.selector import READ, WRITE, Selector
 from ..net.tcp import EOF, Connection, ListenSocket
-from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..sim.core import Simulator
 from .base import Server
@@ -66,12 +65,11 @@ class EventDrivenServer(Server):
         listener: ListenSocket,
         workers: int = 1,
         jvm_factor: float = DEFAULT_JVM_FACTOR,
-        costs: Optional[CostModel] = None,
         selector_strategy: str = "shared",
         overload=None,
     ) -> None:
-        base_costs = (costs or CostModel()).scaled(jvm_factor)
-        super().__init__(sim, machine, listener, base_costs, overload)
+        super().__init__(sim, machine, listener, overload)
+        self.costs = self.costs.scaled(jvm_factor)
         if workers < 1:
             raise ValueError("need at least one worker thread")
         if selector_strategy not in ("shared", "partitioned"):

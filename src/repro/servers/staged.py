@@ -25,12 +25,11 @@ O(1) wheel unlink).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..http.messages import CHUNK_BYTES
 from ..net.selector import READ, Selector
 from ..net.tcp import EOF, Connection, ListenSocket
-from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..sim.core import Simulator
 from ..sim.resources import Store
@@ -64,11 +63,10 @@ class StagedServer(Server):
         listener: ListenSocket,
         threads_per_stage: int = 1,
         jvm_factor: float = DEFAULT_JVM_FACTOR,
-        costs: Optional[CostModel] = None,
         overload=None,
     ) -> None:
-        base_costs = (costs or CostModel()).scaled(jvm_factor)
-        super().__init__(sim, machine, listener, base_costs, overload)
+        super().__init__(sim, machine, listener, overload)
+        self.costs = self.costs.scaled(jvm_factor)
         if threads_per_stage < 1:
             raise ValueError("need at least one thread per stage")
         self.threads_per_stage = threads_per_stage

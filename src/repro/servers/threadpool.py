@@ -31,11 +31,8 @@ this pattern.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..http.messages import CHUNK_BYTES
 from ..net.tcp import EOF, Connection, ListenSocket
-from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..osmodel.memory import MemoryExhausted
 from ..osmodel.threads import ThreadLimitExceeded
@@ -57,7 +54,6 @@ class ThreadPoolServer(Server):
         listener: ListenSocket,
         pool_size: int = 4096,
         idle_timeout: float = 15.0,
-        costs: Optional[CostModel] = None,
         dynamic: bool = False,
         initial_threads: int = 64,
         min_spare: int = 25,
@@ -65,7 +61,7 @@ class ThreadPoolServer(Server):
         manager_interval: float = 1.0,
         overload=None,
     ) -> None:
-        super().__init__(sim, machine, listener, costs, overload)
+        super().__init__(sim, machine, listener, overload)
         if pool_size < 1:
             raise ValueError("pool size must be >= 1")
         if dynamic and not (0 < min_spare <= max_spare):

@@ -71,16 +71,11 @@ class _WheelNode:
     """One scheduled entry in a slot ring (also used as ring sentinel).
 
     ``ev`` is the staged Timeout, pushed into the heap as-is on flush.
+    There is no constructor: :meth:`TimingWheel.schedule` sets all five
+    slots at once, and a sentinel only ever has ``prev``/``nxt`` set.
     """
 
     __slots__ = ("time", "seq", "ev", "prev", "nxt")
-
-    def __init__(self) -> None:
-        self.time = 0.0
-        self.seq = 0
-        self.ev: Any = None
-        self.prev: Optional["_WheelNode"] = None
-        self.nxt: Optional["_WheelNode"] = None
 
 
 class TimingWheel:

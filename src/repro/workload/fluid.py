@@ -158,6 +158,7 @@ class _FluidSession:
     _connect = EmulatedClient._connect
     _send_group = EmulatedClient._send_group
     _collect_replies = EmulatedClient._collect_replies
+    _serve_locally = EmulatedClient._serve_locally
     _run_session = EmulatedClient._run_session
     _finish_span = EmulatedClient._finish_span
 

@@ -16,6 +16,11 @@ as used in the paper:
 
 Client start times are staggered over a ramp so the measurement window
 sees steady state rather than a synchronized thundering herd.
+
+:class:`EmulatedClient` holds the one session loop.  The cluster's
+:class:`~repro.cluster.clients.ClusterClient` and the fluid population's
+boundary sessions (:mod:`repro.workload.fluid`) run it unchanged, through
+the hooks the class docstring lists.
 """
 
 from __future__ import annotations
@@ -52,7 +57,13 @@ class HttperfConfig:
 
 
 class EmulatedClient:
-    """One emulated client looping sessions forever."""
+    """One emulated client looping sessions.
+
+    The session loop calls three methods a subclass may override:
+    :meth:`_connect` opens a connection, :meth:`_finish_span` runs on
+    every path that ends one, and :meth:`_serve_locally` answers the
+    requests that need no server.
+    """
 
     def __init__(
         self,
@@ -76,11 +87,14 @@ class EmulatedClient:
         self.sessions_attempted = 0
 
     # ------------------------------------------------------------------
-    def run(self, start_delay: float = 0.0):
-        """Generator: the client's eternal session loop."""
+    def run(self, start_delay: float = 0.0, sessions: Optional[int] = None):
+        """Generator: the client's session loop.
+
+        Endless unless ``sessions`` caps how many sessions it starts.
+        """
         if start_delay > 0.0:
             yield self.sim.timeout(start_delay)
-        while True:
+        while sessions is None or self.sessions_attempted < sessions:
             with self.rng as rng:
                 plan = self.workload.sample_session(rng)
             self.sessions_attempted += 1
@@ -91,7 +105,10 @@ class EmulatedClient:
 
     # ------------------------------------------------------------------
     def _finish_span(self, conn: Optional[Connection], status: str) -> None:
-        """Terminate the connection's observability span (if any)."""
+        """Terminate the connection's observability span (if any).
+
+        Every path that ends a connection calls it exactly once.
+        """
         if conn is not None and conn.span is not None:
             conn.span.recorder.finish(conn.span, status)
 
@@ -128,24 +145,42 @@ class EmulatedClient:
                     return None, None
         return conn, None
 
+    def _serve_locally(self, group: List) -> object:
+        """Generator: answer the requests that need no server; returns
+        the rest.  A plain client answers none of them."""
+        return group
+        yield  # pragma: no cover - makes this a generator
+
     def _run_session(self, plan: SessionPlan) -> object:
-        """Generator: execute one session; returns True if it completed."""
-        conn = yield from self._connect()
-        if conn is None:
-            return False
+        """Generator: execute one session; returns True if it completed.
+
+        The connection opens at the first group that still has a request
+        for the server, and carries the rest of the session.
+        """
+        groups = plan.groups
+        last = len(groups) - 1
+        conn = None
         ok = True
-        for group_index, group in enumerate(plan.groups):
-            conn, pendings = yield from self._send_group(conn, group)
-            if pendings is None:
-                ok = False
-                break
-            failed = yield from self._collect_replies(conn, pendings)
-            if failed:
-                conn = None
-                ok = False
-                break
-            if group_index < len(plan.groups) - 1:
-                yield self.sim.timeout(plan.think_times[group_index])
+        # An index loop: an iterator would stay alive in every session's
+        # frame while it waits on its SYN.
+        i = 0
+        while i <= last:
+            requests = yield from self._serve_locally(groups[i])
+            if requests:
+                if conn is None:
+                    conn = yield from self._connect()
+                    if conn is None:
+                        return False
+                conn, pendings = yield from self._send_group(conn, requests)
+                if pendings is None:
+                    ok = False
+                    break
+                failed = yield from self._collect_replies(conn, pendings)
+                if failed:
+                    return False
+            if i < last:
+                yield self.sim.timeout(plan.think_times[i])
+            i += 1
         if conn is not None:
             conn.client_close()
             self._finish_span(conn, "closed")

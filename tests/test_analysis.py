@@ -3,12 +3,10 @@ against analytic queueing results and operational laws."""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
     LawCheck,
-    Replication,
     ServiceEstimate,
     bandwidth_law,
     capacity_replies_per_s,
@@ -17,16 +15,20 @@ from repro.analysis import (
     mmm_wait_time,
     mser_truncation,
     ps_response_time,
-    replicate,
     saturation_clients,
-    summarize_replications,
     utilization,
     utilization_law,
     validate_run,
 )
-from repro.analysis.stats import DEFAULT_GETTERS
-from repro.core import Experiment, ServerSpec, WorkloadSpec
+from repro.core import (
+    PointSpec,
+    ReplicationPolicy,
+    ServerSpec,
+    WorkloadSpec,
+    run_replicated,
+)
 from repro.http.messages import DEFAULT_RESPONSE_HEAD_BYTES
+from repro.net import NetworkSpec
 from repro.osmodel import CostModel, MachineSpec
 
 COSTS = CostModel()
@@ -98,15 +100,20 @@ def test_saturation_clients():
 # simulator vs analytic cross-validation
 # ---------------------------------------------------------------------------
 
-def run_nio(clients, seed=42, cpu_speed=0.05):
-    return Experiment(
+def nio_point(clients, seed=42, cpu_speed=0.05):
+    return PointSpec(
         server=ServerSpec.nio(1),
         workload=WorkloadSpec(
             clients=clients, duration=12.0, warmup=16.0, n_files=200
         ),
         machine=MachineSpec(cpus=1, cpu_speed=cpu_speed),
+        network=NetworkSpec.gigabit(),
         seed=seed,
-    ).run()
+    )
+
+
+def run_nio(clients, seed=42, cpu_speed=0.05):
+    return nio_point(clients, seed, cpu_speed).experiment().run()
 
 
 def test_simulated_capacity_matches_analytic_prediction():
@@ -160,32 +167,12 @@ def test_validate_run_bundles_checks():
 # replication statistics
 # ---------------------------------------------------------------------------
 
-def test_replication_summary_statistics():
-    rep = Replication("x", np.array([10.0, 12.0, 11.0, 13.0]))
-    assert rep.n == 4
-    assert rep.mean == pytest.approx(11.5)
-    assert rep.std > 0
-    assert rep.ci_halfwidth() > 0
-    assert "95% CI" in rep.summary()
-
-
-def test_replication_single_sample_has_no_ci():
-    rep = Replication("x", np.array([5.0]))
-    assert rep.ci_halfwidth() == 0.0
-    assert rep.relative_halfwidth() == 0.0
-
-
 def test_replicate_across_seeds_tightens_with_more_seeds():
-    def run(seed):
-        return run_nio(clients=40, seed=seed, cpu_speed=0.2)
-
-    reps = replicate(run, seeds=range(4), getters=DEFAULT_GETTERS)
-    thr = reps["throughput_rps"]
-    assert thr.n == 4
+    policy = ReplicationPolicy(min_replicates=4, max_replicates=4)
+    (point,) = run_replicated([nio_point(40, cpu_speed=0.2)], policy=policy)
+    assert point.n == 4
     # Throughput across seeds is tight (same offered load).
-    assert thr.relative_halfwidth() < 0.25
-    text = summarize_replications(reps)
-    assert "throughput_rps" in text
+    assert point.rel_halfwidth() < 0.25
 
 
 def test_law_check_ratio_edge_cases():

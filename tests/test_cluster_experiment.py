@@ -9,6 +9,8 @@ histogram equal to the exact merge of the per-replica histograms.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -17,6 +19,7 @@ from repro.cluster import (
     ClusterPointSpec,
     ClusterSpec,
     replica,
+    straggler_cluster,
     sweep_cluster,
     uniform_cluster,
 )
@@ -174,3 +177,54 @@ def test_cache_tier_serves_hits_without_replicas():
         stats["replica.r0.replies"] + stats["replica.r1.replies"]
     )
     assert metrics.replies == replica_replies + stats["cache.replies"]
+
+
+def test_cached_sessions_open_no_connection():
+    """A client connects only for a group with a request for a server.
+
+    Twenty files fit the cache, so once warm-up has filled it every
+    request is a hit and no session opens a connection.
+    """
+    cache_spec = CacheSpec(capacity_bytes=64 * 1024 * 1024)
+    exp = ClusterExperiment(
+        cluster=uniform_cluster(n=2, cpu_speed=0.3, cache=cache_spec),
+        workload=WorkloadSpec(
+            clients=16, duration=4.0, warmup=6.0, n_files=20
+        ),
+        seed=7,
+    )
+    metrics = exp.run()
+    assert metrics.replies == 72
+    assert metrics.server_stats["cache.replies"] == metrics.replies
+    assert metrics.connections_established == 0
+
+
+# -- known defect: per-replica attribution -------------------------------------
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="every client shares one FanoutMetrics, so a reply is credited "
+    "to the replica any client routed to last",
+)
+def test_replica_rows_credit_the_serving_replica():
+    """Each replica's row counts the replies its own connections carried.
+
+    The tracer registers every connection's replica when it is routed,
+    so its in-window traces per replica are the oracle.
+    """
+    cluster = dataclasses.replace(
+        straggler_cluster(policy="least_connections"), observe=True
+    )
+    workload = WorkloadSpec(clients=30, duration=3.0, warmup=1.5)
+    exp = ClusterExperiment(cluster=cluster, workload=workload, seed=7)
+    metrics = exp.run()
+    tracer = exp.telemetry.tracer
+    assert tracer.dropped == 0
+    end = workload.warmup + workload.duration
+    served = {rid: 0 for rid in exp.replica_metrics}
+    for trace in tracer.traces:
+        if trace.rid in served and workload.warmup <= trace.t_done < end:
+            served[trace.rid] += 1
+    assert sum(served.values()) == metrics.replies
+    credited = {rid: row.replies for rid, row in exp.replica_metrics.items()}
+    assert credited == served

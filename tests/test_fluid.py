@@ -173,9 +173,9 @@ def test_drop_flood_batches_counters_and_reject_cost():
     from repro.osmodel.machine import Machine, MachineSpec
 
     sim = Simulator()
-    machine = Machine(sim, MachineSpec(cpus=1))
     spec = MachineSpec(cpus=1)
-    listener = ListenSocket(sim, machine, costs=spec.base_costs(), backlog=4)
+    machine = Machine(sim, spec)
+    listener = ListenSocket(sim, machine, backlog=4)
     assert not listener.would_drop_syn  # empty backlog, nothing waiting
     listener.drop_flood(1000)
     sim.run()

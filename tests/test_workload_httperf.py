@@ -78,6 +78,21 @@ def test_client_completes_sessions_and_records_metrics():
     assert client.sessions_attempted >= metrics.sessions_completed
 
 
+def test_client_stops_after_its_session_count():
+    sim, _m, listener, duplex, workload, metrics = make_stack()
+    echo_server(sim, listener)
+    client = EmulatedClient(
+        sim, 0, listener, duplex, workload, metrics,
+        RandomStreams(17).spawn("client", 0),
+    )
+    proc = sim.process(client.run(sessions=2))
+    sim.run(until=600.0)
+    assert not proc.is_alive
+    assert client.sessions_attempted == 2
+    assert metrics.sessions_completed == 2
+    assert metrics.errors == {}
+
+
 def test_client_timeout_on_silent_server():
     sim, _m, listener, duplex, workload, metrics = make_stack()
 
