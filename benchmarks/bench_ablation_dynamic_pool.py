@@ -7,13 +7,8 @@ fewer threads; at high load it converges to the static configuration.
 """
 
 
-def test_ablation_dynamic_pool(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.ablation_dynamic_pool, rounds=1, iterations=1
-    )
-    emit("ablation_dynamic_pool", figs)
-
-    (fig,) = figs
+def test_ablation_dynamic_pool(regenerate):
+    (fig,) = regenerate("ablation_dynamic_pool")
     by_label = {s.label: s for s in fig.series}
     static = by_label["static 4096"]
     dynamic = by_label["dynamic (max 4096)"]

@@ -6,13 +6,8 @@ shorter timeouts reset more clients; an infinite timeout resets none.
 """
 
 
-def test_ablation_idle_timeout(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.ablation_idle_timeout, rounds=1, iterations=1
-    )
-    emit("ablation_idle_timeout", figs)
-
-    (fig,) = figs
+def test_ablation_idle_timeout(regenerate):
+    (fig,) = regenerate("ablation_idle_timeout")
     by_label = {s.label: s for s in fig.series}
     top = lambda label: by_label[label].y[-1]
 

@@ -9,13 +9,8 @@ resets, flat connection time).
 """
 
 
-def test_ablation_selector_strategy(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.ablation_selector_strategy, rounds=1, iterations=1
-    )
-    emit("ablation_selector_strategy", figs)
-
-    (fig,) = figs
+def test_ablation_selector_strategy(regenerate):
+    (fig,) = regenerate("ablation_selector_strategy")
     by_label = {s.label: s for s in fig.series}
     shared = by_label["shared selector"]
     partitioned = by_label["partitioned selectors"]

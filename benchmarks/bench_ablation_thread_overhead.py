@@ -7,13 +7,8 @@ the mechanism (not the workload) produces the effect.
 """
 
 
-def test_ablation_thread_overhead(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.ablation_thread_overhead, rounds=1, iterations=1
-    )
-    emit("ablation_thread_overhead", figs)
-
-    (fig,) = figs
+def test_ablation_thread_overhead(regenerate):
+    (fig,) = regenerate("ablation_thread_overhead")
     by_label = {s.label: s for s in fig.series}
     with_ovh = max(by_label["6000t"].y)
     without_ovh = max(by_label["6000t no-ovh"].y)

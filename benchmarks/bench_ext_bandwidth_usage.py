@@ -8,13 +8,8 @@ linear in achieved throughput.  This bench reuses the figure-1 sweeps.
 import numpy as np
 
 
-def test_extension_bandwidth_usage(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.extension_bandwidth_usage, rounds=1, iterations=1
-    )
-    emit("extension_bandwidth_usage", figs)
-
-    (fig,) = figs
+def test_extension_bandwidth_usage(regenerate, figure_runner):
+    (fig,) = regenerate("extension_bandwidth_usage")
     for series in fig.series:
         # Paper: "the observed bandwidth usage was always under 40 MB/s".
         assert max(series.y) < 60.0

@@ -18,13 +18,8 @@ Acceptance for the extension, asserted below:
 """
 
 
-def test_extension_cluster_scaling(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.extension_cluster_scaling, rounds=1, iterations=1
-    )
-    emit("extension_cluster_scaling", figs)
-
-    goodput, p99, flash = figs
+def test_extension_cluster_scaling(regenerate):
+    goodput, p99, flash = regenerate("extension_cluster_scaling")
     assert goodput.figure_id == "extCLa"
     assert p99.figure_id == "extCLb"
     assert flash.figure_id == "extCLc"

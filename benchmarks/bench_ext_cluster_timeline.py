@@ -24,13 +24,8 @@ from pathlib import Path
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def test_extension_cluster_timeline(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.extension_cluster_timeline, rounds=1, iterations=1
-    )
-    emit("extension_cluster_timeline", figs)
-
-    tiers, overlay = figs
+def test_extension_cluster_timeline(regenerate, figure_runner):
+    tiers, overlay = regenerate("extension_cluster_timeline")
     assert tiers.figure_id == "extCTa"
     assert overlay.figure_id == "extCTb"
 

@@ -21,13 +21,8 @@ Acceptance, asserted below:
 import pytest
 
 
-def test_extension_latency_breakdown(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.extension_latency_breakdown, rounds=1, iterations=1
-    )
-    emit("extension_latency_breakdown", figs)
-
-    queue, service = figs
+def test_extension_latency_breakdown(regenerate):
+    queue, service = regenerate("extension_latency_breakdown")
     assert queue.figure_id == "extLBa"
     assert service.figure_id == "extLBb"
     q = {s.label: s for s in queue.series}

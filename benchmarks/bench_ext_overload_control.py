@@ -15,13 +15,8 @@ Acceptance for the extension, asserted below:
 """
 
 
-def test_extension_overload_control(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.extension_overload_control, rounds=1, iterations=1
-    )
-    emit("extension_overload_control", figs)
-
-    resets, timeouts, goodput = figs
+def test_extension_overload_control(regenerate):
+    resets, timeouts, goodput = regenerate("extension_overload_control")
     assert resets.figure_id == "extOCa"
     r = {s.label: s for s in resets.series}
     t = {s.label: s for s in timeouts.series}

@@ -8,13 +8,8 @@ connection times flat.
 """
 
 
-def test_extension_staged_smp(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(
-        figure_runner.extension_staged_smp, rounds=1, iterations=1
-    )
-    emit("extension_staged_smp", figs)
-
-    (fig,) = figs
+def test_extension_staged_smp(regenerate):
+    (fig,) = regenerate("extension_staged_smp")
     by_label = {s.label: s for s in fig.series}
     staged_peak = max(by_label["staged-2w"].y)
     nio_peak = max(by_label["nio-2w"].y)

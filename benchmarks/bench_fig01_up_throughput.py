@@ -7,11 +7,8 @@ nio's best configurations reach a comparable peak with 1-2 threads.
 """
 
 
-def test_figure_1_up_throughput(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_1, rounds=1, iterations=1)
-    emit("figure_1", figs)
-
-    nio, httpd = figs
+def test_figure_1_up_throughput(regenerate):
+    nio, httpd = regenerate("figure_1")
     assert len(nio.series) == 3
     assert len(httpd.series) == 4
 

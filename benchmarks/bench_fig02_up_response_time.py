@@ -6,11 +6,8 @@ because timed-out/reset victims are excluded (httperf semantics).
 """
 
 
-def test_figure_2_up_response_time(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_2, rounds=1, iterations=1)
-    emit("figure_2", figs)
-
-    nio, httpd = figs
+def test_figure_2_up_response_time(regenerate):
+    nio, httpd = regenerate("figure_2")
     # nio response time grows with load.
     one_worker = nio.series[0]
     assert one_worker.y[-1] > one_worker.y[0]

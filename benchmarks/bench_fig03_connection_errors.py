@@ -6,11 +6,8 @@ client timeouts than nio; nio produces exactly zero resets.
 """
 
 
-def test_figure_3_connection_errors(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_3, rounds=1, iterations=1)
-    emit("figure_3", figs)
-
-    timeouts, resets = figs
+def test_figure_3_connection_errors(regenerate):
+    timeouts, resets = regenerate("figure_3")
     nio_resets = next(s for s in resets.series if s.label == "nio")
     httpd_resets = next(s for s in resets.series if s.label == "httpd")
 

@@ -6,11 +6,8 @@ their own limits (or not at all within the swept range).
 """
 
 
-def test_figure_4_connection_time(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_4, rounds=1, iterations=1)
-    emit("figure_4", figs)
-
-    (fig,) = figs
+def test_figure_4_connection_time(regenerate):
+    (fig,) = regenerate("figure_4")
     nio = next(s for s in fig.series if s.label.startswith("NIO"))
     httpd_896 = next(s for s in fig.series if "896" in s.label)
 

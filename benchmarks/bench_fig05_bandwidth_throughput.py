@@ -9,11 +9,8 @@ the CPU is the bottleneck and both reach far higher reply rates.
 from repro.core import find_crossover
 
 
-def test_figure_5_bandwidth_throughput(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_5, rounds=1, iterations=1)
-    emit("figure_5", figs)
-
-    (fig,) = figs
+def test_figure_5_bandwidth_throughput(regenerate):
+    (fig,) = regenerate("figure_5")
     by_label = {s.label: s for s in fig.series}
 
     nio_100 = by_label["NIO 100Mbps"]

@@ -7,11 +7,8 @@ many error victims).
 """
 
 
-def test_figure_6_bandwidth_response(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_6, rounds=1, iterations=1)
-    emit("figure_6", figs)
-
-    (fig,) = figs
+def test_figure_6_bandwidth_response(regenerate):
+    (fig,) = regenerate("figure_6")
     by_label = {s.label: s for s in fig.series}
 
     nio_100 = by_label["NIO 100Mbps"]

@@ -6,11 +6,8 @@ paper's pick); httpd with 2048/4096/6000 threads shows 4096 ~ 6000 with
 """
 
 
-def test_figure_7_smp_throughput(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_7, rounds=1, iterations=1)
-    emit("figure_7", figs)
-
-    nio, httpd = figs
+def test_figure_7_smp_throughput(regenerate):
+    nio, httpd = regenerate("figure_7")
     assert len(nio.series) == 3
     assert len(httpd.series) == 3
 

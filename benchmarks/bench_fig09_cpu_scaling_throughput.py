@@ -5,11 +5,8 @@ from the uniprocessor to the 4-way SMP (Linux 2.4 / JVM-era SMP
 efficiency), and the two servers' SMP values sit in the same range.
 """
 
-def test_figure_9_cpu_scaling_throughput(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_9, rounds=1, iterations=1)
-    emit("figure_9", figs)
-
-    nio, httpd = figs
+def test_figure_9_cpu_scaling_throughput(regenerate):
+    nio, httpd = regenerate("figure_9")
 
     # Compare where both systems are stabilized (the top of the sweep),
     # as the paper does: "the throughput obtained by both servers on the

@@ -6,9 +6,8 @@ queues).
 """
 
 
-def test_figure_10_cpu_scaling_response(figure_runner, benchmark, emit):
-    figs = benchmark.pedantic(figure_runner.figure_10, rounds=1, iterations=1)
-    emit("figure_10", figs)
+def test_figure_10_cpu_scaling_response(regenerate):
+    figs = regenerate("figure_10")
 
     for fig in figs:
         up = next(s for s in fig.series if s.label == "UP")

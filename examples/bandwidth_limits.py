@@ -16,8 +16,8 @@ from repro.core import FigureRunner, find_crossover
 def main() -> None:
     runner = FigureRunner(verbose=True)  # the quick profile
 
-    (fig5,) = runner.figure_5()
-    (fig6,) = runner.figure_6()
+    (fig5,) = runner.figure("figure_5")
+    (fig6,) = runner.figure("figure_6")
     print()
     print(fig5.table())
     print()

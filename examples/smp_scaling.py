@@ -11,6 +11,10 @@ Usage::
 """
 
 from repro.core import (
+    BEST_HTTPD,
+    BEST_NIO_SMP,
+    BEST_NIO_UP,
+    NIO_SMP_WORKERS,
     FigureRunner,
     SMP_GIGABIT,
     ServerSpec,
@@ -23,13 +27,15 @@ from repro.core import (
 def main() -> None:
     runner = FigureRunner(verbose=True)  # the quick profile
 
-    for figs in (runner.figure_7(), runner.figure_8()):
-        for fig in figs:
+    for name in ("figure_7", "figure_8"):
+        for fig in runner.figure(name):
             print()
             print(fig.table())
 
     # Section 5.1: best SMP configurations.
-    nio_smp = [runner.sweep(ServerSpec.nio(w), SMP_GIGABIT) for w in (2, 3, 4)]
+    nio_smp = [
+        runner.sweep(ServerSpec.nio(w), SMP_GIGABIT) for w in NIO_SMP_WORKERS
+    ]
     winner, ranking = best_configuration(nio_smp)
     print(f"\nbest nio SMP configuration: {winner.label}")
     for label, capacity in ranking:
@@ -38,8 +44,8 @@ def main() -> None:
     # Section 5.2: scaling factors 1 -> 4 CPUs.
     print()
     for name, up_spec, smp_spec in (
-        ("nio", ServerSpec.nio(1), ServerSpec.nio(2)),
-        ("httpd", ServerSpec.httpd(4096), ServerSpec.httpd(4096)),
+        ("nio", BEST_NIO_UP, BEST_NIO_SMP),
+        ("httpd", BEST_HTTPD, BEST_HTTPD),
     ):
         up = runner.sweep(up_spec, UP_GIGABIT)
         smp = runner.sweep(smp_spec, SMP_GIGABIT)

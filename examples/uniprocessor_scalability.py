@@ -14,6 +14,8 @@ Usage::
 """
 
 from repro.core import (
+    HTTPD_UP_POOLS,
+    NIO_UP_WORKERS,
     FigureRunner,
     ServerSpec,
     UP_GIGABIT,
@@ -24,23 +26,17 @@ from repro.core import (
 def main() -> None:
     runner = FigureRunner(verbose=True)  # the quick profile
 
-    for figs in (
-        runner.figure_1(),
-        runner.figure_2(),
-        runner.figure_3(),
-        runner.figure_4(),
-    ):
-        for fig in figs:
+    for name in ("figure_1", "figure_2", "figure_3", "figure_4"):
+        for fig in runner.figure(name):
             print()
             print(fig.table())
 
     # Section 4.1's configuration study: pick the best of each family.
     nio_sweeps = [
-        runner.sweep(ServerSpec.nio(w), UP_GIGABIT) for w in (1, 4, 8)
+        runner.sweep(ServerSpec.nio(w), UP_GIGABIT) for w in NIO_UP_WORKERS
     ]
     httpd_sweeps = [
-        runner.sweep(ServerSpec.httpd(p), UP_GIGABIT)
-        for p in (512, 896, 4096, 6000)
+        runner.sweep(ServerSpec.httpd(p), UP_GIGABIT) for p in HTTPD_UP_POOLS
     ]
     print()
     for family, sweeps in (("nio", nio_sweeps), ("httpd", httpd_sweeps)):

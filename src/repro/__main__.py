@@ -313,34 +313,10 @@ def _print_cache_summary(store=None) -> None:
         print(f"[caches] {store.summary()}")
 
 
-def _run_profiled(fn):
-    """Run ``fn`` under cProfile; print the top 20 by cumulative time.
-
-    The profile prints even when ``fn`` raises, so a run that dies deep
-    in the kernel still shows where the time went.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        return fn()
-    finally:
-        profiler.disable()
-        print("\n-- cProfile: top 20 by cumulative time ---------------------")
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(20)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     with _usage_errors(args):
         point = _point(args, args.clients)
-    experiment = point.experiment()
-    if args.profile:
-        metrics = _run_profiled(experiment.run)
-    else:
-        metrics = experiment.run()
+    metrics = point.experiment().run()
     for key, value in metrics.row().items():
         print(f"{key:>12s}: {value}")
     if args.stats:
@@ -702,7 +678,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         print("figure number must be 1-10", file=sys.stderr)
         return 2
     runner = _figure_runner(args)
-    figs = getattr(runner, f"figure_{args.number}")()
+    figs = runner.figure(f"figure_{args.number}")
     for fig in figs:
         print()
         print(fig.table())
@@ -718,9 +694,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
     import json
 
     runner = _figure_runner(args)
-    all_figs = runner.all_figures()
-    for name in sorted(all_figs, key=lambda n: int(n.split("_")[1])):
-        for fig in all_figs[name]:
+    all_figs = runner.run_figures()
+    for figs in all_figs.values():
+        for fig in figs:
             print()
             print(fig.table())
     if args.json:
@@ -739,48 +715,45 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Benchmark the pipeline itself (see repro.core.perf)."""
     from .core import perf
 
-    def bench() -> int:
-        kernel = perf.measure_kernel(label=args.label)
-        perf.write_json(kernel, args.kernel_out)
-        for name, row in kernel["benchmarks"].items():
-            print(f"[kernel] {name:>20s}: "
-                  f"{row['events_per_second']:>12,.0f} ev/s")
-        print(f"wrote {args.kernel_out}")
+    kernel = perf.measure_kernel(label=args.label)
+    perf.write_json(kernel, args.kernel_out)
+    for name, row in kernel["benchmarks"].items():
+        print(f"[kernel] {name:>20s}: "
+              f"{row['events_per_second']:>12,.0f} ev/s")
+    print(f"wrote {args.kernel_out}")
 
-        if not args.skip_scale:
-            scale = perf.measure_scale(label=args.label)
-            for point in scale["points"]:
-                rss_mb = point["peak_rss_bytes"] / (1024 * 1024)
-                print(
-                    f"[scale] {point['clients']:>9,d} sessions: "
-                    f"{point['wall_seconds']:7.1f} s wall, "
-                    f"{rss_mb:7.0f} MB peak RSS, "
-                    f"{point['row']['replies/s']:>9,.1f} replies/s, "
-                    f"{point['row']['timeout/s']:>10,.1f} timeout/s"
-                )
-            perf.write_json(scale, args.scale_out)
-            print(f"wrote {args.scale_out}")
-
-        if not args.skip_figures:
-            report = perf.measure_figures(
-                profile=args.profile, jobs=args.jobs,
-                label=args.label, store_dir=_store_dir(args),
+    if not args.skip_scale:
+        scale = perf.measure_scale(label=args.label)
+        for point in scale["points"]:
+            rss_mb = point["peak_rss_bytes"] / (1024 * 1024)
+            print(
+                f"[scale] {point['clients']:>9,d} sessions: "
+                f"{point['wall_seconds']:7.1f} s wall, "
+                f"{rss_mb:7.0f} MB peak RSS, "
+                f"{point['row']['replies/s']:>9,.1f} replies/s, "
+                f"{point['row']['timeout/s']:>10,.1f} timeout/s"
             )
-            store = report["store"]
-            cold = " (pre-warmed store)" if store["prewarmed"] else ""
-            print(f"[figures] serial   {report['serial_seconds']:8.2f} s"
-                  f"{cold}")
-            print(f"[figures] jobs={report['jobs']:<3d} "
-                  f"{report['parallel_seconds']:8.2f} s")
-            print(f"[figures] speedup  {report['speedup']:8.2f}x")
-            print(f"[figures] warm     {store['warm_seconds']:8.2f} s "
-                  f"({store['warm_speedup']:.1f}x vs cold, "
-                  f"{store['warm_stats']['hits']} store hits)")
-            perf.write_json(report, args.figures_out)
-            print(f"wrote {args.figures_out}")
-        return 0
+        perf.write_json(scale, args.scale_out)
+        print(f"wrote {args.scale_out}")
 
-    return _run_profiled(bench) if args.cprofile else bench()
+    if not args.skip_figures:
+        report = perf.measure_figures(
+            profile=args.profile, jobs=args.jobs,
+            label=args.label, store_dir=_store_dir(args),
+        )
+        store = report["store"]
+        cold = " (pre-warmed store)" if store["prewarmed"] else ""
+        print(f"[figures] serial   {report['serial_seconds']:8.2f} s"
+              f"{cold}")
+        print(f"[figures] jobs={report['jobs']:<3d} "
+              f"{report['parallel_seconds']:8.2f} s")
+        print(f"[figures] speedup  {report['speedup']:8.2f}x")
+        print(f"[figures] warm     {store['warm_seconds']:8.2f} s "
+              f"({store['warm_speedup']:.1f}x vs cold, "
+              f"{store['warm_stats']['hits']} store hits)")
+        perf.write_json(report, args.figures_out)
+        print(f"wrote {args.figures_out}")
+    return 0
 
 
 def parse_age(text: str) -> float:
@@ -864,9 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="client count; k/M suffixes allowed (250k, 1M)")
     p_run.add_argument("--stats", action="store_true",
                        help="also print server-side counters")
-    p_run.add_argument("--profile", action="store_true",
-                       help="run under cProfile and print the top 20 "
-                            "functions by cumulative time")
     p_run.set_defaults(fn=cmd_run, parser=p_run)
 
     p_obs = sub.add_parser(
@@ -1065,11 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="only run the kernel micro-benchmarks")
     p_bench.add_argument("--skip-scale", action="store_true",
                          help="skip the fluid-population scale sweep")
-    p_bench.add_argument("--cprofile", action="store_true",
-                         help="run under cProfile and print the top 20 "
-                              "functions by cumulative time (--profile "
-                              "already names the measurement profile "
-                              "here, hence the different spelling)")
     p_bench.add_argument(
         "--jobs", type=int, default=0, metavar="N",
         help="worker processes for the parallel figure pass (default 0 = "

@@ -3,9 +3,7 @@
 from .compare import (
     best_configuration,
     find_crossover,
-    peak_throughput,
     plateau_throughput,
-    relative_peak,
     scaling_factor,
 )
 from .experiment import Experiment, build_server
@@ -47,9 +45,7 @@ from .sweep import SweepResult, sweep_clients
 __all__ = [
     "best_configuration",
     "find_crossover",
-    "peak_throughput",
     "plateau_throughput",
-    "relative_peak",
     "scaling_factor",
     "Experiment",
     "build_server",

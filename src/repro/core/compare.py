@@ -1,4 +1,4 @@
-"""Cross-configuration analysis: peaks, crossovers, scaling factors.
+"""Cross-configuration analysis: plateaus, crossovers, scaling factors.
 
 These are the quantities the paper's prose claims are made of ("nio with
 one worker matches httpd with 4096 threads", "SMP doubles UP throughput",
@@ -13,18 +13,11 @@ from typing import List, Optional, Sequence, Tuple
 from .sweep import SweepResult
 
 __all__ = [
-    "peak_throughput",
     "plateau_throughput",
     "scaling_factor",
     "find_crossover",
     "best_configuration",
-    "relative_peak",
 ]
-
-
-def peak_throughput(sweep: SweepResult) -> float:
-    """Maximum replies/s across the sweep."""
-    return sweep.peak_throughput
 
 
 def plateau_throughput(sweep: SweepResult, top_k: int = 3) -> float:
@@ -37,12 +30,6 @@ def scaling_factor(up: SweepResult, smp: SweepResult) -> float:
     """SMP/UP capacity ratio (the paper's ~2x from 1 to 4 CPUs)."""
     base = plateau_throughput(up)
     return plateau_throughput(smp) / base if base > 0 else 0.0
-
-
-def relative_peak(a: SweepResult, b: SweepResult) -> float:
-    """Capacity of ``a`` relative to ``b`` (1.0 = identical)."""
-    base = plateau_throughput(b)
-    return plateau_throughput(a) / base if base > 0 else 0.0
 
 
 def find_crossover(

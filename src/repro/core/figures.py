@@ -1,6 +1,8 @@
 """Regeneration of every figure in the paper's evaluation.
 
-Each ``figure_N`` method reproduces the data behind paper figure N (the
+Every sweep-backed figure is data: :data:`FIGURES` maps each generator
+name (``"figure_3"``, ``"ablation_idle_timeout"``, ...) to its
+subfigure rows, and :meth:`FigureRunner.figure` builds any of them (the
 paper's evaluation is entirely figures; there are no numeric tables).
 Runs are cached by (server, scenario, sweep profile), so e.g. figure 2
 reuses figure 1's runs and figures 3-4 reuse the best-configuration
@@ -19,7 +21,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..metrics.report import RunMetrics, format_table
 from ..osmodel.machine import MachineSpec
+from ..overload import LIFO, CoDelShedder, OverloadControl, TokenBucket
 from .params import (
+    BEST_HTTPD,
+    BEST_NIO_SMP,
+    BEST_NIO_UP,
     HTTPD_SMP_POOLS,
     HTTPD_UP_POOLS,
     NIO_SMP_WORKERS,
@@ -41,7 +47,14 @@ from .sweep import SweepResult, sweep_clients
 if TYPE_CHECKING:  # the cluster package imports this one
     from ..cluster.spec import ClusterSpec, FlashCrowdSpec
 
-__all__ = ["Series", "FigureData", "FigureRunner", "PAPER_FIGURES"]
+__all__ = [
+    "Series",
+    "FigureData",
+    "Subfigure",
+    "FIGURES",
+    "FigureRunner",
+    "PAPER_FIGURES",
+]
 
 
 # -- metric getters ----------------------------------------------------------
@@ -64,6 +77,10 @@ def _timeout_rate(m: RunMetrics) -> float:
 
 def _reset_rate(m: RunMetrics) -> float:
     return m.connection_reset_rate
+
+
+def _bandwidth_mbs(m: RunMetrics) -> float:
+    return m.bandwidth_mbytes_per_s
 
 
 def _p99_ms(m: RunMetrics) -> float:
@@ -129,21 +146,6 @@ class FigureData:
             ],
         }
 
-    @staticmethod
-    def from_dict(data: Dict) -> "FigureData":
-        """Inverse of :meth:`to_dict`."""
-        return FigureData(
-            figure_id=data["figure_id"],
-            title=data["title"],
-            xlabel=data["xlabel"],
-            ylabel=data["ylabel"],
-            notes=data.get("notes", ""),
-            series=[
-                Series(s["label"], list(s["x"]), list(s["y"]))
-                for s in data["series"]
-            ],
-        )
-
     def chart(self, logy: bool = False, width: int = 68, height: int = 16) -> str:
         """ASCII line chart of the figure (see repro.metrics.plot)."""
         from ..metrics.plot import ascii_chart
@@ -157,6 +159,260 @@ class FigureData:
             xlabel=self.xlabel,
             ylabel=self.ylabel,
         )
+
+
+#: One line of a sweep figure: the sweep behind it and its label.
+Config = Tuple[ServerSpec, Scenario, str]
+
+
+@dataclass(frozen=True)
+class Subfigure:
+    """One row of :data:`FIGURES`: a (sub)figure plotted against clients.
+
+    Each configuration is swept over the profile's client counts and
+    becomes one series, in order, with ``metric`` on the y axis.
+    """
+
+    figure_id: str
+    title: str
+    ylabel: str
+    metric: Callable[[RunMetrics], float]
+    configs: Tuple[Config, ...]
+    notes: str = ""
+
+
+# -- shared lineups ----------------------------------------------------------
+
+_NIO_UP = tuple(
+    (ServerSpec.nio(w), UP_GIGABIT, f"{w} thread{'s' if w > 1 else ''}")
+    for w in NIO_UP_WORKERS
+)
+_HTTPD_UP = tuple(
+    (ServerSpec.httpd(p), UP_GIGABIT, f"{p} threads") for p in HTTPD_UP_POOLS
+)
+_NIO_SMP = tuple(
+    (ServerSpec.nio(w), SMP_GIGABIT, f"{w} threads") for w in NIO_SMP_WORKERS
+)
+_HTTPD_SMP = tuple(
+    (ServerSpec.httpd(p), SMP_GIGABIT, f"{p} threads")
+    for p in HTTPD_SMP_POOLS
+)
+#: The best UP pair, and each best configuration from 1 to 4 CPUs.
+_BEST_UP = (
+    (BEST_NIO_UP, UP_GIGABIT, "nio"), (BEST_HTTPD, UP_GIGABIT, "httpd"),
+)
+_NIO_CPUS = (
+    (BEST_NIO_UP, UP_GIGABIT, "UP"), (BEST_NIO_SMP, SMP_GIGABIT, "SMP"),
+)
+_HTTPD_CPUS = (
+    (BEST_HTTPD, UP_GIGABIT, "UP"), (BEST_HTTPD, SMP_GIGABIT, "SMP"),
+)
+#: The best pair under 100 Mbit, 2x100 Mbit and 1 Gbit.
+_NETWORKS = tuple(
+    (server, scenario, f"{name} {net}")
+    for scenario, net in (
+        (UP_FAST_ETHERNET, "100Mbps"),
+        (UP_DUAL_FAST_ETHERNET, "200Mbps"),
+        (UP_GIGABIT, "1Gbit"),
+    )
+    for server, name in ((BEST_NIO_UP, "NIO"), (BEST_HTTPD, "Httpd"))
+)
+_NO_OVERHEAD = Scenario(
+    "UP-1G-noOvh",
+    MachineSpec(cpus=1, mgmt_overhead_per_thread=0.0),
+    UP_GIGABIT.network,
+)
+#: The uncontrolled httpd, a token bucket capped just under the
+#: saturated establishment rate (~510 conn/s on UP-1G), and CoDel on
+#: the accept queue (shedding on standing delay, not rate) with LIFO.
+_ADMISSION = (
+    (BEST_HTTPD, UP_GIGABIT, "httpd"),
+    (
+        ServerSpec("httpd", 4096, overload=OverloadControl(
+            admission=TokenBucket(rate=520.0, burst=64.0),
+        )),
+        UP_GIGABIT,
+        "httpd+token-bucket",
+    ),
+    (
+        ServerSpec("httpd", 4096, overload=OverloadControl(
+            admission=CoDelShedder(target=0.05, interval=0.5),
+            discipline=LIFO,
+        )),
+        UP_GIGABIT,
+        "httpd+codel+lifo",
+    ),
+)
+#: Observed servers on the bandwidth-bounded testbed.  Queue wait counts
+#: every second a client made no progress (SYN retransmission, backlog,
+#: unserved requests), including the failed connections httperf
+#: excludes; service counts CPU service plus response streaming.
+_OBSERVED = tuple(
+    (ServerSpec(kind, threads, observe=True), UP_FAST_ETHERNET, label)
+    for kind, threads, label in (
+        ("nio", 1, "nio-1w"),
+        ("httpd", 896, "httpd-896t"),
+        ("httpd", 4096, "httpd-4096t"),
+    )
+)
+
+#: Every sweep-backed figure, by generator name: the ten paper figures,
+#: then the ablations (A1, A2, A4, A5) and extensions (extBW, A3, extOC,
+#: extLB).  Rows are subfigures in order; x is always the client count.
+FIGURES: Dict[str, Tuple[Subfigure, ...]] = {
+    "figure_1": (
+        Subfigure("fig1a", "NIO UP throughput", "replies/s", _throughput,
+                  _NIO_UP),
+        Subfigure("fig1b", "Httpd UP throughput", "replies/s", _throughput,
+                  _HTTPD_UP),
+    ),
+    "figure_2": (
+        Subfigure("fig2a", "NIO UP response time", "ms", _response_ms,
+                  _NIO_UP),
+        Subfigure("fig2b", "Httpd UP response time", "ms", _response_ms,
+                  _HTTPD_UP,
+                  "httpd means exclude timed-out/reset victims (httperf "
+                  "semantics), hence the deceptively low values"),
+    ),
+    "figure_3": (
+        Subfigure("fig3a", "Client timeout errors", "errors/s",
+                  _timeout_rate, _BEST_UP),
+        Subfigure("fig3b", "Connection reset errors", "errors/s",
+                  _reset_rate, _BEST_UP,
+                  "nio never idle-reaps, so its reset rate is zero"),
+    ),
+    "figure_4": (
+        Subfigure("fig4", "NIO vs httpd UP connection time", "ms",
+                  _connection_ms, (
+                      (BEST_NIO_UP, UP_GIGABIT, "NIO 1 thread"),
+                      (ServerSpec.httpd(896), UP_GIGABIT,
+                       "httpd 896 threads"),
+                      (BEST_HTTPD, UP_GIGABIT, "httpd 4096 threads"),
+                      (ServerSpec.httpd(6000), UP_GIGABIT,
+                       "httpd 6000 threads"),
+                  )),
+    ),
+    "figure_5": (
+        Subfigure("fig5", "NIO vs Httpd throughput (UP)", "replies/s",
+                  _throughput, _NETWORKS),
+    ),
+    "figure_6": (
+        Subfigure("fig6", "NIO vs Httpd response time (UP)", "ms",
+                  _response_ms, _NETWORKS),
+    ),
+    "figure_7": (
+        Subfigure("fig7a", "NIO SMP throughput", "replies/s", _throughput,
+                  _NIO_SMP),
+        Subfigure("fig7b", "Httpd SMP throughput", "replies/s", _throughput,
+                  _HTTPD_SMP),
+    ),
+    "figure_8": (
+        Subfigure("fig8a", "NIO SMP response time", "ms", _response_ms,
+                  _NIO_SMP),
+        Subfigure("fig8b", "Httpd SMP response time", "ms", _response_ms,
+                  _HTTPD_SMP),
+    ),
+    "figure_9": (
+        Subfigure("fig9a", "NIO throughput 1->4 CPUs", "replies/s",
+                  _throughput, _NIO_CPUS),
+        Subfigure("fig9b", "Httpd throughput 1->4 CPUs", "replies/s",
+                  _throughput, _HTTPD_CPUS),
+    ),
+    "figure_10": (
+        Subfigure("fig10a", "NIO response time 1->4 CPUs", "ms",
+                  _response_ms, _NIO_CPUS),
+        Subfigure("fig10b", "Httpd response time 1->4 CPUs", "ms",
+                  _response_ms, _HTTPD_CPUS),
+    ),
+    "ablation_thread_overhead": (
+        Subfigure("ablA1", "Thread-management overhead ablation",
+                  "replies/s", _throughput, (
+                      (BEST_HTTPD, UP_GIGABIT, "4096t"),
+                      (ServerSpec.httpd(6000), UP_GIGABIT, "6000t"),
+                      (BEST_HTTPD, _NO_OVERHEAD, "4096t no-ovh"),
+                      (ServerSpec.httpd(6000), _NO_OVERHEAD, "6000t no-ovh"),
+                  ),
+                  "removing per-thread overhead recovers big-pool peak"),
+    ),
+    "ablation_idle_timeout": (
+        Subfigure("ablA2", "Idle-timeout ablation (httpd 4096)", "resets/s",
+                  _reset_rate, tuple(
+                      (ServerSpec.httpd(4096, idle_timeout=t), UP_GIGABIT,
+                       f"timeout {label}")
+                      for t, label in (
+                          (5.0, "5s"), (15.0, "15s"), (60.0, "60s"),
+                          (1e9, "inf"),
+                      )
+                  ),
+                  "longer idle timeouts trade resets for held threads"),
+    ),
+    "ablation_selector_strategy": (
+        Subfigure("ablA4", "Selector strategy (nio 2w, SMP)", "replies/s",
+                  _throughput, (
+                      (BEST_NIO_SMP, SMP_GIGABIT, "shared selector"),
+                      (ServerSpec("nio", 2, selector_strategy="partitioned"),
+                       SMP_GIGABIT, "partitioned selectors"),
+                  ),
+                  "Netty-style per-worker selectors vs the paper's shared "
+                  "ready set"),
+    ),
+    "ablation_dynamic_pool": (
+        Subfigure("ablA5", "Dynamic vs static thread pool (httpd)",
+                  "replies/s", _throughput, (
+                      (BEST_HTTPD, UP_GIGABIT, "static 4096"),
+                      (ServerSpec("httpd", 4096, dynamic_pool=True),
+                       UP_GIGABIT, "dynamic (max 4096)"),
+                  ),
+                  "dynamic pools only pay thread overhead for threads the "
+                  "load actually needs"),
+    ),
+    "extension_bandwidth_usage": (
+        Subfigure("extBW", "Bandwidth usage (UP, 1 Gbit)", "MB/s",
+                  _bandwidth_mbs, (
+                      (BEST_NIO_UP, UP_GIGABIT, "nio MB/s"),
+                      (BEST_HTTPD, UP_GIGABIT, "httpd MB/s"),
+                  ),
+                  "paper: always under 40 MB/s, linear in replies/s"),
+    ),
+    "extension_staged_smp": (
+        Subfigure("extA3", "Staged/AMPED extension on SMP", "replies/s",
+                  _throughput, (
+                      (BEST_NIO_SMP, SMP_GIGABIT, "nio-2w"),
+                      (ServerSpec.staged(2), SMP_GIGABIT, "staged-2w"),
+                      (ServerSpec.amped(4), SMP_GIGABIT, "amped-4h"),
+                      (BEST_HTTPD, SMP_GIGABIT, "httpd-4096t"),
+                  ),
+                  "the paper's future-work pipeline, plus Flash AMPED"),
+    ),
+    "extension_overload_control": (
+        Subfigure("extOCa", "Connection reset errors w/ admission control",
+                  "errors/s", _reset_rate, _ADMISSION,
+                  "shedding at SYN time shrinks the idle keep-alive "
+                  "population that reaping resets"),
+        Subfigure("extOCb", "Client timeout errors w/ admission control",
+                  "errors/s", _timeout_rate, _ADMISSION,
+                  "the flip side: shed SYNs burn retransmission time and "
+                  "surface as connect-phase timeouts"),
+        Subfigure("extOCc", "Goodput w/ admission control", "replies/s",
+                  _throughput, _ADMISSION,
+                  "the token bucket caps establishment just under "
+                  "saturation, so goodput stays near the peak"),
+    ),
+    "extension_latency_breakdown": (
+        Subfigure("extLBa", "Queue-wait share of client time (UP, 100 Mbit)",
+                  "% of time", _queue_share_pct, _OBSERVED,
+                  "includes failed connections httperf excludes from "
+                  "response-time stats"),
+        Subfigure("extLBb",
+                  "Service-time share of client time (UP, 100 Mbit)",
+                  "% of time", _service_share_pct, _OBSERVED,
+                  "nio streams everyone concurrently, so its time is honest "
+                  "service time"),
+    ),
+}
+
+#: Generators that run cluster sweeps or one observed run instead.
+_CLUSTER_FIGURES = ("extension_cluster_scaling", "extension_cluster_timeline")
 
 
 class FigureRunner:
@@ -188,31 +444,10 @@ class FigureRunner:
     # -- sweep plumbing ------------------------------------------------------
     def sweep(self, server: ServerSpec, scenario: Scenario) -> SweepResult:
         """Cached client sweep of ``server`` in ``scenario``."""
-        # The store's content form: every configuration value, so two
-        # specs that differ only in a policy parameter never share a key.
-        key = json.dumps(canonical((server, scenario)), sort_keys=True)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if self.verbose:
-            print(
-                f"[figures] sweeping {server.label} on {scenario.name} "
-                f"({self.profile.points} points)...",
-                file=sys.stderr,
-            )
-        result = sweep_clients(
-            server,
-            scenario,
-            self.profile.clients,
-            duration=self.profile.duration,
-            warmup=self.profile.warmup,
-            seed=self.seed,
-            point_hook=self._progress if self.verbose else None,
-            jobs=self.jobs,
-            store=self.store,
+        return self._cached(
+            (server, scenario), f"{server.label} on {scenario.name}",
+            self.profile.clients, sweep_clients, server, scenario,
         )
-        self._cache[key] = result
-        return result
 
     def cluster_sweep(
         self, cluster: ClusterSpec, flash: Optional[FlashCrowdSpec] = None
@@ -224,35 +459,42 @@ class FigureRunner:
         """
         from ..cluster import sweep_cluster
 
-        # Keyed like :meth:`sweep`: a cluster's label omits replica CPU
-        # speeds, client classes and the flash spec.
-        key = json.dumps(canonical((cluster, flash)), sort_keys=True)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         clients: List[int] = []
         for c in self.profile.clients:
             scaled = max(30, c // 4)
             if scaled not in clients:
                 clients.append(scaled)
-        if self.verbose:
-            print(
-                f"[figures] sweeping cluster {cluster.label} "
-                f"({len(clients)} points)...",
-                file=sys.stderr,
-            )
-        result = sweep_cluster(
-            cluster,
-            clients,
-            duration=self.profile.duration,
-            warmup=self.profile.warmup,
-            seed=self.seed,
-            flash=flash,
-            jobs=self.jobs,
-            store=self.store,
-            point_hook=self._progress if self.verbose else None,
+        return self._cached(
+            (cluster, flash), f"cluster {cluster.label}", clients,
+            sweep_cluster, cluster, flash=flash,
         )
-        self._cache[key] = result
+
+    def _cached(self, key, what, clients, run, *args, **kwargs) -> SweepResult:
+        """``run(*args, clients, ...)`` once per content key.
+
+        The key is the store's content form of every configuration
+        value, not a label: labels omit policy parameters, replica CPU
+        speeds, client classes and flash specs.
+        """
+        key = json.dumps(canonical(key), sort_keys=True)
+        result = self._cache.get(key)
+        if result is None:
+            if self.verbose:
+                print(
+                    f"[figures] sweeping {what} ({len(clients)} points)...",
+                    file=sys.stderr,
+                )
+            result = self._cache[key] = run(
+                *args,
+                clients,
+                duration=self.profile.duration,
+                warmup=self.profile.warmup,
+                seed=self.seed,
+                point_hook=self._progress if self.verbose else None,
+                jobs=self.jobs,
+                store=self.store,
+                **kwargs,
+            )
         return result
 
     def _progress(self, metrics: RunMetrics) -> None:
@@ -262,439 +504,33 @@ class FigureRunner:
             file=sys.stderr,
         )
 
+    # -- figures -------------------------------------------------------------
+    def figure(self, name: str) -> List[FigureData]:
+        """Build the figure generator ``name`` (``"figure_3"``, ...).
+
+        A :data:`FIGURES` entry plots one cached sweep per configuration
+        row by row; the two cluster figures run their own methods.  Any
+        other name raises ``ValueError``.
+        """
+        if name in _CLUSTER_FIGURES:
+            return getattr(self, name)()
+        if name not in FIGURES:
+            raise ValueError(f"unknown figure generator {name!r}")
+        return [
+            FigureData(
+                row.figure_id, row.title, "clients", row.ylabel,
+                [self._series(config, row.metric) for config in row.configs],
+                notes=row.notes,
+            )
+            for row in FIGURES[name]
+        ]
+
     def _series(
-        self,
-        configs: List[Tuple[ServerSpec, Scenario, str]],
-        metric: Callable[[RunMetrics], float],
-    ) -> List[Series]:
-        out = []
-        for server, scenario, label in configs:
-            sweep = self.sweep(server, scenario)
-            out.append(Series(label, sweep.clients, sweep.metric(metric)))
-        return out
-
-    # -- paper figures ------------------------------------------------------
-    def figure_1(self) -> List[FigureData]:
-        """Throughput comparison on a uniprocessor (UP) system."""
-        nio = [
-            (ServerSpec.nio(w), UP_GIGABIT, f"{w} thread{'s' if w > 1 else ''}")
-            for w in NIO_UP_WORKERS
-        ]
-        httpd = [
-            (ServerSpec.httpd(p), UP_GIGABIT, f"{p} threads")
-            for p in HTTPD_UP_POOLS
-        ]
-        return [
-            FigureData(
-                "fig1a", "NIO UP throughput", "clients", "replies/s",
-                self._series(nio, _throughput),
-            ),
-            FigureData(
-                "fig1b", "Httpd UP throughput", "clients", "replies/s",
-                self._series(httpd, _throughput),
-            ),
-        ]
-
-    def figure_2(self) -> List[FigureData]:
-        """Response-time comparison on a uniprocessor (UP) system."""
-        nio = [
-            (ServerSpec.nio(w), UP_GIGABIT, f"{w} thread{'s' if w > 1 else ''}")
-            for w in NIO_UP_WORKERS
-        ]
-        httpd = [
-            (ServerSpec.httpd(p), UP_GIGABIT, f"{p} threads")
-            for p in HTTPD_UP_POOLS
-        ]
-        note = (
-            "httpd means exclude timed-out/reset victims "
-            "(httperf semantics), hence the deceptively low values"
-        )
-        return [
-            FigureData(
-                "fig2a", "NIO UP response time", "clients", "ms",
-                self._series(nio, _response_ms),
-            ),
-            FigureData(
-                "fig2b", "Httpd UP response time", "clients", "ms",
-                self._series(httpd, _response_ms), notes=note,
-            ),
-        ]
-
-    def figure_3(self) -> List[FigureData]:
-        """Connection errors (client timeouts and resets), best configs."""
-        configs = [
-            (ServerSpec.nio(1), UP_GIGABIT, "nio"),
-            (ServerSpec.httpd(4096), UP_GIGABIT, "httpd"),
-        ]
-        return [
-            FigureData(
-                "fig3a", "Client timeout errors", "clients", "errors/s",
-                self._series(configs, _timeout_rate),
-            ),
-            FigureData(
-                "fig3b", "Connection reset errors", "clients", "errors/s",
-                self._series(configs, _reset_rate),
-                notes="nio never idle-reaps, so its reset rate is zero",
-            ),
-        ]
-
-    def figure_4(self) -> List[FigureData]:
-        """Connection time for the best nio and several httpd pools."""
-        configs = [
-            (ServerSpec.nio(1), UP_GIGABIT, "NIO 1 thread"),
-            (ServerSpec.httpd(896), UP_GIGABIT, "httpd 896 threads"),
-            (ServerSpec.httpd(4096), UP_GIGABIT, "httpd 4096 threads"),
-            (ServerSpec.httpd(6000), UP_GIGABIT, "httpd 6000 threads"),
-        ]
-        return [
-            FigureData(
-                "fig4", "NIO vs httpd UP connection time", "clients", "ms",
-                self._series(configs, _connection_ms),
-            )
-        ]
-
-    def figure_5(self) -> List[FigureData]:
-        """Throughput under 100 Mbit / 200 Mbit / 1 Gbit (best configs)."""
-        configs = [
-            (ServerSpec.nio(1), UP_FAST_ETHERNET, "NIO 100Mbps"),
-            (ServerSpec.httpd(4096), UP_FAST_ETHERNET, "Httpd 100Mbps"),
-            (ServerSpec.nio(1), UP_DUAL_FAST_ETHERNET, "NIO 200Mbps"),
-            (ServerSpec.httpd(4096), UP_DUAL_FAST_ETHERNET, "Httpd 200Mbps"),
-            (ServerSpec.nio(1), UP_GIGABIT, "NIO 1Gbit"),
-            (ServerSpec.httpd(4096), UP_GIGABIT, "Httpd 1Gbit"),
-        ]
-        return [
-            FigureData(
-                "fig5", "NIO vs Httpd throughput (UP)", "clients", "replies/s",
-                self._series(configs, _throughput),
-            )
-        ]
-
-    def figure_6(self) -> List[FigureData]:
-        """Response time under the three network configurations."""
-        configs = [
-            (ServerSpec.nio(1), UP_FAST_ETHERNET, "NIO 100Mbps"),
-            (ServerSpec.httpd(4096), UP_FAST_ETHERNET, "Httpd 100Mbps"),
-            (ServerSpec.nio(1), UP_DUAL_FAST_ETHERNET, "NIO 200Mbps"),
-            (ServerSpec.httpd(4096), UP_DUAL_FAST_ETHERNET, "Httpd 200Mbps"),
-            (ServerSpec.nio(1), UP_GIGABIT, "NIO 1Gbit"),
-            (ServerSpec.httpd(4096), UP_GIGABIT, "Httpd 1Gbit"),
-        ]
-        return [
-            FigureData(
-                "fig6", "NIO vs Httpd response time (UP)", "clients", "ms",
-                self._series(configs, _response_ms),
-            )
-        ]
-
-    def figure_7(self) -> List[FigureData]:
-        """Throughput comparison on the 4-way SMP system."""
-        nio = [
-            (ServerSpec.nio(w), SMP_GIGABIT, f"{w} threads")
-            for w in NIO_SMP_WORKERS
-        ]
-        httpd = [
-            (ServerSpec.httpd(p), SMP_GIGABIT, f"{p} threads")
-            for p in HTTPD_SMP_POOLS
-        ]
-        return [
-            FigureData(
-                "fig7a", "NIO SMP throughput", "clients", "replies/s",
-                self._series(nio, _throughput),
-            ),
-            FigureData(
-                "fig7b", "Httpd SMP throughput", "clients", "replies/s",
-                self._series(httpd, _throughput),
-            ),
-        ]
-
-    def figure_8(self) -> List[FigureData]:
-        """Response-time comparison on the 4-way SMP system."""
-        nio = [
-            (ServerSpec.nio(w), SMP_GIGABIT, f"{w} threads")
-            for w in NIO_SMP_WORKERS
-        ]
-        httpd = [
-            (ServerSpec.httpd(p), SMP_GIGABIT, f"{p} threads")
-            for p in HTTPD_SMP_POOLS
-        ]
-        return [
-            FigureData(
-                "fig8a", "NIO SMP response time", "clients", "ms",
-                self._series(nio, _response_ms),
-            ),
-            FigureData(
-                "fig8b", "Httpd SMP response time", "clients", "ms",
-                self._series(httpd, _response_ms),
-            ),
-        ]
-
-    def figure_9(self) -> List[FigureData]:
-        """Throughput scalability from 1 to 4 CPUs (best configs)."""
-        nio = [
-            (ServerSpec.nio(1), UP_GIGABIT, "UP"),
-            (ServerSpec.nio(2), SMP_GIGABIT, "SMP"),
-        ]
-        httpd = [
-            (ServerSpec.httpd(4096), UP_GIGABIT, "UP"),
-            (ServerSpec.httpd(4096), SMP_GIGABIT, "SMP"),
-        ]
-        return [
-            FigureData(
-                "fig9a", "NIO throughput 1->4 CPUs", "clients", "replies/s",
-                self._series(nio, _throughput),
-            ),
-            FigureData(
-                "fig9b", "Httpd throughput 1->4 CPUs", "clients", "replies/s",
-                self._series(httpd, _throughput),
-            ),
-        ]
-
-    def figure_10(self) -> List[FigureData]:
-        """Response-time scalability from 1 to 4 CPUs (best configs)."""
-        nio = [
-            (ServerSpec.nio(1), UP_GIGABIT, "UP"),
-            (ServerSpec.nio(2), SMP_GIGABIT, "SMP"),
-        ]
-        httpd = [
-            (ServerSpec.httpd(4096), UP_GIGABIT, "UP"),
-            (ServerSpec.httpd(4096), SMP_GIGABIT, "SMP"),
-        ]
-        return [
-            FigureData(
-                "fig10a", "NIO response time 1->4 CPUs", "clients", "ms",
-                self._series(nio, _response_ms),
-            ),
-            FigureData(
-                "fig10b", "Httpd response time 1->4 CPUs", "clients", "ms",
-                self._series(httpd, _response_ms),
-            ),
-        ]
-
-    # -- ablations and extensions ---------------------------------------------
-    def ablation_thread_overhead(self) -> List[FigureData]:
-        """A1: throughput of big pools with management overhead disabled."""
-        no_overhead = Scenario(
-            "UP-1G-noOvh",
-            MachineSpec(cpus=1, mgmt_overhead_per_thread=0.0),
-            UP_GIGABIT.network,
-        )
-        configs = [
-            (ServerSpec.httpd(4096), UP_GIGABIT, "4096t"),
-            (ServerSpec.httpd(6000), UP_GIGABIT, "6000t"),
-            (ServerSpec.httpd(4096), no_overhead, "4096t no-ovh"),
-            (ServerSpec.httpd(6000), no_overhead, "6000t no-ovh"),
-        ]
-        return [
-            FigureData(
-                "ablA1", "Thread-management overhead ablation",
-                "clients", "replies/s",
-                self._series(configs, _throughput),
-                notes="removing per-thread overhead recovers big-pool peak",
-            )
-        ]
-
-    def ablation_idle_timeout(self) -> List[FigureData]:
-        """A2: reset-error rate vs the server's idle-timeout setting."""
-        configs = [
-            (ServerSpec.httpd(4096, idle_timeout=t), UP_GIGABIT, f"{label}")
-            for t, label in (
-                (5.0, "timeout 5s"),
-                (15.0, "timeout 15s"),
-                (60.0, "timeout 60s"),
-                (1e9, "timeout inf"),
-            )
-        ]
-        return [
-            FigureData(
-                "ablA2", "Idle-timeout ablation (httpd 4096)",
-                "clients", "resets/s",
-                self._series(configs, _reset_rate),
-                notes="longer idle timeouts trade resets for held threads",
-            )
-        ]
-
-    def ablation_selector_strategy(self) -> List[FigureData]:
-        """A4: shared selector (the paper's nio) vs per-worker selectors."""
-        shared = ServerSpec("nio", 2, selector_strategy="shared")
-        partitioned = ServerSpec("nio", 2, selector_strategy="partitioned")
-        configs = [
-            (shared, SMP_GIGABIT, "shared selector"),
-            (partitioned, SMP_GIGABIT, "partitioned selectors"),
-        ]
-        return [
-            FigureData(
-                "ablA4", "Selector strategy (nio 2w, SMP)",
-                "clients", "replies/s",
-                self._series(configs, _throughput),
-                notes="Netty-style per-worker selectors vs the paper's "
-                      "shared ready set",
-            )
-        ]
-
-    def ablation_dynamic_pool(self) -> List[FigureData]:
-        """A5: Apache Min/MaxSpareThreads dynamic pool vs static pool."""
-        static = ServerSpec.httpd(4096)
-        dynamic = ServerSpec("httpd", 4096, dynamic_pool=True)
-        configs = [
-            (static, UP_GIGABIT, "static 4096"),
-            (dynamic, UP_GIGABIT, "dynamic (max 4096)"),
-        ]
-        return [
-            FigureData(
-                "ablA5", "Dynamic vs static thread pool (httpd)",
-                "clients", "replies/s",
-                self._series(configs, _throughput),
-                notes="dynamic pools only pay thread overhead for threads "
-                      "the load actually needs",
-            )
-        ]
-
-    def extension_bandwidth_usage(self) -> List[FigureData]:
-        """Extended-report figure: bandwidth used by the best configs.
-
-        The paper states a linear relation between achieved throughput and
-        bandwidth, with usage always under 40 MB/s on the 1 Gbit link.
-        """
-        configs = [
-            (ServerSpec.nio(1), UP_GIGABIT, "nio MB/s"),
-            (ServerSpec.httpd(4096), UP_GIGABIT, "httpd MB/s"),
-        ]
-        return [
-            FigureData(
-                "extBW", "Bandwidth usage (UP, 1 Gbit)",
-                "clients", "MB/s",
-                self._series(
-                    configs, lambda m: m.bandwidth_mbytes_per_s
-                ),
-                notes="paper: always under 40 MB/s, linear in replies/s",
-            )
-        ]
-
-    def extension_staged_smp(self) -> List[FigureData]:
-        """A3: staged (SEDA) pipeline vs nio vs httpd on the SMP system."""
-        configs = [
-            (ServerSpec.nio(2), SMP_GIGABIT, "nio-2w"),
-            (ServerSpec.staged(2), SMP_GIGABIT, "staged-2w"),
-            (ServerSpec.amped(4), SMP_GIGABIT, "amped-4h"),
-            (ServerSpec.httpd(4096), SMP_GIGABIT, "httpd-4096t"),
-        ]
-        return [
-            FigureData(
-                "extA3", "Staged/AMPED extension on SMP",
-                "clients", "replies/s",
-                self._series(configs, _throughput),
-                notes="the paper's future-work pipeline, plus Flash AMPED",
-            )
-        ]
-
-    def extension_overload_control(self) -> List[FigureData]:
-        """Overload-control extension: deliberate shedding vs the paper's
-        accidental kind.
-
-        The uncontrolled httpd baseline reproduces figure 3's error
-        shape: resets grow with the client count (idle reaping) and
-        client timeouts explode past saturation.  A token-bucket
-        admission policy capped just under the saturated establishment
-        rate (~510 conn/s on UP-1G) sheds the excess at SYN time —
-        trading mid-session resets for cheap connect-phase failures —
-        while keeping goodput within a few percent of the uncontrolled
-        peak.  A CoDel-on-the-accept-queue variant (with LIFO ordering)
-        sheds on standing queue *delay* instead of rate.
-        """
-        from ..overload import (
-            LIFO,
-            CoDelShedder,
-            OverloadControl,
-            TokenBucket,
-        )
-
-        baseline = ServerSpec.httpd(4096)
-        bucket = ServerSpec(
-            "httpd", 4096,
-            overload=OverloadControl(
-                admission=TokenBucket(rate=520.0, burst=64.0)
-            ),
-        )
-        codel = ServerSpec(
-            "httpd", 4096,
-            overload=OverloadControl(
-                admission=CoDelShedder(target=0.05, interval=0.5),
-                discipline=LIFO,
-            ),
-        )
-        configs = [
-            (baseline, UP_GIGABIT, "httpd"),
-            (bucket, UP_GIGABIT, "httpd+token-bucket"),
-            (codel, UP_GIGABIT, "httpd+codel+lifo"),
-        ]
-        return [
-            FigureData(
-                "extOCa", "Connection reset errors w/ admission control",
-                "clients", "errors/s",
-                self._series(configs, _reset_rate),
-                notes="shedding at SYN time shrinks the idle keep-alive "
-                      "population that reaping resets",
-            ),
-            FigureData(
-                "extOCb", "Client timeout errors w/ admission control",
-                "clients", "errors/s",
-                self._series(configs, _timeout_rate),
-                notes="the flip side: shed SYNs burn retransmission time "
-                      "and surface as connect-phase timeouts",
-            ),
-            FigureData(
-                "extOCc", "Goodput w/ admission control",
-                "clients", "replies/s",
-                self._series(configs, _throughput),
-                notes="the token bucket caps establishment just under "
-                      "saturation, so goodput stays near the peak",
-            ),
-        ]
-
-    def extension_latency_breakdown(self) -> List[FigureData]:
-        """Observability extension: queue-wait vs service-time share.
-
-        Makes figure 2's explanation directly observable from span data
-        on the bandwidth-bounded UP-100M testbed.  *Queue wait* counts
-        every second a client spent making no progress — SYN
-        retransmission, the kernel backlog, requests sitting unserved —
-        **including the failed connections httperf excludes** from
-        response-time statistics.  *Service* counts CPU service plus
-        response streaming.  nio streams to every client concurrently,
-        so its clients' time is almost entirely service; thread-limited
-        httpd pools serialize clients behind busy workers, so at peak
-        load the (hidden) queue wait dominates.
-        """
-        configs = [
-            (ServerSpec("nio", 1, observe=True), UP_FAST_ETHERNET, "nio-1w"),
-            (
-                ServerSpec("httpd", 896, observe=True),
-                UP_FAST_ETHERNET,
-                "httpd-896t",
-            ),
-            (
-                ServerSpec("httpd", 4096, observe=True),
-                UP_FAST_ETHERNET,
-                "httpd-4096t",
-            ),
-        ]
-        return [
-            FigureData(
-                "extLBa", "Queue-wait share of client time (UP, 100 Mbit)",
-                "clients", "% of time",
-                self._series(configs, _queue_share_pct),
-                notes="includes failed connections httperf excludes from "
-                      "response-time stats",
-            ),
-            FigureData(
-                "extLBb", "Service-time share of client time (UP, 100 Mbit)",
-                "clients", "% of time",
-                self._series(configs, _service_share_pct),
-                notes="nio streams everyone concurrently, so its time is "
-                      "honest service time",
-            ),
-        ]
+        self, config: Config, metric: Callable[[RunMetrics], float]
+    ) -> Series:
+        server, scenario, label = config
+        sweep = self.sweep(server, scenario)
+        return Series(label, sweep.clients, sweep.metric(metric))
 
     def extension_cluster_scaling(self) -> List[FigureData]:
         """Cluster extension: balancer policy and cache tier at scale.
@@ -928,29 +764,24 @@ class FigureRunner:
             ),
         ]
 
-    # -- everything ---------------------------------------------------------
-    def all_figures(self) -> Dict[str, List[FigureData]]:
-        """Every paper figure (1-10) in order."""
-        return self.run_figures(PAPER_FIGURES)
 
+    # -- everything ---------------------------------------------------------
     def run_figures(
         self, names: Optional[Tuple[str, ...]] = None
     ) -> Dict[str, List[FigureData]]:
-        """Regenerate the named figure methods (default: all paper figures).
+        """Regenerate the named figures (default: all paper figures).
 
-        Names are generator-method names (``"figure_3"``,
-        ``"extension_overload_control"``, ...).  Sweeps are shared through
-        the runner cache, and each sweep's points fan out over
-        ``self.jobs`` workers.
+        Names are generator names (``"figure_3"``,
+        ``"extension_overload_control"``, ...; see :meth:`figure`), and
+        the result keeps their order.  Sweeps are shared through the
+        runner cache, and each sweep's points fan out over ``self.jobs``
+        workers.
         """
-        out: Dict[str, List[FigureData]] = {}
-        for name in names if names is not None else PAPER_FIGURES:
-            method = getattr(self, name, None)
-            if method is None:
-                raise ValueError(f"unknown figure generator {name!r}")
-            out[name] = method()
-        return out
+        return {
+            name: self.figure(name)
+            for name in (names if names is not None else PAPER_FIGURES)
+        }
 
 
-#: Names of the paper-figure generator methods, for discovery/tests.
+#: Names of the paper-figure generators, in paper order.
 PAPER_FIGURES = tuple(f"figure_{i}" for i in range(1, 11))

@@ -14,9 +14,7 @@ from repro.core import (
     best_configuration,
     build_server,
     find_crossover,
-    peak_throughput,
     plateau_throughput,
-    relative_peak,
     scaling_factor,
     sweep_clients,
 )
@@ -144,15 +142,14 @@ def test_sweep_result_accessors():
 
 def test_peak_and_plateau():
     s = fake_sweep("x", [(1, 50.0), (2, 100.0), (3, 90.0), (4, 95.0)])
-    assert peak_throughput(s) == 100.0
+    assert s.peak_throughput == 100.0
     assert plateau_throughput(s, top_k=2) == 97.5
 
 
-def test_scaling_factor_and_relative_peak():
+def test_scaling_factor():
     up = fake_sweep("up", [(1, 100.0), (2, 100.0), (3, 100.0)])
     smp = fake_sweep("smp", [(1, 195.0), (2, 205.0), (3, 200.0)])
     assert scaling_factor(up, smp) == pytest.approx(2.0)
-    assert relative_peak(smp, up) == pytest.approx(2.0)
 
 
 def test_find_crossover_interpolates():
@@ -266,7 +263,7 @@ def test_figure_runner_distinguishes_clusters_that_share_a_label():
 
 def test_figure_3_structure():
     runner = FigureRunner(profile=TINY)
-    figs = runner.figure_3()
+    figs = runner.figure("figure_3")
     assert [f.figure_id for f in figs] == ["fig3a", "fig3b"]
     for fig in figs:
         assert len(fig.series) == 2
@@ -277,13 +274,13 @@ def test_figure_3_structure():
 
 def test_figure_9_reuses_best_config_runs():
     runner = FigureRunner(profile=TINY)
-    runner.figure_9()
+    runner.figure("figure_9")
     before = len(runner._cache)
-    runner.figure_10()  # same sweeps, different metric
+    runner.figure("figure_10")  # same sweeps, different metric
     assert len(runner._cache) == before
 
 
 def test_figure_table_renders_notes():
     runner = FigureRunner(profile=TINY)
-    fig = runner.figure_3()[1]
+    fig = runner.figure("figure_3")[1]
     assert "note:" in fig.table()

@@ -1,6 +1,4 @@
-"""Round-trip tests for figure-data serialisation."""
-
-import json
+"""Tests for figure-data serialisation."""
 
 from repro.core import FigureData, Series
 
@@ -25,29 +23,3 @@ def test_to_dict_fields():
     assert d["series"][0]["label"] == "1 thread"
     assert d["series"][1]["y"] == [66.4, 651.2]
     assert d["notes"] == "demo"
-
-
-def test_roundtrip_through_json():
-    fig = make_fig()
-    restored = FigureData.from_dict(json.loads(json.dumps(fig.to_dict())))
-    assert restored.figure_id == fig.figure_id
-    assert restored.title == fig.title
-    assert restored.notes == fig.notes
-    assert len(restored.series) == 2
-    for a, b in zip(restored.series, fig.series):
-        assert a.label == b.label
-        assert a.x == b.x
-        assert a.y == b.y
-
-
-def test_from_dict_missing_notes_defaults_empty():
-    d = make_fig().to_dict()
-    del d["notes"]
-    assert FigureData.from_dict(d).notes == ""
-
-
-def test_roundtrip_preserves_table_and_chart():
-    fig = make_fig()
-    restored = FigureData.from_dict(fig.to_dict())
-    assert restored.table() == fig.table()
-    assert restored.chart() == fig.chart()
